@@ -192,23 +192,34 @@ def load_corpus(root) -> Corpus:
                     is_first_page=rec["is_first_page"],
                     text_tokens=rec.get("text_tokens"),
                 ))
+        for lawsuit in lawsuits.values():
+            lawsuit.pages.sort(key=lambda p: p.page_index)
+        pages = {(p.lawsuit_id, p.page_index): p
+                 for lawsuit in lawsuits.values() for p in lawsuit.pages}
         for name, attr in (("text", "text_embedding"), ("image", "image_embedding")):
             emb_path = split_dir / f"{name}.emb"
             if not emb_path.exists():
                 continue
-            rows, index = _read_emb(emb_path, split_dir / f"{name}.idx.jsonl")
+            idx_path = split_dir / f"{name}.idx.jsonl"
+            rows, index = _read_emb(emb_path, idx_path)
             for lid, page_index, row in index:
                 if lid not in lawsuits:
-                    raise CorpusError(f"{name} index references unknown "
+                    raise CorpusError(f"{idx_path}: references unknown "
                                       f"lawsuit {lid}")
-                lawsuits[lid].pages[page_index].__setattr__(attr, rows[row].copy())
+                page = pages.get((lid, page_index))
+                if page is None:
+                    raise CorpusError(f"{idx_path}: lawsuit {lid} has no page "
+                                      f"{page_index} in {pages_path}")
+                if getattr(page, attr) is not None:
+                    raise CorpusError(f"{idx_path}: page {page_index} of "
+                                      f"lawsuit {lid} has two rows")
+                setattr(page, attr, rows[row].copy())
         split_lawsuits = []
         for lid in ids:
             lawsuit = lawsuits[lid]
             if not lawsuit.pages:
                 raise CorpusError(f"manifest lists lawsuit {lid} with no pages "
                                   f"on disk under {split_dir}")
-            lawsuit.pages.sort(key=lambda p: p.page_index)
             lawsuit.validate()
             split_lawsuits.append(lawsuit)
         corpus[split] = split_lawsuits

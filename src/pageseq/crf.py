@@ -1,8 +1,11 @@
 """Linear-chain conditional random field over per-page feature vectors.
 
 Core routines operate on an emission matrix (T, K) plus transition
-scores; :class:`CrfModel` adds a linear emission map over F-dim input
-features and is what the fusion + CRF pipeline trains.  Brute-force
+scores.  Forward-backward and the NLL gradient also take a batch of
+sequences packed into one (N, K) matrix plus their lengths, and run the
+recursion once for the whole batch over a padded view.
+:class:`CrfModel` adds a linear emission map over F-dim input features
+and is what the fusion + CRF pipeline trains.  Brute-force
 counterparts (exhaustive path enumeration) are provided for small K, T
 and are used as oracles by the test suite.
 """
@@ -39,49 +42,94 @@ def forward_log_partition(emissions, transitions, start, stop):
     return float(log_sum_exp(alpha + stop))
 
 
-def forward_backward(emissions, transitions, start, stop):
-    """Posterior unary marginals (T, K) and expected transition counts (K, K)."""
-    emissions = np.asarray(emissions)
-    t_len, k = emissions.shape
-    alphas = np.empty((t_len, k), dtype=np.float64)
-    alphas[0] = start + emissions[0]
-    for t in range(1, t_len):
-        alphas[t] = emissions[t] + log_sum_exp(alphas[t - 1][:, None] + transitions, axis=0)
-    betas = np.empty((t_len, k), dtype=np.float64)
-    betas[-1] = stop
-    for t in range(t_len - 2, -1, -1):
-        betas[t] = log_sum_exp(transitions + (emissions[t + 1] + betas[t + 1])[None, :], axis=1)
-    log_z = log_sum_exp(alphas[-1] + stop)
-    unary = np.exp(alphas + betas - log_z)
-    pairwise = np.zeros((k, k), dtype=np.float64)
-    for t in range(t_len - 1):
-        joint = (alphas[t][:, None] + transitions
-                 + (emissions[t + 1] + betas[t + 1])[None, :])
-        pairwise += np.exp(joint - log_z)
-    return unary, pairwise, float(log_z)
+def _packing(n_rows, lengths):
+    """Checked sequence lengths of N packed rows, plus row indices.
+
+    Returns (lengths, firsts, lasts, pairs): each sequence's first and
+    last row, and every row r whose successor r + 1 is in its sequence.
+    """
+    lengths = np.array([n_rows] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("lengths must be a non-empty list of positive ints")
+    if lengths.sum() != n_rows:
+        raise ValueError(f"lengths sum to {lengths.sum()}, emissions have "
+                         f"{n_rows} rows")
+    lasts = np.cumsum(lengths) - 1
+    firsts = lasts - lengths + 1
+    has_next = np.ones(n_rows, dtype=bool)
+    has_next[lasts] = False
+    return lengths, firsts, lasts, np.flatnonzero(has_next)
 
 
-def nll_and_grad(emissions, transitions, start, stop, gold_tags):
+def forward_backward(emissions, transitions, start, stop, lengths=None):
+    """Posterior marginals of a batch of sequences, packed.
+
+    ``emissions`` is (N, K): the rows of every sequence concatenated, with
+    ``lengths`` giving each sequence's row count (one sequence when it is
+    omitted).  The recursions run once over a padded (B, T_max, K) view;
+    rows past a sequence's end are computed but never read.  Returns the
+    unary marginals (N, K), the expected transition counts (K, K) summed
+    over the batch, and the summed log partition.
+    """
+    emissions = np.asarray(emissions, dtype=np.float64)
+    n_rows, k = emissions.shape
+    lengths, _, _, pairs = _packing(n_rows, lengths)
+    n_seq, t_max = lengths.size, int(lengths.max())
+    valid = np.arange(t_max) < lengths[:, None]
+    em = np.zeros((n_seq, t_max, k), dtype=np.float64)
+    em[valid] = emissions
+    alphas = np.empty_like(em)
+    alphas[:, 0] = start + em[:, 0]
+    for t in range(1, t_max):
+        alphas[:, t] = em[:, t] + log_sum_exp(
+            alphas[:, t - 1, :, None] + transitions, axis=1)
+    # betas[:, t] is the recursion's value, except at each sequence's last row
+    betas = np.empty_like(em)
+    betas[:, -1] = stop
+    ends = lengths - 1
+    for t in range(t_max - 2, -1, -1):
+        betas[:, t] = log_sum_exp(
+            transitions + (em[:, t + 1] + betas[:, t + 1])[:, None, :], axis=2)
+        betas[ends == t, t] = stop
+    log_z = log_sum_exp(alphas[np.arange(n_seq), ends] + stop, axis=1)
+    row_log_z = np.repeat(log_z, lengths)[:, None]
+    alphas, betas = alphas[valid], betas[valid]
+    unary = np.exp(alphas + betas - row_log_z)
+    joint = (alphas[pairs, :, None] + transitions
+             + (emissions[pairs + 1] + betas[pairs + 1])[:, None, :])
+    pairwise = np.exp(joint - row_log_z[pairs, :, None]).sum(axis=0)
+    return unary, pairwise, float(log_z.sum())
+
+
+def nll_and_grad(emissions, transitions, start, stop, gold_tags, lengths=None):
     """CRF negative log-likelihood and gradients via expected counts.
 
-    Returns (nll, d_emissions, d_transitions, d_start, d_stop).
+    Takes packed emissions (N, K) and gold tags (N,) of the sequences
+    named by ``lengths``, as :func:`forward_backward` does.  Returns
+    (nll, d_emissions, d_transitions, d_start, d_stop), each summed over
+    the sequences.
     """
-    gold_tags = np.asarray(gold_tags)
-    t_len, k = np.asarray(emissions).shape
+    emissions, gold_tags = np.asarray(emissions), np.asarray(gold_tags)
+    n_rows, k = emissions.shape
+    if gold_tags.shape != (n_rows,):
+        raise ValueError("tags length does not match emissions")
     if gold_tags.min() < 0 or gold_tags.max() >= k:
         raise IndexError("gold tag out of range")
-    unary, pairwise, log_z = forward_backward(emissions, transitions, start, stop)
-    gold = sequence_score(emissions, transitions, start, stop, gold_tags)
-    d_em = unary.copy()
-    d_em[np.arange(t_len), gold_tags] -= 1.0
+    lengths, firsts, lasts, pairs = _packing(n_rows, lengths)
+    unary, pairwise, log_z = forward_backward(emissions, transitions, start,
+                                              stop, lengths)
+    prev, nxt = gold_tags[pairs], gold_tags[pairs + 1]
+    gold = (emissions[np.arange(n_rows), gold_tags].sum()
+            + transitions[prev, nxt].sum() + start[gold_tags[firsts]].sum()
+            + stop[gold_tags[lasts]].sum())
+    d_em = unary
+    d_em[np.arange(n_rows), gold_tags] -= 1.0
     d_trans = pairwise
-    if t_len > 1:
-        np.subtract.at(d_trans, (gold_tags[:-1], gold_tags[1:]), 1.0)
-    d_start = unary[0].copy()
-    d_start[gold_tags[0]] -= 1.0
-    d_stop = unary[-1].copy()
-    d_stop[gold_tags[-1]] -= 1.0
-    return log_z - gold, d_em, d_trans, d_start, d_stop
+    np.subtract.at(d_trans, (prev, nxt), 1.0)
+    # a sequence's start (stop) gradient is its first (last) emission's
+    d_start = d_em[firsts].sum(axis=0)
+    d_stop = d_em[lasts].sum(axis=0)
+    return log_z - float(gold), d_em, d_trans, d_start, d_stop
 
 
 def viterbi_decode(emissions, transitions, start, stop):
@@ -180,13 +228,18 @@ class CrfModel:
         return forward_log_partition(self.emissions(features), p["transitions"],
                                      p["start"], p["stop"])
 
-    def nll_and_grad(self, features, gold_tags):
-        """NLL plus grads for every parameter and the input features."""
+    def nll_and_grad(self, features, gold_tags, lengths=None):
+        """NLL plus grads for every parameter and the input features.
+
+        ``features`` (N, F) and ``gold_tags`` (N,) may pack several
+        sequences, with ``lengths`` as in :func:`forward_backward`; the
+        NLL and parameter grads are then summed over the sequences.
+        """
         features = np.asarray(features, dtype=self.params["emit_w"].dtype)
         p = self.params
         em = self.emissions(features)
         nll, d_em, d_trans, d_start, d_stop = nll_and_grad(
-            em, p["transitions"], p["start"], p["stop"], gold_tags)
+            em, p["transitions"], p["start"], p["stop"], gold_tags, lengths)
         grads = {
             "transitions": d_trans,
             "start": d_start,
@@ -219,17 +272,15 @@ def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05,
             raise ValueError(f"feature dim {feats.shape[1]} != {n_features}")
         if len(tags) != feats.shape[0]:
             raise ValueError("tags length mismatch")
+    # one packed batch: an epoch is one emission GEMM and one forward-backward
+    features = np.concatenate([f for f, _ in sequences])
+    tags = np.concatenate([t for _, t in sequences])
+    lengths = [len(t) for _, t in sequences]
     model = CrfModel(n_tags, n_features)
     opt = Adam(model.params)
     history = []
     for _ in range(epochs):
-        total = 0.0
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-        for feats, tags in sequences:
-            nll, g, _ = model.nll_and_grad(feats, tags)
-            total += nll
-            for k in grads:
-                grads[k] += g[k]
+        total, grads, _ = model.nll_and_grad(features, tags, lengths)
         for k in grads:
             grads[k] += 2.0 * l2 * model.params[k]
             total += l2 * float((model.params[k] ** 2).sum())

@@ -28,7 +28,7 @@ from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .textcnn import (TextCnnConfig, encode_pages, evaluate_text_cnn,
                       train_text_cnn)
-from .training import iterate_minibatches
+from .training import iterate_minibatches, minibatch_count
 
 CLASS_IDS = {c: i for i, c in enumerate(CLASSES)}
 
@@ -118,12 +118,12 @@ def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
     y = np.array([CLASS_IDS[p.label] for p in train_pages])
     model = MlpClassifier(dim, hidden, seed=seed)
     opt = Adam(model.named_params())
-    steps = max(1, int(np.ceil(len(x) / batch_size))) * epochs
+    steps = minibatch_count(len(x), batch_size, min_last=2) * epochs
     sched = OneCycleSchedule(total_steps=steps, max_lr=max_lr)
     rng = RngState(seed).consumer("mlp-shuffle")
     step = 0
     for _ in range(epochs):
-        for idx in iterate_minibatches(len(x), batch_size, rng):
+        for idx in iterate_minibatches(len(x), batch_size, rng, min_last=2):
             model.zero_grads()
             logits = model.forward(x[idx], train=True)
             _, dlogits = cross_entropy(logits, y[idx])

@@ -24,7 +24,7 @@ from .model_base import ModelBase
 from .optim import Adam
 from .schedule import OneCycleSchedule
 from .tensor import DEFAULT_DTYPE, RngState, softmax
-from .training import TrainLog, iterate_minibatches
+from .training import TrainLog, iterate_minibatches, minibatch_count
 
 CLASS_IDS = {c: i for i, c in enumerate(CLASSES)}
 
@@ -262,7 +262,8 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
 
     model = FusionModule(config, seed=seed)
     opt = Adam(model.named_params())
-    steps_per_epoch = max(1, int(np.ceil(len(train_pages) / batch_size)))
+    # BatchNorm1d needs two rows in train mode: no one-page last batch
+    steps_per_epoch = minibatch_count(len(train_pages), batch_size, min_last=2)
     sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
     keeper = BestCheckpointKeeper(out_path) if out_path else None
     log = TrainLog()
@@ -272,7 +273,8 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
     for epoch in range(epochs):
         losses = []
         lr = sched.lr(step)
-        for idx in iterate_minibatches(len(train_pages), batch_size, shuffle_rng):
+        for idx in iterate_minibatches(len(train_pages), batch_size, shuffle_rng,
+                                       min_last=2):
             lr = sched.lr(step)
             model.zero_grads()
             logits = model.forward(text[idx], image[idx], tmask[idx],

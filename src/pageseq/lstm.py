@@ -1,7 +1,10 @@
 """LSTM cell and bidirectional LSTM with full backpropagation through time.
 
 Sequences are processed one at a time as (T, features) arrays; batching
-across sequences happens by gradient accumulation in the callers.
+across sequences happens by gradient accumulation in the callers.  The
+backward pass runs only the recurrence step by step and computes the
+weight and input gradients as GEMMs over all steps afterwards (the
+hoisting of Appleyard et al. 2016).
 """
 
 from __future__ import annotations
@@ -37,51 +40,53 @@ class LstmCell(Layer):
         if t_len == 0:
             raise ValueError("zero-length sequence")
         h_dim = self.hidden
-        pre = x @ self.params["w_x"] + self.params["bias"]
-        hs = np.zeros((t_len, h_dim), dtype=x.dtype)
-        steps = []
-        h = np.zeros(h_dim, dtype=x.dtype)
-        c = np.zeros(h_dim, dtype=x.dtype)
+        w_h = self.params["w_h"]
+        # pre-activations, overwritten row by row with the activated gates
+        gates = x @ self.params["w_x"] + self.params["bias"]
+        cs = np.zeros((t_len + 1, h_dim), dtype=gates.dtype)  # cs[t + 1] = c_t
+        tcs = np.empty((t_len, h_dim), dtype=gates.dtype)
+        hs = np.zeros((t_len, h_dim), dtype=gates.dtype)
+        h = hs[0]
         for t in range(t_len):
-            a = pre[t] + h @ self.params["w_h"]
-            i = _sigmoid(a[:h_dim])
-            f = _sigmoid(a[h_dim : 2 * h_dim])
-            g = np.tanh(a[2 * h_dim : 3 * h_dim])
-            o = _sigmoid(a[3 * h_dim :])
-            c_prev, h_prev = c, h
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            hs[t] = h
-            steps.append((i, f, g, o, c_prev, h_prev, tc))
-        self._cache = (x, steps)
-        return hs
+            a = gates[t]
+            a += h @ w_h
+            a[: 2 * h_dim] = _sigmoid(a[: 2 * h_dim])  # i, f
+            np.tanh(a[2 * h_dim : 3 * h_dim], out=a[2 * h_dim : 3 * h_dim])  # g
+            a[3 * h_dim :] = _sigmoid(a[3 * h_dim :])  # o
+            np.add(a[h_dim : 2 * h_dim] * cs[t],
+                   a[:h_dim] * a[2 * h_dim : 3 * h_dim], out=cs[t + 1])
+            np.tanh(cs[t + 1], out=tcs[t])
+            h = np.multiply(a[3 * h_dim :], tcs[t], out=hs[t])
+        self._cache = (x, gates, cs[:-1], tcs, hs) if train else None
+        return hs.astype(x.dtype, copy=False)
 
     def backward(self, dh_seq):
-        x, steps = self._cache
+        """BPTT; only the recurrence runs per step, the weight GEMMs after."""
+        x, gates, c_prevs, tcs, hs = self._cache
         t_len, h_dim = dh_seq.shape
-        dx = np.zeros_like(x)
-        dh_next = np.zeros(h_dim, dtype=x.dtype)
-        dc_next = np.zeros(h_dim, dtype=x.dtype)
-        w_x = self.params["w_x"]
+        i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+        # per-step factors of the gate gradients that do not depend on dh, dc
+        dc_coef = np.stack([g * i * (1.0 - i), c_prevs * f * (1.0 - f),
+                            i * (1.0 - g * g)], axis=1)
+        dh_to_dc = o * (1.0 - tcs * tcs)
+        dh_to_do = tcs * o * (1.0 - o)
         w_h = self.params["w_h"]
+        da = np.empty((t_len, 4, h_dim), dtype=gates.dtype)
+        dh_next = np.zeros(h_dim, dtype=gates.dtype)
+        dc_next = np.zeros(h_dim, dtype=gates.dtype)
         for t in range(t_len - 1, -1, -1):
-            i, f, g, o, c_prev, h_prev, tc = steps[t]
             dh = dh_seq[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            da = np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                dh * tc * o * (1.0 - o),
-            ])
-            self.grads["w_x"] += np.outer(x[t], da)
-            self.grads["w_h"] += np.outer(h_prev, da)
-            self.grads["bias"] += da
-            dx[t] = w_x @ da
-            dh_next = w_h @ da
-            dc_next = dc * f
-        return dx
+            dc = dc_next + dh * dh_to_dc[t]
+            np.multiply(dc, dc_coef[t], out=da[t, :3])
+            np.multiply(dh, dh_to_do[t], out=da[t, 3])
+            dh_next = w_h @ da[t].reshape(-1)
+            dc_next = dc * f[t]
+        da = da.reshape(t_len, 4 * h_dim)
+        self.grads["w_x"] += x.T @ da
+        # h_prev is hs shifted down one row, with h_prev[0] = 0
+        self.grads["w_h"] += hs[:-1].T @ da[1:]
+        self.grads["bias"] += da.sum(axis=0)
+        return (da @ self.params["w_x"].T).astype(x.dtype, copy=False)
 
 
 class BiLstm(Layer):

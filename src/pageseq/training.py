@@ -6,11 +6,28 @@ import json
 from dataclasses import dataclass
 
 
-def iterate_minibatches(n, batch_size, rng):
-    """Yields index arrays covering a shuffled range(n)."""
+def _batch_starts(n, batch_size, min_last):
+    starts = list(range(0, n, batch_size))
+    if len(starts) > 1 and n - starts[-1] < min_last:
+        starts.pop()  # a too-small last batch joins the one before it
+    return starts
+
+
+def minibatch_count(n, batch_size, min_last=1):
+    """Batches per epoch of :func:`iterate_minibatches`; at least one."""
+    return max(1, len(_batch_starts(n, batch_size, min_last)))
+
+
+def iterate_minibatches(n, batch_size, rng, min_last=1):
+    """Yields index arrays covering a shuffled range(n).
+
+    A last batch of fewer than ``min_last`` items is merged into the
+    batch before it (train-mode BatchNorm needs two rows).
+    """
     order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+    starts = _batch_starts(n, batch_size, min_last)
+    for start, end in zip(starts, starts[1:] + [n]):
+        yield order[start:end]
 
 
 @dataclass

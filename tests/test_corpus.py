@@ -80,6 +80,69 @@ def test_bad_embedding_magic(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_shuffled_pages_file_keeps_embeddings_on_their_pages(tmp_path):
+    corpus = small_corpus()
+    save_corpus(corpus, tmp_path)
+    pages_path = tmp_path / "train" / "pages.jsonl"
+    lines = pages_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(lines))
+    pages_path.write_text("".join(lines[i] for i in order), encoding="utf-8")
+    loaded = load_corpus(tmp_path)
+    want = {(p.lawsuit_id, p.page_index): p for p in iter_pages(corpus, "train")}
+    got = list(iter_pages(loaded, "train"))
+    assert len(got) == len(want)
+    for page in got:
+        orig = want[(page.lawsuit_id, page.page_index)]
+        for attr in ("text_embedding", "image_embedding"):
+            a, b = getattr(orig, attr), getattr(page, attr)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+
+
+def _rewrite_index(path, edit):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(r) + "\n" for r in edit(rows)))
+
+
+def test_index_row_for_missing_page_names_file(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+    idx_path = tmp_path / "train" / "image.idx.jsonl"
+
+    def point_past_end(rows):
+        rows[0]["page_index"] = 10_000
+        return rows
+
+    _rewrite_index(idx_path, point_past_end)
+    with pytest.raises(CorpusError, match="image.idx.jsonl.*no page 10000"):
+        load_corpus(tmp_path)
+
+
+def test_negative_page_index_in_index_rejected(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+
+    def negative(rows):
+        rows[0]["page_index"] = -1
+        return rows
+
+    _rewrite_index(tmp_path / "train" / "text.idx.jsonl", negative)
+    with pytest.raises(CorpusError, match="text.idx.jsonl"):
+        load_corpus(tmp_path)
+
+
+def test_page_with_two_index_rows_rejected(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+
+    def duplicate_first(rows):
+        rows[1]["lawsuit_id"] = rows[0]["lawsuit_id"]
+        rows[1]["page_index"] = rows[0]["page_index"]
+        return rows
+
+    _rewrite_index(tmp_path / "train" / "image.idx.jsonl", duplicate_first)
+    with pytest.raises(CorpusError, match="image.idx.jsonl.*two rows"):
+        load_corpus(tmp_path)
+
+
 def test_page_requires_some_modality():
     page = Page("s", 0, "RE", True)
     with pytest.raises(CorpusError):

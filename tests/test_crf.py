@@ -6,6 +6,7 @@ import pytest
 from conftest import check_grads
 from pageseq import crf as C
 from pageseq.iob import IOB_TAGS
+from pageseq.optim import Adam
 
 
 def _random_instance(rng, t, k, scale=1.0):
@@ -156,3 +157,100 @@ def test_train_crf_learns_transition_structure():
     assert history[-1] < history[0]
     path, _ = model.decode(np.zeros((6, 2)))
     assert path == [0, 1, 0, 1, 0, 1]
+
+
+def _packed_instance(rng, lengths, k):
+    em = rng.standard_normal((sum(lengths), k))
+    tr, st, sp = (rng.standard_normal((k, k)), rng.standard_normal(k),
+                  rng.standard_normal(k))
+    return em, tr, st, sp
+
+
+def _split(arr, lengths):
+    return np.split(arr, np.cumsum(lengths)[:-1])
+
+
+RAGGED = [7, 1, 41, 3, 1, 19, 2]
+
+
+def test_packed_forward_backward_equals_per_sequence_calls():
+    rng = np.random.default_rng(10)
+    em, tr, st, sp = _packed_instance(rng, RAGGED, 12)
+    unary, pairwise, log_z = C.forward_backward(em, tr, st, sp, RAGGED)
+    assert unary.shape == em.shape
+    want_pair, want_z = np.zeros((12, 12)), 0.0
+    for part, got in zip(_split(em, RAGGED), _split(unary, RAGGED)):
+        u, p, z = C.forward_backward(part, tr, st, sp)
+        np.testing.assert_allclose(got, u, rtol=0, atol=1e-10)
+        want_pair += p
+        want_z += z
+    np.testing.assert_allclose(pairwise, want_pair, rtol=0, atol=1e-10)
+    assert log_z == pytest.approx(want_z, rel=1e-10)
+    assert pairwise.sum() == pytest.approx(sum(RAGGED) - len(RAGGED))
+
+
+def test_packed_nll_and_grad_equals_per_sequence_sums():
+    rng = np.random.default_rng(11)
+    em, tr, st, sp = _packed_instance(rng, RAGGED, 12)
+    gold = rng.integers(0, 12, em.shape[0])
+    nll, d_em, d_tr, d_st, d_sp = C.nll_and_grad(em, tr, st, sp, gold, RAGGED)
+    want = [0.0, [], 0.0, 0.0, 0.0]
+    for part, tags in zip(_split(em, RAGGED), _split(gold, RAGGED)):
+        n, e, t, s0, s1 = C.nll_and_grad(part, tr, st, sp, tags)
+        want[0] += n
+        want[1].append(e)
+        want[2] = want[2] + t
+        want[3] = want[3] + s0
+        want[4] = want[4] + s1
+    assert nll == pytest.approx(want[0], rel=1e-10)
+    np.testing.assert_allclose(d_em, np.concatenate(want[1]), rtol=0,
+                               atol=1e-10)
+    for got, ref in zip((d_tr, d_st, d_sp), want[2:]):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+
+def test_packed_marginals_match_brute_force():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        k = int(rng.integers(2, 4))
+        lengths = [int(t) for t in rng.integers(1, 5, int(rng.integers(1, 4)))]
+        em, tr, st, sp = _packed_instance(rng, lengths, k)
+        unary, _, _ = C.forward_backward(em, tr, st, sp, lengths)
+        for part, got in zip(_split(em, lengths), _split(unary, lengths)):
+            want = C.brute_force_marginals(part, tr, st, sp)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_packed_lengths_must_cover_the_rows():
+    em = np.zeros((5, 3))
+    z3, z = np.zeros((3, 3)), np.zeros(3)
+    with pytest.raises(ValueError, match="sum to 4"):
+        C.forward_backward(em, z3, z, z, [2, 2])
+    with pytest.raises(ValueError, match="positive"):
+        C.forward_backward(em, z3, z, z, [5, 0])
+
+
+def test_train_crf_history_matches_per_sequence_training():
+    """Five epochs of packed training against the per-lawsuit sum."""
+    rng = np.random.default_rng(13)
+    seqs = [(rng.standard_normal((t, 4)), rng.integers(0, 5, t))
+            for t in (9, 1, 30, 4, 17)]
+    _, history = C.train_crf(seqs, n_tags=5, n_features=4, epochs=5,
+                             lr=0.05, l2=1e-3)
+    model = C.CrfModel(5, 4)
+    opt = Adam(model.params)
+    want = []
+    for _ in range(5):
+        total = 0.0
+        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        for feats, tags in seqs:
+            nll, g, _ = model.nll_and_grad(feats, tags)
+            total += nll
+            for name in grads:
+                grads[name] += g[name]
+        for name in grads:
+            grads[name] += 2e-3 * model.params[name]
+            total += 1e-3 * float((model.params[name] ** 2).sum())
+        opt.step(grads, 0.05)
+        want.append(total)
+    np.testing.assert_allclose(history, want, rtol=1e-9, atol=0)

@@ -6,6 +6,7 @@ from pageseq.fusion import (FusionConfig, FusionModule, HybridClassifier,
                             MajorityBaseline, MlpClassifier,
                             corpus_embedding_dims, embedding_arrays,
                             evaluate_fusion, fusion_grid, train_fusion)
+from pageseq.experiments import train_unimodal_mlp
 from pageseq.iob import CLASSES
 from pageseq.losses import cross_entropy
 from pageseq.synth import SynthConfig, generate_synthetic
@@ -158,6 +159,43 @@ def test_train_fusion_deterministic():
     m2, _, _ = train_fusion(corpus, config, seed=2, epochs=2)
     for name, p1 in m1.state_dict().items():
         np.testing.assert_array_equal(p1, m2.state_dict()[name])
+
+
+def _train_split_of(corpus, n_pages):
+    """The corpus with its train split cut to the first ``n_pages`` pages."""
+    kept, left = [], n_pages
+    for lawsuit in corpus["train"]:
+        if left == 0:
+            break
+        lawsuit.pages = lawsuit.pages[:left]
+        left -= len(lawsuit.pages)
+        kept.append(lawsuit)
+    assert left == 0
+    return dict(corpus, train=kept)
+
+
+def test_train_fusion_merges_one_page_last_batch():
+    """65 pages at batch size 64: one batch of 65, not 64 + a lone page
+    that train-mode BatchNorm cannot normalise."""
+    corpus = _train_split_of(
+        generate_synthetic(SynthConfig(n_lawsuits=20, seed=8)), 65)
+    assert len(list(iter_pages(corpus, "train"))) == 65
+    text_dim, image_dim = corpus_embedding_dims(corpus)
+    config = FusionConfig(text_dim=text_dim, image_dim=image_dim, hidden=8)
+    _, _, log = train_fusion(corpus, config, seed=0, epochs=3, batch_size=64,
+                             max_lr=5e-3)
+    assert len(log.rows) == 3
+    # one step per epoch: the last step is the schedule's last
+    assert log.rows[-1].lr == pytest.approx(5e-3 / 1e4)
+
+
+def test_train_unimodal_mlp_merges_one_page_last_batch():
+    corpus = _train_split_of(generate_synthetic(
+        SynthConfig(n_lawsuits=20, seed=8, missing_image_rate=0.0)), 65)
+    model = train_unimodal_mlp(corpus, "image", hidden=8, epochs=2,
+                               batch_size=64)
+    assert model.predict_probs(np.zeros((2, model.bn0.dim),
+                                        dtype=np.float32)).shape == (2, 6)
 
 
 def test_mlp_classifier_shapes(rng):
