@@ -13,6 +13,7 @@ and are used as oracles by the test suite.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,16 +21,22 @@ from .optim import Adam
 from .tensor import log_sum_exp, softmax
 
 
-def sequence_score(emissions, transitions, start, stop, tags):
-    """Log-score of one tag path: emissions + transitions + start/stop."""
+def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
+    """Log-score of a tag path: emissions + transitions + start/stop.
+
+    Packed emissions (N, K) and tags (N,) of several sequences, named by
+    ``lengths`` as in :func:`forward_backward`, give the summed score.
+    """
     emissions = np.asarray(emissions)
     tags = np.asarray(tags)
-    t_len = emissions.shape[0]
-    if tags.shape[0] != t_len:
+    n_rows = emissions.shape[0]
+    if tags.shape != (n_rows,):
         raise ValueError("tags length does not match emissions")
-    score = start[tags[0]] + emissions[np.arange(t_len), tags].sum() + stop[tags[-1]]
-    if t_len > 1:
-        score += transitions[tags[:-1], tags[1:]].sum()
+    if tags.min() < 0 or tags.max() >= emissions.shape[1]:
+        raise IndexError("tag out of range")
+    _, firsts, lasts, pairs = _packing(n_rows, lengths)
+    score = (start[tags[firsts]].sum() + emissions[np.arange(n_rows), tags].sum()
+             + stop[tags[lasts]].sum() + transitions[tags[pairs], tags[pairs + 1]].sum())
     return float(score)
 
 
@@ -42,12 +49,18 @@ def forward_log_partition(emissions, transitions, start, stop):
     return float(log_sum_exp(alpha + stop))
 
 
+_Packing = namedtuple("_Packing", "lengths firsts lasts pairs")
+
+
 def _packing(n_rows, lengths):
     """Checked sequence lengths of N packed rows, plus row indices.
 
-    Returns (lengths, firsts, lasts, pairs): each sequence's first and
+    Returns a ``_Packing``: the lengths, each sequence's first and
     last row, and every row r whose successor r + 1 is in its sequence.
+    A ``_Packing`` already built for these rows is returned as it is.
     """
+    if isinstance(lengths, _Packing):
+        return lengths
     lengths = np.array([n_rows] if lengths is None else lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
         raise ValueError("lengths must be a non-empty list of positive ints")
@@ -58,7 +71,7 @@ def _packing(n_rows, lengths):
     firsts = lasts - lengths + 1
     has_next = np.ones(n_rows, dtype=bool)
     has_next[lasts] = False
-    return lengths, firsts, lasts, np.flatnonzero(has_next)
+    return _Packing(lengths, firsts, lasts, np.flatnonzero(has_next))
 
 
 def forward_backward(emissions, transitions, start, stop, lengths=None):
@@ -110,26 +123,20 @@ def nll_and_grad(emissions, transitions, start, stop, gold_tags, lengths=None):
     the sequences.
     """
     emissions, gold_tags = np.asarray(emissions), np.asarray(gold_tags)
-    n_rows, k = emissions.shape
-    if gold_tags.shape != (n_rows,):
-        raise ValueError("tags length does not match emissions")
-    if gold_tags.min() < 0 or gold_tags.max() >= k:
-        raise IndexError("gold tag out of range")
-    lengths, firsts, lasts, pairs = _packing(n_rows, lengths)
+    n_rows = emissions.shape[0]
+    packing = _packing(n_rows, lengths)
+    gold = sequence_score(emissions, transitions, start, stop, gold_tags, packing)
     unary, pairwise, log_z = forward_backward(emissions, transitions, start,
-                                              stop, lengths)
-    prev, nxt = gold_tags[pairs], gold_tags[pairs + 1]
-    gold = (emissions[np.arange(n_rows), gold_tags].sum()
-            + transitions[prev, nxt].sum() + start[gold_tags[firsts]].sum()
-            + stop[gold_tags[lasts]].sum())
+                                              stop, packing)
     d_em = unary
     d_em[np.arange(n_rows), gold_tags] -= 1.0
     d_trans = pairwise
-    np.subtract.at(d_trans, (prev, nxt), 1.0)
+    pairs = packing.pairs
+    np.subtract.at(d_trans, (gold_tags[pairs], gold_tags[pairs + 1]), 1.0)
     # a sequence's start (stop) gradient is its first (last) emission's
-    d_start = d_em[firsts].sum(axis=0)
-    d_stop = d_em[lasts].sum(axis=0)
-    return log_z - float(gold), d_em, d_trans, d_start, d_stop
+    d_start = d_em[packing.firsts].sum(axis=0)
+    d_stop = d_em[packing.lasts].sum(axis=0)
+    return log_z - gold, d_em, d_trans, d_start, d_stop
 
 
 def viterbi_decode(emissions, transitions, start, stop):

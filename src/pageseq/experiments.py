@@ -118,12 +118,12 @@ def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
     y = np.array([CLASS_IDS[p.label] for p in train_pages])
     model = MlpClassifier(dim, hidden, seed=seed)
     opt = Adam(model.named_params())
-    steps = minibatch_count(len(x), batch_size, min_last=2) * epochs
+    steps = minibatch_count(len(x), batch_size) * epochs
     sched = OneCycleSchedule(total_steps=steps, max_lr=max_lr)
     rng = RngState(seed).consumer("mlp-shuffle")
     step = 0
     for _ in range(epochs):
-        for idx in iterate_minibatches(len(x), batch_size, rng, min_last=2):
+        for idx in iterate_minibatches(len(x), batch_size, rng):
             model.zero_grads()
             logits = model.forward(x[idx], train=True)
             _, dlogits = cross_entropy(logits, y[idx])

@@ -262,8 +262,7 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
 
     model = FusionModule(config, seed=seed)
     opt = Adam(model.named_params())
-    # BatchNorm1d needs two rows in train mode: no one-page last batch
-    steps_per_epoch = minibatch_count(len(train_pages), batch_size, min_last=2)
+    steps_per_epoch = minibatch_count(len(train_pages), batch_size)
     sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
     keeper = BestCheckpointKeeper(out_path) if out_path else None
     log = TrainLog()
@@ -273,8 +272,7 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
     for epoch in range(epochs):
         losses = []
         lr = sched.lr(step)
-        for idx in iterate_minibatches(len(train_pages), batch_size, shuffle_rng,
-                                       min_last=2):
+        for idx in iterate_minibatches(len(train_pages), batch_size, shuffle_rng):
             lr = sched.lr(step)
             model.zero_grads()
             logits = model.forward(text[idx], image[idx], tmask[idx],

@@ -62,6 +62,8 @@ class LstmCell(Layer):
 
     def backward(self, dh_seq):
         """BPTT; only the recurrence runs per step, the weight GEMMs after."""
+        if self._cache is None:
+            raise RuntimeError("LstmCell.backward needs forward(train=True) first")
         x, gates, c_prevs, tcs, hs = self._cache
         t_len, h_dim = dh_seq.shape
         i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))

@@ -25,7 +25,7 @@ from .model_base import ModelBase
 from .optim import Adam
 from .schedule import OneCycleSchedule
 from .tensor import DEFAULT_DTYPE, RngState, softmax
-from .training import TrainLog, iterate_minibatches
+from .training import TrainLog, iterate_minibatches, minibatch_count
 
 VARIANTS = ("bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf")
 
@@ -170,7 +170,7 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
         raise ValueError("empty train or validation split")
     model = SeqModel(config, seed=seed)
     opt = Adam(model.named_params())
-    steps_per_epoch = max(1, int(np.ceil(len(train_set) / batch_lawsuits)))
+    steps_per_epoch = minibatch_count(len(train_set), batch_lawsuits)
     sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
     keeper = BestCheckpointKeeper(out_path) if out_path else None
     log = TrainLog()

@@ -26,7 +26,7 @@ from .optim import Adam
 from .schedule import OneCycleSchedule
 from .tensor import DEFAULT_DTYPE, RngState, softmax
 from .text import Vocab, encode
-from .training import TrainLog, iterate_minibatches
+from .training import TrainLog, iterate_minibatches, minibatch_count
 
 
 @dataclass
@@ -186,7 +186,7 @@ def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
     weights = class_weights(counts) if weighted else None
     model = TextCnn(len(vocab), config, seed=seed)
     opt = Adam(model.named_params())
-    steps_per_epoch = max(1, int(np.ceil(len(train_pages) / batch_size)))
+    steps_per_epoch = minibatch_count(len(train_pages), batch_size)
     sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
     keeper = BestCheckpointKeeper(out_path) if out_path else None
     log = TrainLog()

@@ -6,26 +6,26 @@ import json
 from dataclasses import dataclass
 
 
-def _batch_starts(n, batch_size, min_last):
+def _batch_starts(n, batch_size):
     starts = list(range(0, n, batch_size))
-    if len(starts) > 1 and n - starts[-1] < min_last:
-        starts.pop()  # a too-small last batch joins the one before it
+    if batch_size > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a one-item last batch joins the one before it
     return starts
 
 
-def minibatch_count(n, batch_size, min_last=1):
+def minibatch_count(n, batch_size):
     """Batches per epoch of :func:`iterate_minibatches`; at least one."""
-    return max(1, len(_batch_starts(n, batch_size, min_last)))
+    return max(1, len(_batch_starts(n, batch_size)))
 
 
-def iterate_minibatches(n, batch_size, rng, min_last=1):
+def iterate_minibatches(n, batch_size, rng):
     """Yields index arrays covering a shuffled range(n).
 
-    A last batch of fewer than ``min_last`` items is merged into the
-    batch before it (train-mode BatchNorm needs two rows).
+    A one-item last batch is merged into the batch before it: train-mode
+    BatchNorm needs two rows, and a lone item makes a noisy step.
     """
     order = rng.permutation(n)
-    starts = _batch_starts(n, batch_size, min_last)
+    starts = _batch_starts(n, batch_size)
     for start, end in zip(starts, starts[1:] + [n]):
         yield order[start:end]
 

@@ -166,6 +166,18 @@ def test_range_test_outputs(workspace, capsys):
     assert 1e-5 <= suggested["suggested_lr"] <= 1.0
 
 
+def test_range_test_fusion_with_one_page_left_over(workspace, capsys):
+    """A batch size that leaves one train page over must not crash
+    train-mode BatchNorm: the lone page joins the batch before it."""
+    pages = workspace / "corpus" / "train" / "pages.jsonl"
+    n_pages = len(pages.read_text().splitlines())
+    assert main(["range-test", "--model", "fusion",
+                 "--corpus", str(workspace / "corpus"),
+                 "--batch-size", str(n_pages - 1), "--lr-min", "1e-5",
+                 "--lr-max", "1.0", "--steps", "5",
+                 "--out", str(workspace / "rt_lone")]) == 0
+
+
 def test_range_test_rejects_bad_bounds(workspace, capsys):
     code = main(["range-test", "--model", "fusion",
                  "--corpus", str(workspace / "corpus"),

@@ -209,6 +209,27 @@ def test_packed_nll_and_grad_equals_per_sequence_sums():
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
 
 
+def test_packed_sequence_score_equals_per_sequence_sum():
+    rng = np.random.default_rng(14)
+    em, tr, st, sp = _packed_instance(rng, RAGGED, 12)
+    tags = rng.integers(0, 12, em.shape[0])
+    want = sum(C.sequence_score(part, tr, st, sp, t)
+               for part, t in zip(_split(em, RAGGED), _split(tags, RAGGED)))
+    got = C.sequence_score(em, tr, st, sp, tags, RAGGED)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_gold_tags_are_checked():
+    em = np.zeros((4, 3))
+    z3, z = np.zeros((3, 3)), np.zeros(3)
+    with pytest.raises(ValueError, match="tags length"):
+        C.nll_and_grad(em, z3, z, z, [0, 1, 2])
+    with pytest.raises(IndexError, match="out of range"):
+        C.nll_and_grad(em, z3, z, z, [0, 1, -1, 2])
+    with pytest.raises(IndexError, match="out of range"):
+        C.nll_and_grad(em, z3, z, z, [0, 1, 3, 2], [2, 2])
+
+
 def test_packed_marginals_match_brute_force():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import check_grads
 from pageseq.lstm import BiLstm, LstmCell
@@ -124,6 +125,14 @@ def test_eval_forward_matches_train_forward_and_keeps_no_cache():
     evaluated = cell.forward(x, train=False)
     np.testing.assert_array_equal(trained, evaluated)
     assert cell._cache is None
+
+
+def test_backward_after_eval_forward_names_the_cause():
+    cell = LstmCell(5, 6, _rng())
+    x = np.random.default_rng(2).standard_normal((4, 5))
+    cell.forward(x, train=False)
+    with pytest.raises(RuntimeError, match="train=True"):
+        cell.backward(np.ones((4, 6)))
 
 
 def _loop_backward(cell, x, dh_seq):
