@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -32,54 +33,99 @@ class CheckpointIOError(IOError):
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
+    """Writes a temporary file next to ``path``, then renames it over
+    ``path``, so a crash mid-save leaves the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(meta_bytes)))
-            fh.write(meta_bytes)
-            fh.write(struct.pack("<I", len(params)))
-            for name in sorted(params):
-                arr = np.ascontiguousarray(params[name])
-                width = arr.dtype.itemsize
-                if width not in _WIDTH_DTYPE:
-                    raise ValueError(f"unsupported parameter dtype {arr.dtype}")
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<BB", width, arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype(_WIDTH_DTYPE[width]).tobytes(order="C"))
+        with open(tmp, "wb") as fh:
+            _write(fh, params, meta)
+        os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointIOError(f"cannot write checkpoint {path}: {exc}") from exc
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
+def _write(fh, params, meta):
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", VERSION))
+    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    fh.write(struct.pack("<I", len(meta_bytes)))
+    fh.write(meta_bytes)
+    fh.write(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name])
+        width = arr.dtype.itemsize
+        if width not in _WIDTH_DTYPE:
+            raise ValueError(f"unsupported parameter dtype {arr.dtype}")
+        nb = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(nb)))
+        fh.write(nb)
+        fh.write(struct.pack("<BB", width, arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.astype(_WIDTH_DTYPE[width]).tobytes(order="C"))
 
 
 def load_checkpoint(path):
-    """Returns (params dict, meta dict)."""
+    """Returns (params dict, meta dict).
+
+    Every read is bounds-checked: a truncated or corrupt file raises
+    :class:`CheckpointIOError` naming the file, never a lower-level error.
+    """
     try:
-        blob = Path(path).read_bytes()
+        blob = memoryview(Path(path).read_bytes())
     except OSError as exc:
         raise CheckpointIOError(f"cannot read checkpoint {path}: {exc}") from exc
-    if blob[:8] != MAGIC:
+    off = 0
+
+    def take(n, what):
+        nonlocal off
+        if n > len(blob) - off:
+            raise CheckpointIOError(f"{path}: truncated in {what} at byte {off}")
+        off += n
+        return blob[off - n : off]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def text(n, what):
+        try:
+            return str(take(n, what), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointIOError(f"{path}: {what} is not UTF-8") from exc
+
+    if take(len(MAGIC), "magic") != MAGIC:
         raise CheckpointIOError(f"{path}: bad magic bytes")
-    off = 8
-    (version,) = struct.unpack_from("<I", blob, off); off += 4
+    (version,) = unpack("<I", "version")
     if version != VERSION:
         raise CheckpointIOError(f"{path}: unsupported version {version}")
-    (mlen,) = struct.unpack_from("<I", blob, off); off += 4
-    meta = json.loads(blob[off : off + mlen].decode("utf-8")); off += mlen
-    (count,) = struct.unpack_from("<I", blob, off); off += 4
+    (mlen,) = unpack("<I", "meta length")
+    try:
+        meta = json.loads(text(mlen, "meta"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointIOError(f"{path}: meta is not valid JSON") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointIOError(f"{path}: meta is not a JSON object")
+    (count,) = unpack("<I", "parameter count")
     params = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off); off += 2
-        name = blob[off : off + nlen].decode("utf-8"); off += nlen
-        width, ndim = struct.unpack_from("<BB", blob, off); off += 2
-        shape = struct.unpack_from(f"<{ndim}I", blob, off); off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype=_WIDTH_DTYPE[width], count=size, offset=off)
-        off += size * width
-        params[name] = arr.reshape(shape).copy()
+        (nlen,) = unpack("<H", "parameter name length")
+        name = text(nlen, "parameter name")
+        if name in params:
+            raise CheckpointIOError(f"{path}: parameter {name!r} appears twice")
+        width, ndim = unpack("<BB", f"header of {name!r}")
+        if width not in _WIDTH_DTYPE:
+            raise CheckpointIOError(f"{path}: parameter {name!r} has "
+                                    f"unsupported width {width}")
+        shape = unpack(f"<{ndim}I", f"shape of {name!r}")
+        data = take(math.prod(shape) * width, f"data of {name!r}")
+        params[name] = np.frombuffer(data, dtype=_WIDTH_DTYPE[width]) \
+            .reshape(shape).copy()
+    if off != len(blob):
+        raise CheckpointIOError(f"{path}: {len(blob) - off} unexpected bytes "
+                                "after the last parameter")
     return params, meta
 
 

@@ -274,9 +274,9 @@ def _predictions(args, corpus, split):
 
     if family in ("textcnn", "textcnn-w"):
         config = TextCnnConfig(**meta["config"])
-        model = TextCnn(_vocab_size(args, meta), config, seed=meta.get("seed", 0))
-        model.load_state(params)
         vocab = _load_vocab(args)
+        model = TextCnn(len(vocab), config, seed=meta.get("seed", 0))
+        model.load_state(params)
         ids = encode_pages(pages, vocab, config.max_tokens)
         preds = []
         for start in range(0, len(ids), 64):
@@ -325,10 +325,6 @@ def _predictions(args, corpus, split):
                                 f"{args.model_checkpoint}")
     tags = [("B-" if f else "I-") + p for p, f in zip(preds, flags)]
     return gold, preds, tags, flags
-
-
-def _vocab_size(args, meta):
-    return len(_load_vocab(args))
 
 
 def _load_vocab(args) -> Vocab:

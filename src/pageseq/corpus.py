@@ -232,7 +232,8 @@ def iter_pages(corpus: Corpus, split):
 
 
 def audit_splits(corpus: Corpus) -> dict:
-    """Split-integrity report: partition check, class counts, missing tallies."""
+    """Split-integrity report: partition check, non-finite embeddings,
+    class counts, missing tallies."""
     violations = []
     seen: dict[str, str] = {}
     for split in SPLITS:
@@ -246,6 +247,12 @@ def audit_splits(corpus: Corpus) -> dict:
                 lawsuit.validate()
             except CorpusError as exc:
                 violations.append(str(exc))
+            for page in lawsuit.pages:
+                for name in ("text", "image"):
+                    emb = getattr(page, f"{name}_embedding")
+                    if emb is not None and not np.isfinite(emb).all():
+                        violations.append(f"{page.lawsuit_id}:{page.page_index}: "
+                                          f"{name} embedding has NaN or Inf")
     class_counts = {}
     missing = {}
     for split in SPLITS:

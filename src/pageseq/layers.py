@@ -6,6 +6,12 @@ Every layer owns named parameters and matching gradient buffers.
 accumulates parameter gradients (call ``zero_grads`` between steps).
 A layer instance is single-threaded during forward/backward because of
 those caches; distinct instances are independent.
+
+Sequence activations are channels-last, (batch, length, ch): Embedding
+produces that layout and Conv1d, MaxPool1d and AdaptiveMaxPool1d take
+and return it, so no layer transposes.  BatchNorm1d normalises the
+columns of a (rows, ch) input; a (batch, length, ch) activation is
+normalised per channel through its (batch * length, ch) view.
 """
 
 from __future__ import annotations
@@ -84,12 +90,6 @@ class BatchNorm1d(Layer):
         self._cache = None
 
     def forward(self, x, train=False):
-        # (batch, ch, length) inputs are normalised per channel over
-        # batch and length jointly
-        self._orig_shape = None
-        if x.ndim == 3 and x.shape[1] == self.dim:
-            self._orig_shape = x.shape
-            x = x.transpose(0, 2, 1).reshape(-1, self.dim)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"BatchNorm1d({self.dim}) got input shape {x.shape}")
         if train:
@@ -105,15 +105,9 @@ class BatchNorm1d(Layer):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
         self._cache = (xhat, inv_std, train, x.shape[0])
-        out = self.params["gamma"] * xhat + self.params["beta"]
-        if self._orig_shape is not None:
-            b, c, length = self._orig_shape
-            out = out.reshape(b, length, c).transpose(0, 2, 1)
-        return out
+        return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, grad):
-        if self._orig_shape is not None:
-            grad = grad.transpose(0, 2, 1).reshape(-1, self.dim)
         xhat, inv_std, train, n = self._cache
         self.grads["gamma"] += (grad * xhat).sum(axis=0)
         self.grads["beta"] += grad.sum(axis=0)
@@ -125,9 +119,6 @@ class BatchNorm1d(Layer):
             dx = (inv_std / n) * (
                 n * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0)
             )
-        if self._orig_shape is not None:
-            b, c, length = self._orig_shape
-            dx = dx.reshape(b, length, c).transpose(0, 2, 1)
         return dx
 
 
@@ -181,7 +172,11 @@ class Embedding(Layer):
 
 
 class Conv1d(Layer):
-    """1-d cross-correlation with same-padding over (batch, ch, length)."""
+    """1-d cross-correlation with same-padding over (batch, length, ch).
+
+    The im2col matrix has one row per (batch, position) and its columns
+    in (in_ch, tap) order, matching the (in_ch * kernel, out_ch) weight.
+    """
 
     def __init__(self, in_ch, out_ch, kernel, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
@@ -196,36 +191,77 @@ class Conv1d(Layer):
         self._cache = None
 
     def forward(self, x, train=False):
-        if x.ndim != 3 or x.shape[1] != self.in_ch:
-            raise ShapeError(f"Conv1d expects (batch, {self.in_ch}, L), got {x.shape}")
-        b, _, length = x.shape
+        if x.ndim != 3 or x.shape[2] != self.in_ch:
+            raise ShapeError(f"Conv1d expects (batch, L, {self.in_ch}), got {x.shape}")
+        b, length, _ = x.shape
         if length < 1:
             raise ShapeError("Conv1d input length must be >= 1")
         k = self.kernel
-        pad_l, pad_r = (k - 1) // 2, k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad_l, pad_r)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # b,c,L,k
-        cols = win.transpose(0, 2, 1, 3).reshape(b * length, self.in_ch * k)
+        pad_l = (k - 1) // 2
+        xp = np.zeros((b, length + k - 1, self.in_ch), dtype=x.dtype)
+        xp[:, pad_l : pad_l + length] = x
+        cols = np.empty((b, length, self.in_ch, k), dtype=x.dtype)
+        for j in range(k):
+            cols[..., j] = xp[:, j : j + length]
+        cols = cols.reshape(b * length, self.in_ch * k)
         out = cols @ self.params["weight"] + self.params["bias"]
         self._cache = (cols, b, length, pad_l)
-        return out.reshape(b, length, self.out_ch).transpose(0, 2, 1)
+        return out.reshape(b, length, self.out_ch)
 
     def backward(self, grad):
         cols, b, length, pad_l = self._cache
         k = self.kernel
-        gmat = grad.transpose(0, 2, 1).reshape(b * length, self.out_ch)
+        gmat = grad.reshape(b * length, self.out_ch)
         self.grads["weight"] += cols.T @ gmat
         self.grads["bias"] += gmat.sum(axis=0)
         dcols = (gmat @ self.params["weight"].T).reshape(b, length, self.in_ch, k)
-        dcols = dcols.transpose(0, 2, 1, 3)  # b,c,L,k
-        dxp = np.zeros((b, self.in_ch, length + k - 1), dtype=grad.dtype)
+        dxp = np.zeros((b, length + k - 1, self.in_ch), dtype=grad.dtype)
         for j in range(k):
-            dxp[:, :, j : j + length] += dcols[:, :, :, j]
-        return dxp[:, :, pad_l : pad_l + length]
+            dxp[:, j : j + length] += dcols[..., j]
+        return dxp[:, pad_l : pad_l + length]
+
+
+def _bits(a):
+    """Integer view of a float array, same shape and memory."""
+    return a.view(f"i{a.dtype.itemsize}")
+
+
+def _first_max(taps):
+    """Elementwise max over equal-shape taps; a tie keeps the earlier tap,
+    and a NaN after the first tap never wins.
+
+    Selection works on the float bits, so the result is some tap's value
+    bit for bit (-0.0 and 0.0 included).  ``np.where`` and masked
+    ``np.copyto`` would do the same but branch per element, which costs
+    about ten times more on the random masks a pool sees.  Also returns,
+    for each tap after the first, a word per element that is all ones
+    where that tap beat every tap before it and zero elsewhere.
+    """
+    out = taps[0].copy()
+    bits = _bits(out)
+    beats = []
+    for tap in taps[1:]:
+        word = (tap > out).astype(bits.dtype)
+        np.negative(word, out=word)
+        bits ^= (bits ^ _bits(tap)) & word
+        beats.append(word)
+    return out, beats
+
+
+def _route_max(grad, beats, dst_taps):
+    """Writes ``grad`` into the tap views each maximum came from and
+    +0.0 into the other taps."""
+    g = _bits(grad)
+    taken = np.zeros(grad.shape, dtype=g.dtype)
+    for dst, word in zip(dst_taps[:0:-1], beats[::-1]):
+        np.bitwise_and(g, word & ~taken, out=_bits(dst))
+        taken |= word
+    np.bitwise_and(g, ~taken, out=_bits(dst_taps[0]))
 
 
 class MaxPool1d(Layer):
-    """Non-overlapping max pooling with floor semantics (ragged tail dropped)."""
+    """Non-overlapping max pooling over (batch, length, ch) with floor
+    semantics (ragged tail dropped); ties go to the first position."""
 
     def __init__(self, size):
         super().__init__()
@@ -233,54 +269,55 @@ class MaxPool1d(Layer):
         self._cache = None
 
     def forward(self, x, train=False):
-        b, c, length = x.shape
-        n = length // self.size
+        n = x.shape[1] // self.size
         if n < 1:
-            raise ShapeError(f"pool size {self.size} larger than input length {length}")
-        win = x[:, :, : n * self.size].reshape(b, c, n, self.size)
-        arg = win.argmax(axis=3)  # first index on ties
-        self._cache = (arg, x.shape)
-        return np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+            raise ShapeError(f"pool size {self.size} larger than input "
+                             f"length {x.shape[1]}")
+        end = n * self.size
+        out, beats = _first_max([x[:, j : end : self.size]
+                                 for j in range(self.size)])
+        self._cache = (beats, x.shape)
+        return out
 
     def backward(self, grad):
-        arg, shape = self._cache
-        b, c, length = shape
-        n = grad.shape[2]
-        dwin = np.zeros((b, c, n, self.size), dtype=grad.dtype)
-        np.put_along_axis(dwin, arg[..., None], grad[..., None], axis=3)
+        beats, shape = self._cache
+        end = grad.shape[1] * self.size
         dx = np.zeros(shape, dtype=grad.dtype)
-        dx[:, :, : n * self.size] = dwin.reshape(b, c, n * self.size)
+        _route_max(grad, beats, [dx[:, j : end : self.size]
+                                 for j in range(self.size)])
         return dx
 
 
 class AdaptiveMaxPool1d(Layer):
-    """Max pooling to a fixed output length over near-equal windows."""
+    """Max pooling of (batch, length, ch) to a fixed output length over
+    near-equal windows; ties go to the first position."""
 
     def __init__(self, out_len):
         super().__init__()
         self.out_len = out_len
         self._cache = None
 
+    def _bounds(self, length):
+        return [(i * length // self.out_len, (i + 1) * length // self.out_len)
+                for i in range(self.out_len)]
+
     def forward(self, x, train=False):
-        b, c, length = x.shape
+        b, length, c = x.shape
         if self.out_len > length:
             raise ShapeError(f"adaptive pool out_len {self.out_len} > length {length}")
-        bounds = [(i * length // self.out_len, (i + 1) * length // self.out_len)
-                  for i in range(self.out_len)]
-        out = np.empty((b, c, self.out_len), dtype=x.dtype)
-        args = np.empty((b, c, self.out_len), dtype=np.int64)
-        for i, (lo, hi) in enumerate(bounds):
-            seg = x[:, :, lo:hi]
-            a = seg.argmax(axis=2)
-            args[:, :, i] = a + lo
-            out[:, :, i] = np.take_along_axis(seg, a[..., None], axis=2)[..., 0]
-        self._cache = (args, x.shape)
+        out = np.empty((b, self.out_len, c), dtype=x.dtype)
+        beats = []
+        for i, (lo, hi) in enumerate(self._bounds(length)):
+            out[:, i], window_beats = _first_max([x[:, t] for t in range(lo, hi)])
+            beats.append(window_beats)
+        self._cache = (beats, x.shape)
         return out
 
     def backward(self, grad):
-        args, shape = self._cache
+        beats, shape = self._cache
         dx = np.zeros(shape, dtype=grad.dtype)
-        np.put_along_axis(dx, args, grad, axis=2)
+        for i, (lo, hi) in enumerate(self._bounds(shape[1])):
+            _route_max(grad[:, i], beats[i], [dx[:, t] for t in range(lo, hi)])
         return dx
 
 
@@ -308,47 +345,3 @@ class Flatten(Layer):
 
     def backward(self, grad):
         return grad.reshape(self._shape)
-
-
-class Sequential(Layer):
-    """Ordered layer stack; parameter names are '<idx>.<name>'."""
-
-    def __init__(self, layers):
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x, train=False):
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
-
-    def backward(self, grad):
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
-
-    def named_params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Sequential):
-                for name, p in layer.named_params().items():
-                    out[f"{i}.{name}"] = p
-            else:
-                for name, p in layer.params.items():
-                    out[f"{i}.{name}"] = p
-        return out
-
-    def named_grads(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Sequential):
-                for name, g in layer.named_grads().items():
-                    out[f"{i}.{name}"] = g
-            else:
-                for name, g in layer.grads.items():
-                    out[f"{i}.{name}"] = g
-        return out

@@ -6,6 +6,10 @@ embeddings consumed by the fusion models.  Each convolutional block runs
 three parallel filter sizes whose outputs are channel-concatenated, so
 the paper-default configuration flattens to exactly 3,840 dimensions
 (768 channels x adaptive pool length 5).
+
+Activations run channels-last, (batch, length, ch), from the embedding
+lookup to the adaptive pool; only the flatten reorders them, to
+(ch, position), the feature order of ``fc1`` and of saved checkpoints.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ class TextCnnConfig:
 
 
 class ConvBlock:
-    """Parallel convolutions (one per kernel size) -> concat -> BN -> pool."""
+    """Parallel convolutions (one per kernel size) -> concat -> BN -> pool,
+    over (batch, length, ch); the convolutions concatenate along ch."""
 
     def __init__(self, in_ch, filters, kernel_sizes, pool_size, rng, dtype):
         self.filters = filters
@@ -62,14 +67,18 @@ class ConvBlock:
 
     def forward(self, x, train=False):
         outs = [conv.forward(x, train=train) for conv in self.convs]
-        y = np.concatenate(outs, axis=1)
-        return self.pool.forward(self.bn.forward(y, train=train), train=train)
+        y = np.concatenate(outs, axis=2)
+        b, length, c = y.shape
+        y = self.bn.forward(y.reshape(b * length, c), train=train)
+        return self.pool.forward(y.reshape(b, length, c), train=train)
 
     def backward(self, grad):
-        grad = self.bn.backward(self.pool.backward(grad))
+        grad = self.pool.backward(grad)
+        b, length, c = grad.shape
+        grad = self.bn.backward(grad.reshape(b * length, c)).reshape(b, length, c)
         dx = None
         for i, conv in enumerate(self.convs):
-            g = grad[:, i * self.filters : (i + 1) * self.filters, :]
+            g = grad[..., i * self.filters : (i + 1) * self.filters]
             d = conv.backward(g)
             dx = d if dx is None else dx + d
         return dx
@@ -118,13 +127,14 @@ class TextCnn(ModelBase):
         if ids.ndim != 2 or ids.shape[1] != self.config.max_tokens:
             raise ValueError(f"expected ids (batch, {self.config.max_tokens}), "
                              f"got {ids.shape}")
-        x = self.embedding.forward(ids, train=train)  # B, L, E
-        x = x.transpose(0, 2, 1)
+        x = self.embedding.forward(ids, train=train)
         for block in self.blocks:
             x = block.forward(x, train=train)
         x = self.final_pool.forward(x, train=train)
         self._flat_shape = x.shape
-        return x.reshape(x.shape[0], -1)  # flatten activations
+        # flatten in (ch, position) order, the order fc1 and saved
+        # checkpoints were trained with
+        return x.transpose(0, 2, 1).reshape(x.shape[0], -1)
 
     def forward(self, ids, train=False):
         flat = self._trunk(ids, train)
@@ -135,11 +145,12 @@ class TextCnn(ModelBase):
     def backward(self, dlogits):
         g = self.fc2.backward(dlogits)
         g = self.fc1.backward(self.relu.backward(self.dropout.backward(g)))
-        g = g.reshape(self._flat_shape)
+        b, out_len, c = self._flat_shape
+        g = g.reshape(b, c, out_len).transpose(0, 2, 1)
         g = self.final_pool.backward(g)
         for block in reversed(self.blocks):
             g = block.backward(g)
-        self.embedding.backward(g.transpose(0, 2, 1))
+        self.embedding.backward(g)
 
     def extract_embedding(self, ids) -> np.ndarray:
         """Flatten-layer activations in eval mode."""

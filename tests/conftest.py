@@ -1,5 +1,9 @@
 """Shared test utilities: central finite differences at 64-bit."""
 
+# pageseq pins the BLAS thread count from PAGESEQ_THREADS, which works
+# only if it is imported before numpy loads its BLAS library
+import pageseq  # noqa: F401  isort:skip
+
 import numpy as np
 import pytest
 

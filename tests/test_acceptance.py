@@ -147,8 +147,8 @@ def test_criterion_2_gradient_correctness(capsys):
 
     # conv1d
     conv = Conv1d(6, 8, 4, init, np.float64)
-    x = rng.standard_normal((2, 6, 30))
-    c = rng.standard_normal((2, 8, 30))
+    x = rng.standard_normal((2, 30, 6))
+    c = rng.standard_normal((2, 30, 8))
     conv.forward(x, train=True); conv.zero_grads()
     dx = conv.backward(c.copy())
     n = _check(obj(conv, x, c), conv.params["weight"], conv.grads["weight"], rng, 192)
@@ -158,13 +158,13 @@ def test_criterion_2_gradient_correctness(capsys):
 
     # pooling routing (input gradients only; pools have no parameters)
     pool = MaxPool1d(2)
-    x = rng.standard_normal((4, 8, 20))
-    c = rng.standard_normal((4, 8, 10))
+    x = rng.standard_normal((4, 20, 8))
+    c = rng.standard_normal((4, 10, 8))
     pool.forward(x); dx = pool.backward(c.copy())
     n = _check(obj(pool, x, c), x, dx, rng, 300)
     apool = AdaptiveMaxPool1d(5)
-    x = rng.standard_normal((4, 8, 17))
-    c = rng.standard_normal((4, 8, 5))
+    x = rng.standard_normal((4, 17, 8))
+    c = rng.standard_normal((4, 5, 8))
     apool.forward(x); dx = apool.backward(c.copy())
     n += _check(obj(apool, x, c), x, dx, rng, 200)
     totals["pooling"] = n

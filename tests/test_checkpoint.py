@@ -60,3 +60,71 @@ def test_keeper_rejects_non_finite(tmp_path):
     keeper = BestCheckpointKeeper(tmp_path / "best.ckpt")
     with pytest.raises(ValueError):
         keeper.update(float("nan"), {"w": np.zeros(1)})
+
+
+def _small_checkpoint(tmp_path):
+    rng = np.random.default_rng(7)
+    params = {
+        "conv.weight": rng.standard_normal((2, 3)).astype(np.float32),
+        "buf.bn.running_var": rng.standard_normal(2),
+        "scalar": np.array(0.5, dtype=np.float32),
+    }
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, params, {"epoch": 1, "model": "textcnn"})
+    return path, params
+
+
+def _load_or_fail_cleanly(path):
+    """A damaged file may still parse; anything else must be a
+    CheckpointIOError that names the file."""
+    try:
+        params, meta = load_checkpoint(path)
+    except CheckpointIOError as exc:
+        assert str(path) in str(exc)
+        return None
+    assert isinstance(meta, dict)
+    assert all(isinstance(v, np.ndarray) for v in params.values())
+    return params
+
+
+def test_truncation_at_every_offset_fails_cleanly(tmp_path):
+    path, params = _small_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        assert _load_or_fail_cleanly(cut) is None, f"{size} bytes loaded"
+    cut.write_bytes(blob)
+    loaded = _load_or_fail_cleanly(cut)
+    for name in params:
+        np.testing.assert_array_equal(loaded[name], params[name])
+
+
+def test_byte_flip_at_every_offset_fails_cleanly(tmp_path):
+    path, _ = _small_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(11)
+    bad = tmp_path / "flipped.ckpt"
+    for offset in range(len(blob)):
+        for mask in (0xFF, int(rng.integers(1, 256))):
+            damaged = bytearray(blob)
+            damaged[offset] ^= mask
+            bad.write_bytes(bytes(damaged))
+            _load_or_fail_cleanly(bad)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path, _ = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointIOError, match="unexpected bytes"):
+        load_checkpoint(path)
+
+
+def test_save_replaces_atomically(tmp_path):
+    path, params = _small_checkpoint(tmp_path)
+    before = path.read_bytes()
+    # a save that fails half-way leaves the old file and no temp file
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"a": np.zeros(2), "b": np.zeros(2, np.int8)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.ckpt"]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pageseq
 from pageseq.cli import main
 
 TINY_SYNTH = ("synth.n_lawsuits=24\n"
@@ -60,6 +65,20 @@ def test_audit_missing_corpus(tmp_path, capsys):
     assert main(["audit", "--corpus", str(tmp_path / "nope")]) == 2
 
 
+def test_audit_non_finite_embedding_exits_2(tmp_path, capsys):
+    from pageseq.corpus import iter_pages, save_corpus
+    from pageseq.synth import SynthConfig, generate_synthetic
+    corpus = generate_synthetic(SynthConfig(n_lawsuits=6, seed=3))
+    page = next(p for p in iter_pages(corpus, "test")
+                if p.image_embedding is not None)
+    page.image_embedding[1] = np.inf
+    save_corpus(corpus, tmp_path / "corpus")
+    assert main(["audit", "--corpus", str(tmp_path / "corpus")]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == [
+        f"{page.lawsuit_id}:{page.page_index}: image embedding has NaN or Inf"]
+
+
 def test_train_writes_run_files(workspace):
     out = workspace / "fm"
     assert (out / "model.ckpt").exists()
@@ -91,6 +110,20 @@ def test_train_textcnn_and_eval(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["split"] == "test"
     assert 0.0 <= report["report"]["macro_f1"] <= 1.0
+
+
+def test_eval_truncated_checkpoint_exits_3_without_traceback(workspace):
+    bad = workspace / "truncated.ckpt"
+    bad.write_bytes(b"PSEQCKPT\x01\x00\x00\x00\x10\x00")  # 14 bytes
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pageseq.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "pageseq.cli", "eval",
+                          "--model-checkpoint", str(bad),
+                          "--corpus", str(workspace / "corpus")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3, run.stderr
+    assert "Traceback" not in run.stderr
+    assert str(bad) in run.stderr
 
 
 def test_eval_idempotent(workspace, capsys):

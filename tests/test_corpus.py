@@ -181,6 +181,21 @@ def test_audit_flags_duplicate():
     assert dup.id in report["violations"][0]
 
 
+def test_audit_flags_non_finite_embeddings():
+    corpus = small_corpus()
+    pages = [p for p in iter_pages(corpus, "train")
+             if p.text_embedding is not None and p.image_embedding is not None]
+    pages[0].text_embedding[3] = np.nan
+    pages[1].image_embedding[0] = -np.inf
+    report = audit_splits(corpus)
+    assert report["violations"] == [
+        f"{pages[0].lawsuit_id}:{pages[0].page_index}: "
+        "text embedding has NaN or Inf",
+        f"{pages[1].lawsuit_id}:{pages[1].page_index}: "
+        "image embedding has NaN or Inf",
+    ]
+
+
 def test_generator_deterministic():
     c1 = small_corpus()
     c2 = small_corpus()

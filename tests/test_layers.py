@@ -3,9 +3,9 @@ import pytest
 
 from conftest import check_grads
 from pageseq.layers import (AdaptiveMaxPool1d, BatchNorm1d, Conv1d, Dropout,
-                            Embedding, Flatten, Linear, MaxPool1d, ReLU,
-                            Sequential)
+                            Embedding, Flatten, Linear, MaxPool1d, ReLU)
 from pageseq.tensor import RngState
+from pageseq.textcnn import ConvBlock
 
 
 def _rng():
@@ -76,16 +76,24 @@ def test_batchnorm_gradients_2d(rng):
     check_grads(fn, x, dx, rng)
 
 
-def test_batchnorm_gradients_channels(rng):
-    """Per-channel batch-norm on (batch, channels, length) input."""
-    bn = BatchNorm1d(3, dtype=np.float64)
-    x = rng.standard_normal((4, 3, 5))
-    c = rng.standard_normal((4, 3, 5))
-    bn.forward(x, train=True)
-    bn.zero_grads()
-    dx = bn.backward(c.copy())
-    fn = _objective(bn, x, c)
-    check_grads(fn, bn.params["gamma"], bn.grads["gamma"], rng)
+def test_convblock_gradients(rng):
+    """Convs -> concat -> per-channel batch-norm -> pool, end to end."""
+    block = ConvBlock(3, 2, (3, 4, 5), 2, _rng(), np.float64)
+    x = rng.standard_normal((4, 9, 3))
+    c = rng.standard_normal((4, 4, 6))
+    block.forward(x, train=True)
+    layers = [*block.convs, block.bn]
+    for layer in layers:
+        layer.zero_grads()
+    dx = block.backward(c.copy())
+    fn = _objective(block, x, c)
+    for conv in block.convs:
+        check_grads(fn, conv.params["weight"], conv.grads["weight"], rng)
+        # train-mode batch-norm subtracts each channel's mean, so a conv
+        # bias cannot move the output
+        np.testing.assert_allclose(conv.grads["bias"], 0.0, atol=1e-12)
+    check_grads(fn, block.bn.params["gamma"], block.bn.grads["gamma"], rng)
+    check_grads(fn, block.bn.params["beta"], block.bn.grads["beta"], rng)
     check_grads(fn, x, dx, rng)
 
 
@@ -130,8 +138,8 @@ def test_conv1d_same_length_output():
     rng = _rng()
     for k in (1, 2, 3, 4, 5):
         conv = Conv1d(2, 3, k, rng, np.float64)
-        out = conv.forward(np.zeros((1, 2, 7)))
-        assert out.shape == (1, 3, 7), f"kernel {k}"
+        out = conv.forward(np.zeros((1, 7, 2)))
+        assert out.shape == (1, 7, 3), f"kernel {k}"
 
 
 def test_conv1d_matches_manual_convolution():
@@ -139,17 +147,17 @@ def test_conv1d_matches_manual_convolution():
     conv = Conv1d(1, 1, 3, rng, np.float64)
     w = conv.params["weight"][:, 0]  # (in_ch * k,) with in_ch = 1
     b = conv.params["bias"][0]
-    x = np.arange(5, dtype=np.float64)[None, None, :]
-    out = conv.forward(x)[0, 0]
-    padded = np.concatenate([[0.0], x[0, 0], [0.0]])
+    x = np.arange(5, dtype=np.float64)[None, :, None]
+    out = conv.forward(x)[0, :, 0]
+    padded = np.concatenate([[0.0], x[0, :, 0], [0.0]])
     expect = [padded[i : i + 3] @ w + b for i in range(5)]
     np.testing.assert_allclose(out, expect)
 
 
 def test_conv1d_gradients(rng):
     conv = Conv1d(3, 2, 4, _rng(), np.float64)
-    x = rng.standard_normal((2, 3, 6))
-    c = rng.standard_normal((2, 2, 6))
+    x = rng.standard_normal((2, 6, 3))
+    c = rng.standard_normal((2, 6, 2))
     conv.forward(x, train=True)
     conv.zero_grads()
     dx = conv.backward(c.copy())
@@ -161,37 +169,37 @@ def test_conv1d_gradients(rng):
 
 def test_maxpool_floor_semantics():
     pool = MaxPool1d(2)
-    x = np.arange(7, dtype=np.float64)[None, None, :]
+    x = np.arange(7, dtype=np.float64)[None, :, None]
     out = pool.forward(x)
-    np.testing.assert_array_equal(out[0, 0], [1, 3, 5])  # last element dropped
+    np.testing.assert_array_equal(out[0, :, 0], [1, 3, 5])  # last element dropped
 
 
 def test_maxpool_backward_routes_to_first_max():
     pool = MaxPool1d(2)
-    x = np.array([[[2.0, 2.0, 1.0, 5.0]]])
+    x = np.array([2.0, 2.0, 1.0, 5.0])[None, :, None]
     pool.forward(x)
-    g = pool.backward(np.array([[[1.0, 1.0]]]))
-    np.testing.assert_array_equal(g[0, 0], [1.0, 0.0, 0.0, 1.0])
+    g = pool.backward(np.array([1.0, 1.0])[None, :, None])
+    np.testing.assert_array_equal(g[0, :, 0], [1.0, 0.0, 0.0, 1.0])
 
 
 def test_adaptive_maxpool_output_length():
     pool = AdaptiveMaxPool1d(5)
     for length in (5, 7, 11, 20):
-        out = pool.forward(np.zeros((1, 2, length)))
-        assert out.shape == (1, 2, 5)
+        out = pool.forward(np.zeros((1, length, 2)))
+        assert out.shape == (1, 5, 2)
 
 
 def test_adaptive_maxpool_covers_input():
     pool = AdaptiveMaxPool1d(3)
-    x = np.zeros((1, 1, 10))
-    x[0, 0, 9] = 7.0
+    x = np.zeros((1, 10, 1))
+    x[0, 9, 0] = 7.0
     out = pool.forward(x)
-    assert out[0, 0, 2] == 7.0
+    assert out[0, 2, 0] == 7.0
 
 
 def test_adaptive_maxpool_backward_is_sparse():
     pool = AdaptiveMaxPool1d(2)
-    x = np.random.default_rng(0).standard_normal((2, 3, 9))
+    x = np.random.default_rng(0).standard_normal((2, 9, 3))
     out = pool.forward(x)
     g = pool.backward(np.ones_like(out))
     assert g.shape == x.shape
@@ -205,15 +213,6 @@ def test_relu_forward_backward():
     np.testing.assert_array_equal(y, [[0, 2], [0, 0]])
     g = relu.backward(np.ones_like(x))
     np.testing.assert_array_equal(g, [[0, 1], [0, 0]])
-
-
-def test_sequential_collects_named_params():
-    rng = _rng()
-    seq = Sequential([Linear(3, 4, rng), ReLU(), Linear(4, 2, rng)])
-    names = set(seq.named_params())
-    assert names == {"0.weight", "0.bias", "2.weight", "2.bias"}
-    out = seq.forward(np.zeros((2, 3), dtype=np.float32))
-    assert out.shape == (2, 2)
 
 
 def test_flatten_round_trip():
