@@ -27,21 +27,20 @@ from .checkpoint import CheckpointIOError, load_checkpoint, save_checkpoint
 from .corpus import (SPLITS, CorpusError, audit_splits, iter_pages,
                      load_corpus, save_corpus)
 from .experiments import (fm_probability_sequences, seq_dataset, train_fm_crf)
-from .fusion import (FusionConfig, FusionModule, MajorityBaseline,
-                     corpus_embedding_dims, embedding_arrays, evaluate_fusion,
-                     fusion_grid, train_fusion)
+from .fusion import (FusionConfig, FusionModule, corpus_embedding_dims,
+                     embedding_arrays, fusion_grid, train_fusion)
 from .iob import CLASSES, IOB_TAGS
 from .losses import cross_entropy
-from .metrics import score, score_by_first_page, score_collapsed
+from .metrics import score, score_by_first_page
+from .model_base import load_named
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
 from .schedule import lr_range_test
-from .seqmodels import (SeqModel, SeqModelConfig, lawsuit_tag_ids, train_seq)
+from .seqmodels import SeqModel, SeqModelConfig, train_seq
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .text import Vocab
-from .textcnn import (TextCnn, TextCnnConfig, encode_pages, evaluate_text_cnn,
-                      train_text_cnn)
+from .textcnn import TextCnn, TextCnnConfig, encode_pages, train_text_cnn
 from .training import iterate_minibatches
 
 EXIT_OK = 0
@@ -147,15 +146,26 @@ def _save_model_checkpoint(path, model, family, config, seed, best):
     save_checkpoint(path, model.state_dict(), meta)
 
 
+def _restore(path, params, meta, build):
+    """``build(**config)`` on the checkpoint's meta config, holding the
+    checkpoint's parameters.  A config or a parameter set that does not
+    fit the model raises ``CheckpointIOError`` naming the file."""
+    try:
+        model = build(**meta["config"])
+        load_named(model.state_dict(), params, type(model).__name__)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise CheckpointIOError(f"{path}: {detail}") from None
+    return model
+
+
 def _load_fusion_checkpoint(path) -> FusionModule:
     params, meta = load_checkpoint(path)
     if meta.get("model") not in ("fusion", "fusion-zero"):
         raise CheckpointIOError(f"{path}: not a fusion checkpoint "
                                 f"(model={meta.get('model')!r})")
-    config = FusionConfig(**meta["config"])
-    model = FusionModule(config, seed=meta.get("seed", 0))
-    model.load_state(params)
-    return model
+    return _restore(path, params, meta, lambda **config: FusionModule(
+        FusionConfig(**config), seed=meta.get("seed", 0)))
 
 
 def cmd_train(args):
@@ -256,14 +266,6 @@ def cmd_train(args):
 
 # --------------------------------------------------------------------- eval
 
-def _load_seq_checkpoint(path):
-    params, meta = load_checkpoint(path)
-    config = SeqModelConfig(**meta["config"])
-    model = SeqModel(config, seed=meta.get("seed", 0))
-    model.load_state(params)
-    return model, meta
-
-
 def _predictions(args, corpus, split):
     """Per-page gold labels, predicted labels, predicted IOB tags, flags."""
     params, meta = load_checkpoint(args.model_checkpoint)
@@ -273,11 +275,12 @@ def _predictions(args, corpus, split):
     flags = [p.is_first_page for p in pages]
 
     if family in ("textcnn", "textcnn-w"):
-        config = TextCnnConfig(**meta["config"])
         vocab = _load_vocab(args)
-        model = TextCnn(len(vocab), config, seed=meta.get("seed", 0))
-        model.load_state(params)
-        ids = encode_pages(pages, vocab, config.max_tokens)
+        model = _restore(args.model_checkpoint, params, meta,
+                         lambda **config: TextCnn(len(vocab),
+                                                  TextCnnConfig(**config),
+                                                  seed=meta.get("seed", 0)))
+        ids = encode_pages(pages, vocab, model.config.max_tokens)
         preds = []
         for start in range(0, len(ids), 64):
             probs = model.predict_probs(ids[start:start + 64])
@@ -296,10 +299,8 @@ def _predictions(args, corpus, split):
         if not args.fm_checkpoint:
             raise ConfigError("crf evaluation needs --fm-checkpoint")
         fm = _load_fusion_checkpoint(args.fm_checkpoint)
-        crf_model = crf_ops.CrfModel(meta["config"]["n_tags"],
-                                     meta["config"]["n_features"])
-        for name in crf_model.params:
-            crf_model.params[name][...] = params[name]
+        crf_model = _restore(args.model_checkpoint, params, meta,
+                             crf_ops.CrfModel)
         tags = []
         for feats, _ in fm_probability_sequences(corpus, fm, split):
             path, _ = crf_model.decode(feats)
@@ -309,17 +310,15 @@ def _predictions(args, corpus, split):
         if not args.fm_checkpoint:
             raise ConfigError(f"{family} evaluation needs --fm-checkpoint")
         fm = _load_fusion_checkpoint(args.fm_checkpoint)
-        model, _ = _load_seq_checkpoint(args.model_checkpoint)
+        model = _restore(args.model_checkpoint, params, meta,
+                         lambda **config: SeqModel(SeqModelConfig(**config),
+                                                   seed=meta.get("seed", 0)))
         kind = "concat" if family in ("bilstm-f", "bilstm-f-crf") else "hidden"
         data = seq_dataset(corpus, fm, kind)
         tags = []
         for x, _ in data[split]:
             tags.extend(IOB_TAGS[i] for i in model.decode(x))
         return gold, [t[2:] for t in tags], tags, flags
-    elif family == "majority":
-        baseline = MajorityBaseline.__new__(MajorityBaseline)
-        baseline.majority_class = meta["majority_class"]
-        preds = [baseline.predict_page(p) for p in pages]
     else:
         raise CheckpointIOError(f"unknown model family {family!r} in "
                                 f"{args.model_checkpoint}")

@@ -99,19 +99,44 @@ def _write_emb(path, idx_path, rows, index):
 
 
 def _read_emb(path, idx_path):
+    """Rows (count, dim) of an embedding file and its index rows
+    (lawsuit_id, page_index, row).  A truncated or inconsistent file or
+    a malformed index row raises ``CorpusError`` naming the file."""
     blob = Path(path).read_bytes()
     if blob[:8] != EMB_MAGIC:
         raise CorpusError(f"{path}: bad magic bytes")
-    off = 8
-    (taglen,) = struct.unpack_from("<B", blob, off); off += 1 + taglen
-    dim, count = struct.unpack_from("<II", blob, off); off += 8
-    data = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=off)
-    rows = data.reshape(count, dim)
+    off = 9 + (blob[8] if len(blob) > 8 else 0)  # past the tag
+    if len(blob) < off + 8:
+        raise CorpusError(f"{path}: truncated header")
+    dim, count = struct.unpack_from("<II", blob, off)
+    off += 8
+    if len(blob) - off != 4 * dim * count:
+        raise CorpusError(f"{path}: {len(blob) - off} payload bytes, but the "
+                          f"header gives {count} rows of {dim} float32")
+    rows = np.frombuffer(blob, dtype="<f4", count=count * dim,
+                         offset=off).reshape(count, dim)
+    try:
+        with open(idx_path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except FileNotFoundError:
+        raise CorpusError(f"missing index file: {idx_path}") from None
+    except UnicodeDecodeError:
+        raise CorpusError(f"{idx_path}: not UTF-8 text") from None
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last row
     index = []
-    with open(idx_path, encoding="utf-8") as fh:
-        for line in fh:
+    for lineno, line in enumerate(lines, 1):
+        try:
             rec = json.loads(line)
-            index.append((rec["lawsuit_id"], rec["page_index"], rec["row"]))
+            lid, page_index, row = rec["lawsuit_id"], rec["page_index"], rec["row"]
+        except (ValueError, TypeError, KeyError):
+            raise CorpusError(f"{idx_path}:{lineno}: not an index row "
+                              "with lawsuit_id, page_index and row") from None
+        if not (isinstance(lid, str) and type(page_index) is int
+                and type(row) is int and 0 <= row < count):
+            raise CorpusError(f"{idx_path}:{lineno}: bad index row {line!r} "
+                              f"for {count} embedding rows")
+        index.append((lid, page_index, row))
     if len(index) != count:
         raise CorpusError(f"{idx_path}: index has {len(index)} rows, "
                           f"embedding file has {count}")

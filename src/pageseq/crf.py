@@ -13,12 +13,11 @@ and are used as oracles by the test suite.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 
 import numpy as np
 
 from .optim import Adam
-from .tensor import log_sum_exp, softmax
+from .tensor import log_sum_exp, packing, softmax
 
 
 def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
@@ -34,7 +33,7 @@ def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
         raise ValueError("tags length does not match emissions")
     if tags.min() < 0 or tags.max() >= emissions.shape[1]:
         raise IndexError("tag out of range")
-    _, firsts, lasts, pairs = _packing(n_rows, lengths)
+    _, firsts, lasts, pairs = packing(n_rows, lengths)
     score = (start[tags[firsts]].sum() + emissions[np.arange(n_rows), tags].sum()
              + stop[tags[lasts]].sum() + transitions[tags[pairs], tags[pairs + 1]].sum())
     return float(score)
@@ -49,31 +48,6 @@ def forward_log_partition(emissions, transitions, start, stop):
     return float(log_sum_exp(alpha + stop))
 
 
-_Packing = namedtuple("_Packing", "lengths firsts lasts pairs")
-
-
-def _packing(n_rows, lengths):
-    """Checked sequence lengths of N packed rows, plus row indices.
-
-    Returns a ``_Packing``: the lengths, each sequence's first and
-    last row, and every row r whose successor r + 1 is in its sequence.
-    A ``_Packing`` already built for these rows is returned as it is.
-    """
-    if isinstance(lengths, _Packing):
-        return lengths
-    lengths = np.array([n_rows] if lengths is None else lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("lengths must be a non-empty list of positive ints")
-    if lengths.sum() != n_rows:
-        raise ValueError(f"lengths sum to {lengths.sum()}, emissions have "
-                         f"{n_rows} rows")
-    lasts = np.cumsum(lengths) - 1
-    firsts = lasts - lengths + 1
-    has_next = np.ones(n_rows, dtype=bool)
-    has_next[lasts] = False
-    return _Packing(lengths, firsts, lasts, np.flatnonzero(has_next))
-
-
 def forward_backward(emissions, transitions, start, stop, lengths=None):
     """Posterior marginals of a batch of sequences, packed.
 
@@ -86,7 +60,7 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     n_rows, k = emissions.shape
-    lengths, _, _, pairs = _packing(n_rows, lengths)
+    lengths, _, _, pairs = packing(n_rows, lengths)
     n_seq, t_max = lengths.size, int(lengths.max())
     valid = np.arange(t_max) < lengths[:, None]
     em = np.zeros((n_seq, t_max, k), dtype=np.float64)
@@ -124,18 +98,18 @@ def nll_and_grad(emissions, transitions, start, stop, gold_tags, lengths=None):
     """
     emissions, gold_tags = np.asarray(emissions), np.asarray(gold_tags)
     n_rows = emissions.shape[0]
-    packing = _packing(n_rows, lengths)
-    gold = sequence_score(emissions, transitions, start, stop, gold_tags, packing)
+    packed = packing(n_rows, lengths)
+    gold = sequence_score(emissions, transitions, start, stop, gold_tags, packed)
     unary, pairwise, log_z = forward_backward(emissions, transitions, start,
-                                              stop, packing)
+                                              stop, packed)
     d_em = unary
     d_em[np.arange(n_rows), gold_tags] -= 1.0
     d_trans = pairwise
-    pairs = packing.pairs
+    pairs = packed.pairs
     np.subtract.at(d_trans, (gold_tags[pairs], gold_tags[pairs + 1]), 1.0)
     # a sequence's start (stop) gradient is its first (last) emission's
-    d_start = d_em[packing.firsts].sum(axis=0)
-    d_stop = d_em[packing.lasts].sum(axis=0)
+    d_start = d_em[packed.firsts].sum(axis=0)
+    d_stop = d_em[packed.lasts].sum(axis=0)
     return log_z - gold, d_em, d_trans, d_start, d_stop
 
 
@@ -217,6 +191,9 @@ class CrfModel:
             "emit_w": np.zeros((n_features, n_tags), dtype=dtype),
             "emit_b": np.zeros(n_tags, dtype=dtype),
         }
+
+    def state_dict(self):
+        return self.params
 
     def emissions(self, features):
         features = np.asarray(features, dtype=self.params["emit_w"].dtype)

@@ -23,7 +23,7 @@ from .losses import cross_entropy
 from .metrics import MetricsReport, score, score_by_first_page, score_collapsed
 from .optim import Adam
 from .schedule import OneCycleSchedule
-from .seqmodels import SeqModel, SeqModelConfig, lawsuit_tag_ids, train_seq
+from .seqmodels import SeqModelConfig, lawsuit_tag_ids, train_seq
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .textcnn import (TextCnnConfig, encode_pages, evaluate_text_cnn,

@@ -333,15 +333,3 @@ class ReLU(Layer):
     def backward(self, grad):
         return grad * self._mask
 
-
-class Flatten(Layer):
-    def __init__(self):
-        super().__init__()
-        self._shape = None
-
-    def forward(self, x, train=False):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad):
-        return grad.reshape(self._shape)

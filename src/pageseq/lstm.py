@@ -1,10 +1,16 @@
-"""LSTM cell and bidirectional LSTM with full backpropagation through time.
+"""LSTM cells and the bidirectional LSTM, with full backpropagation through time.
 
-Sequences are processed one at a time as (T, features) arrays; batching
-across sequences happens by gradient accumulation in the callers.  The
-backward pass runs only the recurrence step by step and computes the
-weight and input gradients as GEMMs over all steps afterwards (the
-hoisting of Appleyard et al. 2016).
+An :class:`LstmCell` runs a stack of single-direction cells side by
+side over the same input: one cell, or, for a :class:`BiLstm`, two,
+the second reading each sequence in reverse.  Input is a batch
+of sequences packed into (N, features) rows plus their lengths (one
+sequence when the lengths are omitted).  The recurrence runs once over
+a left-aligned padded (T_max, direction, sequence, ·) grid, so each step
+is one batched GEMM for every direction and sequence.  Steps past a
+sequence's end are computed but never read, so they get exactly zero
+gradient and the loop needs no masks.  The input-to-gate GEMMs before
+the loop, and the weight and input-gradient GEMMs after it, run on the
+N packed rows only (the hoisting of Appleyard et al. 2016).
 """
 
 from __future__ import annotations
@@ -12,111 +18,143 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Layer
-from .tensor import DEFAULT_DTYPE
+from .tensor import DEFAULT_DTYPE, packing
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_inplace(a):
+    """a <- 1 / (1 + exp(-a)), with the rounding of that expression."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
+
+
+def _grid_positions(n_rows, lengths, directions):
+    """Where each packed row sits in the flattened (T_max, direction,
+    sequence) grid, per direction: a (directions, N) index array, plus
+    T_max and the sequence count."""
+    lengths, firsts, _, _ = packing(n_rows, lengths)
+    n_seq = lengths.size
+    seq = np.repeat(np.arange(n_seq), lengths)
+    step = np.arange(n_rows) - firsts[seq]
+    steps = (step, lengths[seq] - 1 - step)[:directions]
+    pos = np.stack([(s * directions + d) * n_seq + seq
+                    for d, s in enumerate(steps)])
+    return pos, int(lengths.max()), n_seq
 
 
 class LstmCell(Layer):
-    """Single-direction LSTM over one sequence; gate order i, f, g, o."""
+    """Single-direction LSTM; gate order i, f, g, o.
+
+    The parameters ``w_x``, ``w_h`` and ``bias`` are views into stacked
+    (direction, ·) arrays, so a subclass with more direction prefixes
+    runs a stack of cells.  ``forward`` returns (N, directions * hidden),
+    each row's hidden states of the directions side by side.
+    """
+
+    prefixes = ("",)  # one per direction; the second reads in reverse
 
     def __init__(self, input_dim, hidden, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.input_dim = input_dim
         self.hidden = hidden
+        self.directions = n_dir = len(self.prefixes)
         bound = 1.0 / np.sqrt(hidden)
-        self._add_param("w_x", rng.uniform(-bound, bound, (input_dim, 4 * hidden)).astype(dtype))
-        self._add_param("w_h", rng.uniform(-bound, bound, (hidden, 4 * hidden)).astype(dtype))
-        self._add_param("bias", np.zeros(4 * hidden, dtype=dtype))
+        self.stacked = {
+            "w_x": np.empty((n_dir, input_dim, 4 * hidden), dtype=dtype),
+            "w_h": np.empty((n_dir, hidden, 4 * hidden), dtype=dtype),
+            "bias": np.zeros((n_dir, 4 * hidden), dtype=dtype),
+        }
+        stacked_grads = {k: np.zeros_like(v) for k, v in self.stacked.items()}
+        for d, prefix in enumerate(self.prefixes):
+            # w_x then w_h, direction by direction: the draws of separate
+            # cells, so a seed gives the same weights to every layout
+            for name in ("w_x", "w_h"):
+                shape = self.stacked[name].shape[1:]
+                self.stacked[name][d] = rng.uniform(-bound, bound, shape)
+            for name, value in self.stacked.items():
+                self.params[prefix + name] = value[d]
+                self.grads[prefix + name] = stacked_grads[name][d]
+        self._stacked_grads = stacked_grads
         self._cache = None
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, lengths=None):
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"LstmCell expects (T, {self.input_dim}), got {x.shape}")
-        t_len = x.shape[0]
-        if t_len == 0:
+            raise ValueError(f"LstmCell expects (N, {self.input_dim}), got {x.shape}")
+        if x.shape[0] == 0:
             raise ValueError("zero-length sequence")
-        h_dim = self.hidden
-        w_h = self.params["w_h"]
-        # pre-activations, overwritten row by row with the activated gates
-        gates = x @ self.params["w_x"] + self.params["bias"]
-        cs = np.zeros((t_len + 1, h_dim), dtype=gates.dtype)  # cs[t + 1] = c_t
-        tcs = np.empty((t_len, h_dim), dtype=gates.dtype)
-        hs = np.zeros((t_len, h_dim), dtype=gates.dtype)
-        h = hs[0]
-        for t in range(t_len):
+        n_rows, n_dir, h_dim = x.shape[0], self.directions, self.hidden
+        pos, t_max, n_seq = _grid_positions(n_rows, lengths, n_dir)
+        w = self.stacked
+        gx = np.matmul(x, w["w_x"]) + w["bias"][:, None]  # (D, N, 4H)
+        # pre-activations on the grid, overwritten step by step by their
+        # sigmoids, of which i, f and o are read; padded steps start at 0
+        gates = np.zeros((t_max * n_dir * n_seq, 4 * h_dim), dtype=gx.dtype)
+        gates[pos.ravel()] = gx.reshape(-1, 4 * h_dim)
+        gates = gates.reshape(t_max, n_dir, n_seq, 4 * h_dim)
+        state = (t_max + 1, n_dir, n_seq, h_dim)
+        cs = np.zeros(state, dtype=gx.dtype)  # cs[t + 1] = c_t
+        hs = np.zeros(state, dtype=gx.dtype)  # hs[t + 1] = h_t
+        gs = np.empty((t_max,) + state[1:], dtype=gx.dtype)  # tanh gate g
+        tcs = np.empty_like(gs)  # tanh(c_t)
+        w_h = w["w_h"]
+        for t in range(t_max):
             a = gates[t]
-            a += h @ w_h
-            a[: 2 * h_dim] = _sigmoid(a[: 2 * h_dim])  # i, f
-            np.tanh(a[2 * h_dim : 3 * h_dim], out=a[2 * h_dim : 3 * h_dim])  # g
-            a[3 * h_dim :] = _sigmoid(a[3 * h_dim :])  # o
-            np.add(a[h_dim : 2 * h_dim] * cs[t],
-                   a[:h_dim] * a[2 * h_dim : 3 * h_dim], out=cs[t + 1])
-            np.tanh(cs[t + 1], out=tcs[t])
-            h = np.multiply(a[3 * h_dim :], tcs[t], out=hs[t])
-        self._cache = (x, gates, cs[:-1], tcs, hs) if train else None
-        return hs.astype(x.dtype, copy=False)
+            a += np.matmul(hs[t], w_h)
+            np.tanh(a[..., 2 * h_dim : 3 * h_dim], out=gs[t])
+            _sigmoid_inplace(a)
+            c = cs[t + 1]
+            np.multiply(a[..., h_dim : 2 * h_dim], cs[t], out=c)
+            c += a[..., :h_dim] * gs[t]
+            np.tanh(c, out=tcs[t])
+            np.multiply(a[..., 3 * h_dim :], tcs[t], out=hs[t + 1])
+        self._cache = (x, pos, gates, gs, cs, tcs, hs) if train else None
+        # hs[1:] flattened is the grid of h_t; pick each row's, per direction
+        out = hs[1:].reshape(-1, h_dim)[pos]  # (D, N, H)
+        out = out.transpose(1, 0, 2).reshape(n_rows, n_dir * h_dim)
+        return out.astype(x.dtype, copy=False)
 
-    def backward(self, dh_seq):
+    def backward(self, dh_rows):
         """BPTT; only the recurrence runs per step, the weight GEMMs after."""
         if self._cache is None:
             raise RuntimeError("LstmCell.backward needs forward(train=True) first")
-        x, gates, c_prevs, tcs, hs = self._cache
-        t_len, h_dim = dh_seq.shape
-        i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+        x, pos, gates, g, cs, tcs, hs = self._cache
+        n_rows, n_dir, h_dim = x.shape[0], self.directions, self.hidden
+        t_max, _, n_seq, _ = gates.shape
+        dh_seq = np.zeros((t_max * n_dir * n_seq, h_dim), dtype=gates.dtype)
+        dh_seq[pos] = dh_rows.reshape(n_rows, n_dir, h_dim).transpose(1, 0, 2)
+        dh_seq = dh_seq.reshape(t_max, n_dir, n_seq, h_dim)
+        i, f, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in (0, 1, 3))
         # per-step factors of the gate gradients that do not depend on dh, dc
-        dc_coef = np.stack([g * i * (1.0 - i), c_prevs * f * (1.0 - f),
-                            i * (1.0 - g * g)], axis=1)
+        dc_coef = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                            i * (1.0 - g * g)], axis=-2)
         dh_to_dc = o * (1.0 - tcs * tcs)
         dh_to_do = tcs * o * (1.0 - o)
-        w_h = self.params["w_h"]
-        da = np.empty((t_len, 4, h_dim), dtype=gates.dtype)
-        dh_next = np.zeros(h_dim, dtype=gates.dtype)
-        dc_next = np.zeros(h_dim, dtype=gates.dtype)
-        for t in range(t_len - 1, -1, -1):
+        w_h_t = self.stacked["w_h"].transpose(0, 2, 1)
+        da = np.empty((t_max, n_dir, n_seq, 4, h_dim), dtype=gates.dtype)
+        dh_next = np.zeros((n_dir, n_seq, h_dim), dtype=gates.dtype)
+        dc_next = np.zeros((n_dir, n_seq, h_dim), dtype=gates.dtype)
+        for t in range(t_max - 1, -1, -1):
             dh = dh_seq[t] + dh_next
             dc = dc_next + dh * dh_to_dc[t]
-            np.multiply(dc, dc_coef[t], out=da[t, :3])
-            np.multiply(dh, dh_to_do[t], out=da[t, 3])
-            dh_next = w_h @ da[t].reshape(-1)
+            np.multiply(dc[..., None, :], dc_coef[t], out=da[t, :, :, :3])
+            np.multiply(dh, dh_to_do[t], out=da[t, :, :, 3])
+            dh_next = np.matmul(da[t].reshape(n_dir, n_seq, 4 * h_dim), w_h_t)
             dc_next = dc * f[t]
-        da = da.reshape(t_len, 4 * h_dim)
-        self.grads["w_x"] += x.T @ da
-        # h_prev is hs shifted down one row, with h_prev[0] = 0
-        self.grads["w_h"] += hs[:-1].T @ da[1:]
-        self.grads["bias"] += da.sum(axis=0)
-        return (da @ self.params["w_x"].T).astype(x.dtype, copy=False)
+        # back to the packed rows: (D, N, 4H), and each row's h_{t-1}
+        da = da.reshape(-1, 4 * h_dim)[pos]
+        h_prev = hs.reshape(-1, h_dim)[pos]
+        grads = self._stacked_grads
+        grads["w_x"] += np.matmul(x.T, da)
+        grads["w_h"] += np.matmul(h_prev.transpose(0, 2, 1), da)
+        grads["bias"] += da.sum(axis=1)
+        dx = np.matmul(da, self.stacked["w_x"].transpose(0, 2, 1)).sum(axis=0)
+        return dx.astype(x.dtype, copy=False)
 
 
-class BiLstm(Layer):
-    """Forward and reverse LSTM; output is the per-step concatenation."""
+class BiLstm(LstmCell):
+    """Forward and reverse LSTM as one two-cell stack; the output is the
+    per-step concatenation [forward, reverse]."""
 
-    def __init__(self, input_dim, hidden, rng, dtype=DEFAULT_DTYPE):
-        super().__init__()
-        self.hidden = hidden
-        self.fwd = LstmCell(input_dim, hidden, rng, dtype)
-        self.bwd = LstmCell(input_dim, hidden, rng, dtype)
-        for name, p in self.fwd.params.items():
-            self.params[f"fwd.{name}"] = p
-            self.grads[f"fwd.{name}"] = self.fwd.grads[name]
-        for name, p in self.bwd.params.items():
-            self.params[f"bwd.{name}"] = p
-            self.grads[f"bwd.{name}"] = self.bwd.grads[name]
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()
-
-    def forward(self, x, train=False):
-        h_f = self.fwd.forward(x, train=train)
-        h_b = self.bwd.forward(x[::-1], train=train)[::-1]
-        return np.concatenate([h_f, h_b], axis=1)
-
-    def backward(self, grad):
-        h_dim = self.hidden
-        dx_f = self.fwd.backward(grad[:, :h_dim])
-        dx_b = self.bwd.backward(grad[::-1, h_dim:])[::-1]
-        return dx_f + dx_b
+    prefixes = ("fwd.", "bwd.")

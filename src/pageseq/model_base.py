@@ -60,9 +60,23 @@ class ModelBase:
         return {k: np.copy(v) for k, v in self.state_dict().items()}
 
     def load_state(self, state: dict):
-        own = self.state_dict()
-        for name, value in state.items():
-            if name not in own:
-                raise KeyError(f"unknown parameter {name!r} for "
-                               f"{type(self).__name__}")
-            own[name][...] = value
+        """Copies ``state`` into the model; it must name every parameter
+        and buffer of :meth:`state_dict`, and nothing else, with the same
+        shapes."""
+        load_named(self.state_dict(), state, type(self).__name__)
+
+
+def load_named(own: dict, state: dict, owner: str):
+    """Copies each array of ``state`` into the array of ``own`` with its
+    name.  Raises ``KeyError`` unless both have the same names, and
+    ``ValueError`` on a shape that differs."""
+    missing = sorted(set(own) - set(state))
+    unknown = sorted(set(state) - set(own))
+    if missing or unknown:
+        raise KeyError(f"{owner} state names differ: missing {missing}, "
+                       f"unknown {unknown}")
+    for name, value in state.items():
+        if np.shape(value) != own[name].shape:
+            raise ValueError(f"{owner} parameter {name!r} has shape "
+                             f"{np.shape(value)}, expected {own[name].shape}")
+        own[name][...] = value

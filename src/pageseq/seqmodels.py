@@ -3,9 +3,11 @@
 Four variants: plain BiLSTM and BiLSTM-CRF consume fusion-module hidden
 activations; the -F variants consume concatenated text+image embeddings
 through an extra BN/dropout/FC(512) stem.  All tag over the 12 IOB tags;
-evaluation always collapses to the 6 base classes.  Lawsuits within a
-batch are processed sequentially (no padding), so predictions for one
-lawsuit never depend on its batch neighbours.
+evaluation always collapses to the 6 base classes.  Training packs the
+lawsuits of a mini-batch into one pass: BatchNorm and dropout see all
+their pages at once, and the BiLSTM runs them side by side over a
+padded grid.  Labelling runs one lawsuit per call in eval mode, so a
+lawsuit's predictions never depend on any other lawsuit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .metrics import score_collapsed
 from .model_base import ModelBase
 from .optim import Adam
 from .schedule import OneCycleSchedule
-from .tensor import DEFAULT_DTYPE, RngState, softmax
+from .tensor import DEFAULT_DTYPE, RngState, packing, softmax
 from .training import TrainLog, iterate_minibatches, minibatch_count
 
 VARIANTS = ("bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf")
@@ -98,18 +100,24 @@ class SeqModel(ModelBase):
         return {"crf.transitions": self.g_transitions, "crf.start": self.g_start,
                 "crf.stop": self.g_stop}
 
-    def forward_scores(self, x, train=False):
-        """Per-step tag scores (T, n_tags) for one lawsuit."""
+    def forward_scores(self, x, train=False, lengths=None):
+        """Per-page tag scores (N, n_tags) of the lawsuits packed in ``x``.
+
+        ``x`` is the (T, input_dim) pages of each lawsuit concatenated,
+        and ``lengths`` gives each lawsuit's page count (one lawsuit when
+        omitted), as for :func:`crf.nll_and_grad`.
+        """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(f"expected (T, {self.config.input_dim}), "
                              f"got {x.shape}")
         if x.shape[0] == 0:
             raise ValueError("empty lawsuit")
+        lengths = packing(x.shape[0], lengths)
         if self.config.fusion_input:
             x = self.fc_in.forward(self.drop_in.forward(
                 self.bn_in.forward(x, train=train), train=train), train=train)
-        h = self.bilstm.forward(x, train=train)
+        h = self.bilstm.forward(x, train=train, lengths=lengths)
         h = self.drop_out.forward(self.bn_out.forward(h, train=train),
                                   train=train)
         return self.fc_out.forward(h, train=train)
@@ -122,23 +130,44 @@ class SeqModel(ModelBase):
             g = self.bn_in.backward(self.drop_in.backward(self.fc_in.backward(g)))
         return g
 
-    def loss_and_backward(self, x, tag_ids, train=True):
-        """Per-lawsuit loss (normalised by length) plus grad accumulation."""
+    def loss_and_backward(self, x, tag_ids, train=True, lengths=None):
+        """Loss of the lawsuits packed in ``x`` plus grad accumulation.
+
+        The loss is the mean over the lawsuits of each lawsuit's loss
+        normalised by its length; ``lengths`` is as in
+        :meth:`forward_scores`.
+        """
         tag_ids = np.asarray(tag_ids)
-        scores = self.forward_scores(x, train=train)
-        t_len = scores.shape[0]
+        scores = self.forward_scores(x, train=train, lengths=lengths)
+        if tag_ids.shape != (scores.shape[0],):
+            raise ValueError(f"tags of shape {tag_ids.shape} for "
+                             f"{scores.shape[0]} pages")
+        packed = packing(scores.shape[0], lengths)
+        n_seq = packed.lengths.size
+        d_scores = np.empty_like(scores)
+        total = 0.0
+        for lo, hi in zip(packed.firsts, packed.lasts + 1):
+            loss, d_scores[lo:hi] = self._lawsuit_loss(scores[lo:hi],
+                                                       tag_ids[lo:hi], n_seq)
+            total += loss
+        self.backward_scores(d_scores)
+        return total
+
+    def _lawsuit_loss(self, scores, tag_ids, n_seq):
+        """One lawsuit's length-normalised loss and score gradient, both
+        divided by ``n_seq``; accumulates the CRF head's grads."""
         if self.config.crf_head:
+            t_len = scores.shape[0]
             nll, d_em, d_tr, d_st, d_sp = crf_ops.nll_and_grad(
                 scores.astype(np.float64), self.transitions, self.start,
                 self.stop, tag_ids)
-            self.g_transitions += d_tr / t_len
-            self.g_start += d_st / t_len
-            self.g_stop += d_sp / t_len
-            self.backward_scores((d_em / t_len).astype(scores.dtype))
-            return nll / t_len
+            scale = t_len * n_seq
+            self.g_transitions += d_tr / scale
+            self.g_start += d_st / scale
+            self.g_stop += d_sp / scale
+            return nll / scale, d_em / scale
         loss, d_scores = cross_entropy(scores, tag_ids)
-        self.backward_scores(d_scores)
-        return loss
+        return loss / n_seq, d_scores / n_seq
 
     def decode(self, x):
         """Predicted IOB tag ids for one lawsuit (eval mode)."""
@@ -158,7 +187,8 @@ def lawsuit_tag_ids(lawsuit):
 
 def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
               batch_lawsuits=8, max_lr=2e-3, out_path=None, verbose=False):
-    """Trains on whole lawsuits grouped into mini-batches.
+    """Trains on whole lawsuits grouped into mini-batches, each packed
+    into one forward and backward pass.
 
     ``lawsuit_inputs`` maps split name to a list of
     (features (T, input_dim), gold IOB tag ids) pairs.
@@ -168,6 +198,14 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
     val_set = lawsuit_inputs["validation"]
     if not train_set or not val_set:
         raise ValueError("empty train or validation split")
+    if batch_lawsuits == 1 or len(train_set) == 1:
+        # a step of one one-page lawsuit would give BatchNorm one row
+        for i, (_, tags) in enumerate(train_set):
+            if len(tags) == 1:
+                raise ValueError(
+                    f"train lawsuit {i} has one page, and a mini-batch of "
+                    "one lawsuit gives train-mode BatchNorm a single row; "
+                    "use batch_lawsuits >= 2 and two or more train lawsuits")
     model = SeqModel(config, seed=seed)
     opt = Adam(model.named_params())
     steps_per_epoch = minibatch_count(len(train_set), batch_lawsuits)
@@ -184,14 +222,12 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
                                        shuffle_rng):
             lr = sched.lr(step)
             model.zero_grads()
-            batch_loss = 0.0
-            for i in idx:
-                x, tags = train_set[i]
-                batch_loss += model.loss_and_backward(x, tags, train=True)
-            grads = model.named_grads()
-            scaled = {k: g / len(idx) for k, g in grads.items()}
-            opt.step(scaled, lr)
-            losses.append(batch_loss / len(idx))
+            batch = [train_set[i] for i in idx]
+            losses.append(model.loss_and_backward(
+                np.concatenate([x for x, _ in batch]),
+                np.concatenate([tags for _, tags in batch]),
+                train=True, lengths=[len(tags) for _, tags in batch]))
+            opt.step(model.named_grads(), lr)
             step += 1
         report = evaluate_seq(model, val_set)
         saved = False

@@ -9,6 +9,7 @@ internal mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 import zlib
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,10 +21,6 @@ DEFAULT_DTYPE = FLOAT32
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-def as_array(x, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x, dtype=dtype))
 
 
 def log_sum_exp(x, axis=-1):
@@ -48,19 +45,31 @@ def softmax(x, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking.
+Packing = namedtuple("Packing", "lengths firsts lasts pairs")
 
-    Reduction order is numpy's fixed blocked order, which is identical
-    across repeated runs with the same inputs and thread count.
+
+def packing(n_rows, lengths):
+    """Checked lengths of sequences packed into N rows, plus row indices.
+
+    Several sequences are packed by concatenating their rows; ``lengths``
+    gives each one's row count, and ``None`` means one sequence of all
+    N rows.  Returns a ``Packing``: the lengths, each sequence's first
+    and last row, and every row r whose successor r + 1 is in its
+    sequence.  A ``Packing`` already built is returned as it is.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
+    if isinstance(lengths, Packing):
+        return lengths
+    lengths = np.array([n_rows] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("lengths must be a non-empty list of positive ints")
+    if lengths.sum() != n_rows:
+        raise ValueError(f"lengths sum to {lengths.sum()}, but there are "
+                         f"{n_rows} rows")
+    lasts = np.cumsum(lengths) - 1
+    firsts = lasts - lengths + 1
+    has_next = np.ones(n_rows, dtype=bool)
+    has_next[lasts] = False
+    return Packing(lengths, firsts, lasts, np.flatnonzero(has_next))
 
 
 def _consumer_key(name: str) -> int:

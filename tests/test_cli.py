@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pageseq
+from pageseq.checkpoint import load_checkpoint, save_checkpoint
 from pageseq.cli import main
 
 TINY_SYNTH = ("synth.n_lawsuits=24\n"
@@ -112,9 +113,9 @@ def test_train_textcnn_and_eval(workspace, capsys):
     assert 0.0 <= report["report"]["macro_f1"] <= 1.0
 
 
-def test_eval_truncated_checkpoint_exits_3_without_traceback(workspace):
-    bad = workspace / "truncated.ckpt"
-    bad.write_bytes(b"PSEQCKPT\x01\x00\x00\x00\x10\x00")  # 14 bytes
+def _assert_eval_exits_3_naming(workspace, bad):
+    """``pageseq eval`` in its own process: exit 3, no traceback, and a
+    message that names the checkpoint."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(pageseq.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-m", "pageseq.cli", "eval",
@@ -124,6 +125,43 @@ def test_eval_truncated_checkpoint_exits_3_without_traceback(workspace):
     assert run.returncode == 3, run.stderr
     assert "Traceback" not in run.stderr
     assert str(bad) in run.stderr
+    return run.stderr
+
+
+def test_eval_truncated_checkpoint_exits_3_without_traceback(workspace):
+    bad = workspace / "truncated.ckpt"
+    bad.write_bytes(b"PSEQCKPT\x01\x00\x00\x00\x10\x00")  # 14 bytes
+    _assert_eval_exits_3_naming(workspace, bad)
+
+
+def _edited_fm_checkpoint(workspace, name, edit):
+    params, meta = load_checkpoint(workspace / "fm" / "model.ckpt")
+    edit(params, meta)
+    path = workspace / name
+    save_checkpoint(path, params, meta)
+    return path
+
+
+def test_eval_checkpoint_missing_a_parameter_exits_3(workspace):
+    bad = _edited_fm_checkpoint(workspace, "dropped.ckpt",
+                                lambda params, meta: params.pop("bn0.beta"))
+    assert "bn0.beta" in _assert_eval_exits_3_naming(workspace, bad)
+
+
+def test_eval_checkpoint_with_renamed_parameter_exits_3(workspace):
+    def rename(params, meta):
+        params["bn0_beta"] = params.pop("bn0.beta")
+
+    bad = _edited_fm_checkpoint(workspace, "renamed.ckpt", rename)
+    assert "bn0_beta" in _assert_eval_exits_3_naming(workspace, bad)
+
+
+def test_eval_checkpoint_with_unknown_config_key_exits_3(workspace):
+    def add_key(params, meta):
+        meta["config"]["bogus_width"] = 3
+
+    bad = _edited_fm_checkpoint(workspace, "badconfig.ckpt", add_key)
+    assert "bogus_width" in _assert_eval_exits_3_naming(workspace, bad)
 
 
 def test_eval_idempotent(workspace, capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pageseq import corpus as corpus_io
 from pageseq.corpus import (CorpusError, Lawsuit, Page, audit_splits,
                             iter_pages, load_corpus, save_corpus)
 from pageseq.synth import (SynthConfig, doc_type_distribution,
@@ -140,6 +141,84 @@ def test_page_with_two_index_rows_rejected(tmp_path):
 
     _rewrite_index(tmp_path / "train" / "image.idx.jsonl", duplicate_first)
     with pytest.raises(CorpusError, match="image.idx.jsonl.*two rows"):
+        load_corpus(tmp_path)
+
+
+def _small_emb(tmp_path):
+    """A 3-row, 2-dim embedding file and its index."""
+    rows = np.arange(6, dtype=np.float32).reshape(3, 2)
+    index = [("L1", 0, 0), ("L1", 1, 1), ("L2", 0, 2)]
+    path, idx_path = tmp_path / "text.emb", tmp_path / "text.idx.jsonl"
+    corpus_io._write_emb(path, idx_path, rows, index)
+    return path, idx_path, rows, index
+
+
+def _read_or_fail_cleanly(path, idx_path):
+    """The rows read, or None after a CorpusError that names a file."""
+    try:
+        return corpus_io._read_emb(path, idx_path)[0]
+    except CorpusError as exc:
+        assert str(path) in str(exc) or str(idx_path) in str(exc), exc
+        return None
+
+
+def test_emb_truncation_at_every_offset_fails_cleanly(tmp_path):
+    path, idx_path, rows, index = _small_emb(tmp_path)
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        assert _read_or_fail_cleanly(path, idx_path) is None, size
+    path.write_bytes(blob)
+    got, got_index = corpus_io._read_emb(path, idx_path)
+    np.testing.assert_array_equal(got, rows)
+    assert got_index == index
+
+
+def test_emb_byte_flip_at_every_offset_fails_cleanly(tmp_path):
+    path, idx_path, _, _ = _small_emb(tmp_path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(12)
+    for offset in range(len(blob)):
+        for mask in (0xFF, int(rng.integers(1, 256))):
+            damaged = bytearray(blob)
+            damaged[offset] ^= mask
+            path.write_bytes(bytes(damaged))
+            _read_or_fail_cleanly(path, idx_path)
+
+
+def test_emb_index_byte_flip_at_every_offset_fails_cleanly(tmp_path):
+    path, idx_path, _, _ = _small_emb(tmp_path)
+    blob = idx_path.read_bytes()
+    rng = np.random.default_rng(13)
+    for offset in range(len(blob)):
+        for mask in (0xFF, int(rng.integers(1, 256))):
+            damaged = bytearray(blob)
+            damaged[offset] ^= mask
+            idx_path.write_bytes(bytes(damaged))
+            _read_or_fail_cleanly(path, idx_path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(row=10_000), lambda r: r.update(row=-1),
+    lambda r: r.update(row="0"), lambda r: r.pop("row"),
+    lambda r: r.pop("lawsuit_id"), lambda r: r.update(page_index=1.5)])
+def test_bad_index_row_names_file(tmp_path, edit):
+    save_corpus(small_corpus(), tmp_path)
+
+    def edit_first(rows):
+        edit(rows[0])
+        return rows
+
+    _rewrite_index(tmp_path / "train" / "text.idx.jsonl", edit_first)
+    with pytest.raises(CorpusError, match="text.idx.jsonl:1"):
+        load_corpus(tmp_path)
+
+
+def test_truncated_emb_in_corpus_names_file(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+    emb = tmp_path / "validation" / "image.emb"
+    emb.write_bytes(emb.read_bytes()[:-3])
+    with pytest.raises(CorpusError, match="image.emb.*payload"):
         load_corpus(tmp_path)
 
 

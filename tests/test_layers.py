@@ -3,7 +3,7 @@ import pytest
 
 from conftest import check_grads
 from pageseq.layers import (AdaptiveMaxPool1d, BatchNorm1d, Conv1d, Dropout,
-                            Embedding, Flatten, Linear, MaxPool1d, ReLU)
+                            Embedding, Linear, MaxPool1d, ReLU)
 from pageseq.tensor import RngState
 from pageseq.textcnn import ConvBlock
 
@@ -214,11 +214,3 @@ def test_relu_forward_backward():
     g = relu.backward(np.ones_like(x))
     np.testing.assert_array_equal(g, [[0, 1], [0, 0]])
 
-
-def test_flatten_round_trip():
-    flat = Flatten()
-    x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-    y = flat.forward(x)
-    assert y.shape == (2, 12)
-    g = flat.backward(y)
-    np.testing.assert_array_equal(g, x)

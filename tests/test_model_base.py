@@ -39,6 +39,22 @@ def test_load_state_rejects_unknown_key():
         model.load_state(state)
 
 
+def test_load_state_rejects_missing_key():
+    model = _model()
+    state = model.snapshot()
+    del state["bn0.beta"]
+    with pytest.raises(KeyError, match="bn0.beta"):
+        model.load_state(state)
+
+
+def test_load_state_rejects_wrong_shape():
+    model = _model()
+    state = model.snapshot()
+    state["fc1.bias"] = np.zeros(7, dtype=np.float32)
+    with pytest.raises(ValueError, match="fc1.bias"):
+        model.load_state(state)
+
+
 def test_adam_never_sees_buffers():
     model = _model()
     assert all(not k.startswith("buf.") for k in model.named_params())

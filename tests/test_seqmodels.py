@@ -51,7 +51,8 @@ def test_reversed_lawsuit_changes_predictions():
 
 def test_batch_independence():
     """A lawsuit's predictions never depend on its batch neighbours:
-    processing is strictly per lawsuit, so two calls are enough."""
+    training packs a mini-batch, but labelling runs one lawsuit per call
+    in eval mode, so two calls are enough."""
     model = _model("bilstm-f")
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 6))
@@ -124,18 +125,18 @@ def test_predict_tags_are_iob():
     assert all(t in IOB_TAGS for t in tags)
 
 
+def _lawsuit_set(rng, n, low=2):
+    out = []
+    for _ in range(n):
+        t = int(rng.integers(low, 6))
+        out.append((rng.standard_normal((t, 6)).astype(np.float32),
+                    rng.integers(0, 12, size=t)))
+    return out
+
+
 def test_train_seq_runs_and_is_deterministic():
     rng = np.random.default_rng(6)
-
-    def make_set(n):
-        out = []
-        for _ in range(n):
-            t = int(rng.integers(2, 6))
-            out.append((rng.standard_normal((t, 6)).astype(np.float32),
-                        rng.integers(0, 12, size=t)))
-        return out
-
-    data = {"train": make_set(6), "validation": make_set(3)}
+    data = {"train": _lawsuit_set(rng, 6), "validation": _lawsuit_set(rng, 3)}
     config = SeqModelConfig(variant="bilstm-f", input_dim=6, lstm_hidden=4,
                             pre_fc=5)
     m1, _, log1 = train_seq(data, config, seed=0, epochs=2, batch_lawsuits=3)
@@ -144,3 +145,40 @@ def test_train_seq_runs_and_is_deterministic():
     assert log1.rows[-1].train_loss == log2.rows[-1].train_loss
     for name, p1 in m1.state_dict().items():
         np.testing.assert_array_equal(p1, m2.state_dict()[name])
+
+
+def test_train_seq_checkpoints_are_byte_identical(tmp_path):
+    rng = np.random.default_rng(7)
+    data = {"train": _lawsuit_set(rng, 7), "validation": _lawsuit_set(rng, 3)}
+    config = SeqModelConfig(variant="bilstm-f-crf", input_dim=6,
+                            lstm_hidden=4, pre_fc=5)
+    for run in ("a", "b"):
+        train_seq(data, config, seed=1, epochs=2, batch_lawsuits=3,
+                  out_path=tmp_path / f"{run}.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == \
+        (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_train_seq_trains_on_one_page_lawsuits():
+    """BatchNorm statistics are per mini-batch, so a one-page lawsuit
+    trains alongside the others."""
+    rng = np.random.default_rng(8)
+    train = _lawsuit_set(rng, 6)
+    train[1] = train[1][0][:1], train[1][1][:1]
+    train[4] = train[4][0][:1], train[4][1][:1]
+    data = {"train": train, "validation": _lawsuit_set(rng, 2, low=1)}
+    for variant in ("bilstm", "bilstm-f-crf"):
+        config = SeqModelConfig(variant=variant, input_dim=6, lstm_hidden=4,
+                                pre_fc=5)
+        _, _, log = train_seq(data, config, epochs=2, batch_lawsuits=2)
+        assert all(np.isfinite(row.train_loss) for row in log.rows)
+
+
+def test_train_seq_rejects_one_page_lawsuit_in_batches_of_one():
+    rng = np.random.default_rng(9)
+    train = _lawsuit_set(rng, 4)
+    train[2] = train[2][0][:1], train[2][1][:1]
+    data = {"train": train, "validation": _lawsuit_set(rng, 2)}
+    config = SeqModelConfig(variant="bilstm", input_dim=6, lstm_hidden=4)
+    with pytest.raises(ValueError, match="train lawsuit 2 has one page"):
+        train_seq(data, config, epochs=1, batch_lawsuits=1)

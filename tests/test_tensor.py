@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pageseq.tensor import (RngState, ShapeError, log_sum_exp, matmul,
-                            softmax)
+from pageseq.tensor import RngState, log_sum_exp, softmax
 
 
 def test_log_sum_exp_single_element():
@@ -45,18 +44,6 @@ def test_softmax_extreme_values_finite():
     p = softmax(np.array([1000.0, 0.0, -1000.0]))
     assert np.all(np.isfinite(p))
     assert p[0] == pytest.approx(1.0)
-
-
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 6))
-    b = rng.standard_normal((6, 3))
-    np.testing.assert_allclose(matmul(a, b), a @ b)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 def test_rng_consumer_streams_are_independent():
