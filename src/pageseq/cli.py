@@ -36,7 +36,8 @@ from .model_base import load_named
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
 from .schedule import lr_range_test
-from .seqmodels import SeqModel, SeqModelConfig, train_seq
+from .seqmodels import (BATCH_LAWSUITS, VARIANTS, SeqModel, SeqModelConfig,
+                        train_seq)
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .text import Vocab
@@ -127,14 +128,14 @@ def cmd_audit(args):
 
 # -------------------------------------------------------------------- train
 
-def _train_settings(args):
+def _train_settings(args, batch_default):
     cfg = load_config(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else \
         section_value(cfg, "train.seed", 0)
     epochs = args.epochs if args.epochs is not None else \
         section_value(cfg, "train.epochs", 20)
     batch = args.batch_size if args.batch_size is not None else \
-        section_value(cfg, "train.batch_size", 64)
+        section_value(cfg, "train.batch_size", batch_default)
     lr = args.max_lr if args.max_lr is not None else \
         section_value(cfg, "train.lr", None, float)
     return cfg, seed, epochs, batch, lr
@@ -169,7 +170,9 @@ def _load_fusion_checkpoint(path) -> FusionModule:
 
 
 def cmd_train(args):
-    cfg, seed, epochs, batch, lr = _train_settings(args)
+    # a bilstm family batches lawsuits, the others pages
+    cfg, seed, epochs, batch, lr = _train_settings(
+        args, BATCH_LAWSUITS if args.model in VARIANTS else 64)
     corpus = _load_corpus_checked(args.corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -472,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--batch-size", type=int,
+                   help="pages per step, or lawsuits for the bilstm "
+                        "families (default 64 pages, 8 lawsuits)")
     p.add_argument("--max-lr", type=float)
     p.add_argument("--grid", action="store_true",
                    help="fusion only: run the four-config sweep")

@@ -3,7 +3,12 @@
 Core routines operate on an emission matrix (T, K) plus transition
 scores.  Forward-backward and the NLL gradient also take a batch of
 sequences packed into one (N, K) matrix plus their lengths, and run the
-recursion once for the whole batch over a padded view.
+recursion once for the whole batch over a padded view.  Forward-backward
+works in probability space with per-step scaling, so each step is one
+small GEMM; its domain is a step that keeps some surviving path within
+~700 nats of the largest scores, and it raises ``ValueError`` outside
+it.  :func:`forward_log_partition` and :func:`viterbi_decode` stay in
+log space and have no such limit.
 :class:`CrfModel` adds a linear emission map over F-dim input features
 and is what the fusion + CRF pipeline trains.  Brute-force
 counterparts (exhaustive path enumeration) are provided for small K, T
@@ -17,7 +22,7 @@ import itertools
 import numpy as np
 
 from .optim import Adam
-from .tensor import log_sum_exp, packing, softmax
+from .tensor import grid_positions, log_sum_exp, packing, softmax
 
 
 def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
@@ -53,39 +58,75 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
 
     ``emissions`` is (N, K): the rows of every sequence concatenated, with
     ``lengths`` giving each sequence's row count (one sequence when it is
-    omitted).  The recursions run once over a padded (B, T_max, K) view;
-    rows past a sequence's end are computed but never read.  Returns the
-    unary marginals (N, K), the expected transition counts (K, K) summed
-    over the batch, and the summed log partition.
+    omitted).  Returns the unary marginals (N, K), the expected transition
+    counts (K, K) summed over the batch, and the summed log partition.
+
+    The recursions are Rabiner's (1989) scaled forward-backward, in
+    probability space.  Every score is shifted by its max and
+    exponentiated once.  A forward step is one (B, K) @ (K, K) GEMM times
+    the step's emissions, divided by its row sum ``c_t``; the backward
+    step mirrors it with the same ``c_t``, and log Z is the sum of the
+    ``log c_t`` plus the shifts.  Both run once over a left-aligned,
+    time-major (T_max, B, K) grid whose padded rows hold no mass and
+    have ``c_t = 1``.  The domain is float64's ``exp`` range: a step
+    that leaves every surviving path more than ~700 nats below the
+    largest scores makes ``c_t`` underflow to 0, and ``ValueError``
+    names the sequence where that happens or ``c_t`` is not finite.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
+    transitions, start, stop = (np.asarray(a, dtype=np.float64)
+                                for a in (transitions, start, stop))
     n_rows, k = emissions.shape
-    lengths, _, _, pairs = packing(n_rows, lengths)
-    n_seq, t_max = lengths.size, int(lengths.max())
-    valid = np.arange(t_max) < lengths[:, None]
-    em = np.zeros((n_seq, t_max, k), dtype=np.float64)
-    em[valid] = emissions
-    alphas = np.empty_like(em)
-    alphas[:, 0] = start + em[:, 0]
-    for t in range(1, t_max):
-        alphas[:, t] = em[:, t] + log_sum_exp(
-            alphas[:, t - 1, :, None] + transitions, axis=1)
-    # betas[:, t] is the recursion's value, except at each sequence's last row
-    betas = np.empty_like(em)
-    betas[:, -1] = stop
-    ends = lengths - 1
-    for t in range(t_max - 2, -1, -1):
-        betas[:, t] = log_sum_exp(
-            transitions + (em[:, t + 1] + betas[:, t + 1])[:, None, :], axis=2)
-        betas[ends == t, t] = stop
-    log_z = log_sum_exp(alphas[np.arange(n_seq), ends] + stop, axis=1)
-    row_log_z = np.repeat(log_z, lengths)[:, None]
-    alphas, betas = alphas[valid], betas[valid]
-    unary = np.exp(alphas + betas - row_log_z)
-    joint = (alphas[pairs, :, None] + transitions
-             + (emissions[pairs + 1] + betas[pairs + 1])[:, None, :])
-    pairwise = np.exp(joint - row_log_z[pairs, :, None]).sum(axis=0)
-    return unary, pairwise, float(log_z.sum())
+    packed = packing(n_rows, lengths)
+    (pos,), t_max, n_seq = grid_positions(n_rows, packed)
+    em_max = emissions.max(axis=1, keepdims=True)
+    tr_max, start_max, stop_max = transitions.max(), start.max(), stop.max()
+    exp_tr = np.exp(transitions - tr_max)
+    # time-major grids; a padded row has no mass (ex 0) and scale 1 (pad)
+    ex = np.zeros((t_max * n_seq, k))
+    ex[pos] = np.exp(emissions - em_max)
+    ex = ex.reshape(t_max, n_seq, k)
+    pad = np.ones(t_max * n_seq)
+    pad[pos] = 0.0
+    pad = pad.reshape(t_max, n_seq)
+    alpha = np.empty_like(ex)
+    scale = np.empty_like(pad)
+    np.multiply(np.exp(start - start_max), ex[0], out=alpha[0])
+    for t in range(t_max):
+        if t:
+            np.matmul(alpha[t - 1], exp_tr, out=alpha[t])
+            alpha[t] *= ex[t]
+        np.add(alpha[t].sum(axis=1), pad[t], out=scale[t])
+        if not scale[t].min() > 0:  # also when NaN
+            raise _scale_error(scale[t], pad[t], f"row {t}")
+        alpha[t] /= scale[t, :, None]
+    seqs, ends = np.arange(n_seq), packed.lengths - 1
+    exp_stop = np.exp(stop - stop_max)
+    stop_scale = alpha[ends, seqs] @ exp_stop
+    if not stop_scale.min() > 0:
+        raise _scale_error(stop_scale, 0.0, "its stop")
+    beta = np.zeros_like(ex)
+    beta[ends, seqs] = exp_stop / stop_scale[:, None]
+    # msg[t] = ex[t] * beta[t] / c_t, the message step t passes back
+    msg = ex / scale[:, :, None]
+    for t in range(t_max - 1, 0, -1):
+        msg[t] *= beta[t]
+        beta[t - 1] += msg[t] @ exp_tr.T
+    unary = (alpha * beta).reshape(-1, k)[pos]
+    pairwise = exp_tr * np.tensordot(alpha[:-1], msg[1:], axes=([0, 1], [0, 1]))
+    log_z = (np.log(scale).sum() + np.log(stop_scale).sum() + em_max.sum()
+             + n_seq * (start_max + stop_max) + (n_rows - n_seq) * tr_max)
+    return unary, pairwise, float(log_z)
+
+
+def _scale_error(scale, pad, where):
+    """A ``ValueError`` naming the first unpadded sequence whose scale is
+    0 or not finite."""
+    seq = int(np.flatnonzero(~(scale > 0) & (pad == 0))[0])
+    return ValueError(
+        f"CRF forward-backward: sequence {seq} has scale {scale[seq]} at "
+        f"{where}; one step spans more than float64's ~700 nats between "
+        "surviving paths, or a score is not finite")
 
 
 def nll_and_grad(emissions, transitions, start, stop, gold_tags, lengths=None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Layer
-from .tensor import DEFAULT_DTYPE, packing
+from .tensor import DEFAULT_DTYPE, grid_positions
 
 
 def _sigmoid_inplace(a):
@@ -27,20 +27,6 @@ def _sigmoid_inplace(a):
     np.exp(a, out=a)
     a += 1.0
     np.divide(1.0, a, out=a)
-
-
-def _grid_positions(n_rows, lengths, directions):
-    """Where each packed row sits in the flattened (T_max, direction,
-    sequence) grid, per direction: a (directions, N) index array, plus
-    T_max and the sequence count."""
-    lengths, firsts, _, _ = packing(n_rows, lengths)
-    n_seq = lengths.size
-    seq = np.repeat(np.arange(n_seq), lengths)
-    step = np.arange(n_rows) - firsts[seq]
-    steps = (step, lengths[seq] - 1 - step)[:directions]
-    pos = np.stack([(s * directions + d) * n_seq + seq
-                    for d, s in enumerate(steps)])
-    return pos, int(lengths.max()), n_seq
 
 
 class LstmCell(Layer):
@@ -85,7 +71,7 @@ class LstmCell(Layer):
         if x.shape[0] == 0:
             raise ValueError("zero-length sequence")
         n_rows, n_dir, h_dim = x.shape[0], self.directions, self.hidden
-        pos, t_max, n_seq = _grid_positions(n_rows, lengths, n_dir)
+        pos, t_max, n_seq = grid_positions(n_rows, lengths, n_dir)
         w = self.stacked
         gx = np.matmul(x, w["w_x"]) + w["bias"][:, None]  # (D, N, 4H)
         # pre-activations on the grid, overwritten step by step by their

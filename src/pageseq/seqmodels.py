@@ -30,6 +30,7 @@ from .tensor import DEFAULT_DTYPE, RngState, packing, softmax
 from .training import TrainLog, iterate_minibatches, minibatch_count
 
 VARIANTS = ("bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf")
+BATCH_LAWSUITS = 8  # train_seq's lawsuits per step, the roster's setting
 
 
 @dataclass
@@ -186,7 +187,8 @@ def lawsuit_tag_ids(lawsuit):
 
 
 def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
-              batch_lawsuits=8, max_lr=2e-3, out_path=None, verbose=False):
+              batch_lawsuits=BATCH_LAWSUITS, max_lr=2e-3, out_path=None,
+              verbose=False):
     """Trains on whole lawsuits grouped into mini-batches, each packed
     into one forward and backward pass.
 

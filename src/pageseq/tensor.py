@@ -72,6 +72,21 @@ def packing(n_rows, lengths):
     return Packing(lengths, firsts, lasts, np.flatnonzero(has_next))
 
 
+def grid_positions(n_rows, lengths, directions=1):
+    """Where each packed row sits in a left-aligned, flattened (T_max,
+    direction, sequence) grid, per direction: a (directions, N) index
+    array, plus T_max and the sequence count.  The second direction
+    reads each sequence in reverse."""
+    lengths, firsts, _, _ = packing(n_rows, lengths)
+    n_seq = lengths.size
+    seq = np.repeat(np.arange(n_seq), lengths)
+    step = np.arange(n_rows) - firsts[seq]
+    steps = (step, lengths[seq] - 1 - step)[:directions]
+    pos = np.stack([(s * directions + d) * n_seq + seq
+                    for d, s in enumerate(steps)])
+    return pos, int(lengths.max()), n_seq
+
+
 def _consumer_key(name: str) -> int:
     # crc32 is stable across platforms and python versions, unlike hash().
     return zlib.crc32(name.encode("utf-8"))

@@ -1,0 +1,46 @@
+"""Reference CRF forward-backward in log space.
+
+``crf.forward_backward`` used to run both recursions in log space over
+the padded (B, T_max, K) grid: one ``log_sum_exp`` over a (B, K, K)
+cube per step and direction, and the expected transition counts from a
+(P, K, K) cube of pair log-scores.  That code is kept here, unchanged,
+as an oracle for the scaled recursion in probability space.  It has no
+dynamic-range limit, so it also shows where the scaled one must agree.
+"""
+
+import numpy as np
+
+from pageseq.tensor import log_sum_exp, packing
+
+
+def forward_backward(emissions, transitions, start, stop, lengths=None):
+    """Unary marginals (N, K), summed expected transition counts (K, K)
+    and the summed log partition of packed sequences."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    n_rows, k = emissions.shape
+    lengths, _, _, pairs = packing(n_rows, lengths)
+    n_seq, t_max = lengths.size, int(lengths.max())
+    valid = np.arange(t_max) < lengths[:, None]
+    em = np.zeros((n_seq, t_max, k), dtype=np.float64)
+    em[valid] = emissions
+    alphas = np.empty_like(em)
+    alphas[:, 0] = start + em[:, 0]
+    for t in range(1, t_max):
+        alphas[:, t] = em[:, t] + log_sum_exp(
+            alphas[:, t - 1, :, None] + transitions, axis=1)
+    # betas[:, t] is the recursion's value, except at each sequence's last row
+    betas = np.empty_like(em)
+    betas[:, -1] = stop
+    ends = lengths - 1
+    for t in range(t_max - 2, -1, -1):
+        betas[:, t] = log_sum_exp(
+            transitions + (em[:, t + 1] + betas[:, t + 1])[:, None, :], axis=2)
+        betas[ends == t, t] = stop
+    log_z = log_sum_exp(alphas[np.arange(n_seq), ends] + stop, axis=1)
+    row_log_z = np.repeat(log_z, lengths)[:, None]
+    alphas, betas = alphas[valid], betas[valid]
+    unary = np.exp(alphas + betas - row_log_z)
+    joint = (alphas[pairs, :, None] + transitions
+             + (emissions[pairs + 1] + betas[pairs + 1])[:, None, :])
+    pairwise = np.exp(joint - row_log_z[pairs, :, None]).sum(axis=0)
+    return unary, pairwise, float(log_z.sum())

@@ -211,6 +211,34 @@ def test_train_and_eval_crf_and_seq(workspace, capsys):
                  "--fm-checkpoint", fm_ckpt, "--split", "test"]) == 0
 
 
+@pytest.mark.parametrize("flag, per_step", [([], 8),
+                                            (["--batch-size", "64"], 64)])
+def test_train_seq_batches_lawsuits(workspace, monkeypatch, flag, per_step):
+    """Without --batch-size or train.batch_size a bilstm family takes
+    train_seq's 8 lawsuits per step, not the page batch of 64, and the
+    run files record the batch actually used."""
+    from pageseq.corpus import load_corpus
+    from pageseq.optim import Adam
+    from pageseq.training import minibatch_count
+    steps = []
+    adam_step = Adam.step
+
+    def counted_step(self, grads, lr):
+        steps.append(lr)
+        adam_step(self, grads, lr)
+
+    monkeypatch.setattr(Adam, "step", counted_step)
+    out = workspace / f"seq_batch_{per_step}"
+    assert main(["train", "--model", "bilstm-f",
+                 "--corpus", str(workspace / "corpus"), "--out", str(out),
+                 "--epochs", "2", *flag,
+                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]) == 0
+    n_train = len(load_corpus(workspace / "corpus")["train"])
+    assert minibatch_count(n_train, 8) > 1
+    assert len(steps) == 2 * minibatch_count(n_train, per_step)
+    assert f"train.batch_size={per_step}\n" in (out / "config.txt").read_text()
+
+
 def test_predict_line_count_equals_split_pages(workspace, capsys):
     out = workspace / "preds.jsonl"
     assert main(["predict", "--model-checkpoint",

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import crf_reference
 from conftest import check_grads
 from pageseq import crf as C
 from pageseq.iob import IOB_TAGS
@@ -275,3 +276,58 @@ def test_train_crf_history_matches_per_sequence_training():
         opt.step(grads, 0.05)
         want.append(total)
     np.testing.assert_allclose(history, want, rtol=1e-9, atol=0)
+
+
+# lengths 1 and 190 in one batch: most grid rows of the short sequences
+# are padding
+LONG_RAGGED = [190, 1, 37, 2, 73, 1, 12]
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0, 20.0])
+def test_scaled_forward_backward_matches_log_space_reference(scale):
+    """K=12, a forbidden bigram and scores up to ~4 * scale: the scaled
+    recursion equals the log-space oracle, and no grid row, padded or
+    not, raises a floating-point warning."""
+    rng = np.random.default_rng(int(scale))
+    em, tr, st, sp = _random_instance(rng, sum(LONG_RAGGED), 12, scale)
+    tr[4, 7] = -100.0
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        unary, pairwise, log_z = C.forward_backward(em, tr, st, sp,
+                                                    LONG_RAGGED)
+    want_unary, want_pairwise, want_log_z = crf_reference.forward_backward(
+        em, tr, st, sp, LONG_RAGGED)
+    np.testing.assert_allclose(unary, want_unary, rtol=0, atol=1e-10)
+    # expected counts reach ~190; the oracle's log-space rounding grows
+    # with them, so they are compared relatively
+    np.testing.assert_allclose(pairwise, want_pairwise, rtol=1e-10,
+                               atol=1e-10)
+    assert log_z == pytest.approx(want_log_z, rel=1e-10)
+    np.testing.assert_allclose(unary.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert pairwise.sum() == pytest.approx(sum(LONG_RAGGED) - len(LONG_RAGGED))
+
+
+def test_scale_underflow_raises_naming_the_sequence():
+    """A step of more than ~700 nats between surviving paths is outside
+    the scaled recursion's domain: ValueError, not a silent NaN."""
+    tr = np.array([[-800.0, -800.0], [0.0, 0.0]])  # no way out of tag 0
+    start = np.array([0.0, -800.0])  # the only tag to start in
+    stop = np.zeros(2)
+    em = np.zeros((5, 2))
+    assert np.isfinite(crf_reference.forward_backward(em, tr, start, stop,
+                                                      [1, 4])[2])
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        with pytest.raises(ValueError, match="sequence 1 has scale 0.0 at row 1"):
+            C.forward_backward(em, tr, start, stop, [1, 4])
+        with pytest.raises(ValueError, match="sequence 1 "):
+            C.nll_and_grad(em, tr, start, stop, [0] * 5, [1, 4])
+
+
+def test_non_finite_score_raises_naming_the_sequence():
+    em = np.zeros((6, 3))
+    em[4, 1] = np.nan
+    z3, z = np.zeros((3, 3)), np.zeros(3)
+    with pytest.raises(ValueError, match="sequence 2 has scale nan at row 1"):
+        C.forward_backward(em, z3, z, z, [2, 1, 3])
+    with pytest.raises(ValueError, match="sequence 0 has scale nan at its stop"):
+        C.forward_backward(np.zeros((6, 3)), z3, z, np.full(3, np.nan),
+                           [2, 1, 3])
