@@ -130,21 +130,24 @@ def load_checkpoint(path):
 
 
 class BestCheckpointKeeper:
-    """Persists a snapshot only on strict validation-metric improvement."""
+    """Persists a snapshot only on strict validation-metric improvement.
 
-    def __init__(self, path):
+    Each file's meta is ``meta`` (what ``pageseq eval`` needs to rebuild
+    the model), updated with the meta of the :meth:`update` call and the
+    score as ``val_macro_f1``.
+    """
+
+    def __init__(self, path, meta: dict | None = None):
         self.path = path
+        self.meta = dict(meta or {})
         self.best_score = -math.inf
-        self.best_epoch = None
 
     def update(self, score: float, params: dict, meta: dict | None = None) -> bool:
         if not math.isfinite(score):
             raise ValueError(f"validation metric must be finite, got {score}")
         if score <= self.best_score:
             return False
-        meta = dict(meta or {})
-        meta["val_macro_f1"] = score
+        meta = {**self.meta, **(meta or {}), "val_macro_f1": score}
         save_checkpoint(self.path, params, meta)
         self.best_score = score
-        self.best_epoch = meta.get("epoch")
         return True

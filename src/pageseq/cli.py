@@ -17,40 +17,38 @@ import dataclasses
 import json
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import __version__
 from . import crf as crf_ops
 from .checkpoint import CheckpointIOError, load_checkpoint, save_checkpoint
 from .corpus import (SPLITS, CorpusError, audit_splits, iter_pages,
                      load_corpus, save_corpus)
-from .experiments import (fm_probability_sequences, seq_dataset, train_fm_crf)
+from .experiments import fm_probability_sequences, seq_dataset, train_fm_crf
 from .fusion import (FusionConfig, FusionModule, corpus_embedding_dims,
-                     embedding_arrays, fusion_grid, train_fusion)
+                     embedding_arrays, fusion_grid, fusion_setup,
+                     predict_fusion, train_fusion)
 from .iob import CLASSES, IOB_TAGS
-from .losses import cross_entropy
 from .metrics import score, score_by_first_page
 from .model_base import load_named
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
 from .schedule import lr_range_test
 from .seqmodels import (BATCH_LAWSUITS, VARIANTS, SeqModel, SeqModelConfig,
-                        train_seq)
+                        predict_tags, train_seq)
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .text import Vocab
-from .textcnn import TextCnn, TextCnnConfig, encode_pages, train_text_cnn
-from .training import iterate_minibatches
+from .textcnn import (TextCnn, TextCnnConfig, encode_pages, predict_text_cnn,
+                      text_cnn_setup, train_text_cnn)
+from .training import iterate_minibatches, train_step
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-TRAIN_MODELS = ("textcnn", "textcnn-w", "fusion", "fusion-zero", "crf",
-                "bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +124,181 @@ def cmd_audit(args):
     return EXIT_DATA if report["violations"] else EXIT_OK
 
 
+# ------------------------------------------------------------ the families
+
+# What a family's train function gets: the --model name, the corpus, the
+# model config, the --fm-checkpoint model and path, and the settings.
+TrainRun = namedtuple("TrainRun", "name corpus config fm fm_checkpoint seed "
+                                  "epochs batch lr out verbose")
+
+
+def _fit_kw(run):
+    return {"seed": run.seed, "epochs": run.epochs, "max_lr": run.lr,
+            "out_path": run.out / "model.ckpt", "verbose": run.verbose}
+
+
+def _saved_log(run, log):
+    """Writes the epoch log; returns the best validation macro-F1."""
+    log.save(run.out / "train_log.jsonl")
+    return max(r.val_macro_f1 for r in log.rows)
+
+
+def _page_tags(pages, preds):
+    """The IOB tags of page labels, from the pages' first-page flags."""
+    return [("B-" if p.is_first_page else "I-") + c
+            for p, c in zip(pages, preds)]
+
+
+def _fusion_grid(run):
+    results = fusion_grid(run.corpus, run.config.text_dim,
+                          run.config.image_dim, seed=run.seed,
+                          epochs=run.epochs, batch_size=run.batch,
+                          max_lr=run.lr)
+    (run.out / "grid_results.json").write_text(
+        json.dumps(results, indent=2), encoding="utf-8")
+    for name, val in results.items():
+        print(f"{name:12s} val macro-F1 {100 * val:.2f}")
+    return max(results.values())
+
+
+def _train_crf(run):
+    model, history = train_fm_crf(run.corpus, run.fm, epochs=run.epochs,
+                                  lr=run.lr)
+    save_checkpoint(run.out / "model.ckpt", model.params,
+                    {"model": "crf", "seed": run.seed,
+                     "fm_checkpoint": run.fm_checkpoint,
+                     "config": {"n_tags": model.n_tags,
+                                "n_features": model.n_features}})
+    (run.out / "train_log.jsonl").write_text(
+        "".join(json.dumps({"epoch": i, "nll": h}) + "\n"
+                for i, h in enumerate(history)), encoding="utf-8")
+
+
+def _seq_config(name, corpus, fm):
+    config = SeqModelConfig(variant=name, input_dim=fm.config.hidden)
+    if config.fusion_input:
+        config.input_dim = fm.config.concat_dim
+    return config
+
+
+def _seq_data(corpus, fm, config):
+    return seq_dataset(corpus, fm, "concat" if config.fusion_input
+                       else "hidden")
+
+
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """How the CLI builds, trains, restores and applies one kind of
+    model; FAMILIES maps each --model name to one."""
+
+    config: Callable  # (name, corpus, fm) -> model config, or None
+    train: Callable  # (TrainRun) -> best validation macro-F1, or None
+    model: Callable  # (meta config, seed, vocab or fm) -> model to restore
+    predict: Callable  # (model, vocab or fm, corpus, split, pages) -> tags
+    lr: float  # --max-lr default
+    batch: int = 64  # --batch-size default
+    needs_fm: bool = False  # reads --fm-checkpoint
+    vocab: bool = False  # reads vocab.txt
+    # range-test: (name, corpus, config, seed) -> (model, n, loss_fn)
+    setup: Callable | None = None
+    grid: Callable | None = None  # train --grid, as train
+
+
+TEXT_CNN = Family(
+    config=lambda name, corpus, fm: TextCnnConfig(),
+    train=lambda run: _saved_log(run, train_text_cnn(
+        run.corpus, run.config, run.name.endswith("-w"),
+        batch_size=run.batch, **_fit_kw(run))[-1]),
+    model=lambda c, seed, vocab: TextCnn(len(vocab), TextCnnConfig(**c),
+                                         seed=seed),
+    predict=lambda model, vocab, corpus, split, pages: _page_tags(
+        pages, predict_text_cnn(model, encode_pages(
+            pages, vocab, model.config.max_tokens), batch_size=64)),
+    setup=lambda name, corpus, config, seed: text_cnn_setup(
+        corpus, config, name.endswith("-w"), seed)[:3],
+    lr=2e-3, vocab=True)
+FUSION = Family(
+    config=lambda name, corpus, fm: FusionConfig(
+        *corpus_embedding_dims(corpus),
+        missing_mode="zero" if name.endswith("-zero") else "learned"),
+    train=lambda run: _saved_log(run, train_fusion(
+        run.corpus, run.config, batch_size=run.batch, **_fit_kw(run))[-1]),
+    model=lambda c, seed, _: FusionModule(FusionConfig(**c), seed=seed),
+    predict=lambda model, _, corpus, split, pages: _page_tags(
+        pages, predict_fusion(model, embedding_arrays(
+            pages, model.config.text_dim, model.config.image_dim))),
+    setup=lambda name, corpus, config, seed: fusion_setup(corpus, config,
+                                                          seed),
+    lr=5e-3, grid=_fusion_grid)
+FM_CRF = Family(
+    config=lambda name, corpus, fm: None, train=_train_crf,
+    model=lambda c, seed, _: crf_ops.CrfModel(**c),
+    predict=lambda model, fm, corpus, split, pages: [
+        IOB_TAGS[i] for feats, _ in fm_probability_sequences(corpus, fm, split)
+        for i in model.decode(feats)[0]],
+    lr=0.05, needs_fm=True)
+# a bilstm family batches lawsuits, the others pages
+SEQ = Family(
+    config=_seq_config,
+    train=lambda run: _saved_log(run, train_seq(
+        _seq_data(run.corpus, run.fm, run.config), run.config,
+        batch_lawsuits=run.batch, fm_checkpoint=run.fm_checkpoint,
+        **_fit_kw(run))[-1]),
+    model=lambda c, seed, _: SeqModel(SeqModelConfig(**c), seed=seed),
+    predict=lambda model, fm, corpus, split, pages: [
+        t for x, _ in _seq_data({split: corpus[split]}, fm, model.config)[split]
+        for t in predict_tags(model, x)],
+    lr=2e-3, batch=BATCH_LAWSUITS, needs_fm=True)
+FAMILIES = {"textcnn": TEXT_CNN, "textcnn-w": TEXT_CNN, "fusion": FUSION,
+            "fusion-zero": FUSION, "crf": FM_CRF,
+            **{variant: SEQ for variant in VARIANTS}}
+TRAIN_MODELS = tuple(FAMILIES)
+RANGE_TEST_MODELS = tuple(name for name, f in FAMILIES.items() if f.setup)
+
+
+def _model_config(name, corpus, fm, cfg):
+    """The family's model config with the ``model.*`` keys of ``cfg``."""
+    config = FAMILIES[name].config(name, corpus, fm)
+    if config is not None:
+        apply_section(config, "model", cfg)
+    return config
+
+
+def _restore(path, params, meta, family, aux=None):
+    """The family's model for the checkpoint's meta config and seed,
+    holding the checkpoint's parameters.  A config or a parameter set
+    that does not fit the model raises ``CheckpointIOError`` naming the
+    file."""
+    try:
+        model = family.model(meta["config"], meta.get("seed", 0), aux)
+        load_named(model.state_dict(), params, type(model).__name__)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise CheckpointIOError(f"{path}: {detail}") from None
+    return model
+
+
+def _upstream_fm(args, name, action):
+    """The --fm-checkpoint fusion module, for a family that reads one."""
+    if not FAMILIES[name].needs_fm:
+        return None
+    if not args.fm_checkpoint:
+        raise ConfigError(f"{name} {action} needs --fm-checkpoint")
+    params, meta = load_checkpoint(args.fm_checkpoint)
+    if meta.get("model") not in ("fusion", "fusion-zero"):
+        raise CheckpointIOError(f"{args.fm_checkpoint}: not a fusion "
+                                f"checkpoint (model={meta.get('model')!r})")
+    return _restore(args.fm_checkpoint, params, meta, FUSION)
+
+
+def _load_vocab(args) -> Vocab:
+    path = args.vocab or Path(args.model_checkpoint).with_name("vocab.txt")
+    if not Path(path).exists():
+        raise ConfigError(f"vocabulary file not found: {path} "
+                          "(pass --vocab)")
+    return Vocab.load(path)
+
+
 # -------------------------------------------------------------------- train
 
 def _train_settings(args, batch_default):
@@ -141,123 +314,25 @@ def _train_settings(args, batch_default):
     return cfg, seed, epochs, batch, lr
 
 
-def _save_model_checkpoint(path, model, family, config, seed, best):
-    meta = {"model": family, "seed": seed, "val_macro_f1": best,
-            "config": dataclasses.asdict(config)}
-    save_checkpoint(path, model.state_dict(), meta)
-
-
-def _restore(path, params, meta, build):
-    """``build(**config)`` on the checkpoint's meta config, holding the
-    checkpoint's parameters.  A config or a parameter set that does not
-    fit the model raises ``CheckpointIOError`` naming the file."""
-    try:
-        model = build(**meta["config"])
-        load_named(model.state_dict(), params, type(model).__name__)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        raise CheckpointIOError(f"{path}: {detail}") from None
-    return model
-
-
-def _load_fusion_checkpoint(path) -> FusionModule:
-    params, meta = load_checkpoint(path)
-    if meta.get("model") not in ("fusion", "fusion-zero"):
-        raise CheckpointIOError(f"{path}: not a fusion checkpoint "
-                                f"(model={meta.get('model')!r})")
-    return _restore(path, params, meta, lambda **config: FusionModule(
-        FusionConfig(**config), seed=meta.get("seed", 0)))
-
-
 def cmd_train(args):
-    # a bilstm family batches lawsuits, the others pages
-    cfg, seed, epochs, batch, lr = _train_settings(
-        args, BATCH_LAWSUITS if args.model in VARIANTS else 64)
+    family = FAMILIES[args.model]
+    if args.grid and family.grid is None:
+        raise ConfigError(f"--grid needs a fusion model, not {args.model}")
+    cfg, seed, epochs, batch, lr = _train_settings(args, family.batch)
+    lr = lr if lr is not None else family.lr
     corpus = _load_corpus_checked(args.corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    fm = _upstream_fm(args, args.model, "training")
+    run = TrainRun(args.model, corpus,
+                   _model_config(args.model, corpus, fm, cfg), fm,
+                   args.fm_checkpoint, seed, epochs, batch, lr, out,
+                   args.verbose)
+    best = (family.grid if args.grid else family.train)(run)
     resolved = {"train.model": args.model, "train.seed": seed,
                 "train.epochs": epochs, "train.batch_size": batch,
-                "train.corpus": str(args.corpus)}
-    family = args.model
-
-    if family in ("textcnn", "textcnn-w"):
-        config = TextCnnConfig()
-        apply_section(config, "model", cfg)
-        lr = lr if lr is not None else 2e-3
-        model, vocab, _, log = train_text_cnn(
-            corpus, config, weighted=family.endswith("-w"), seed=seed,
-            epochs=epochs, batch_size=batch, max_lr=lr,
-            out_path=out / "model.ckpt", verbose=args.verbose)
-        vocab.save(out / "vocab.txt")
-        best = max(r.val_macro_f1 for r in log.rows)
-        _save_model_checkpoint(out / "model.ckpt", model, family, config,
-                               seed, best)
-    elif family in ("fusion", "fusion-zero"):
-        text_dim, image_dim = corpus_embedding_dims(corpus)
-        config = FusionConfig(text_dim=text_dim, image_dim=image_dim,
-                              missing_mode="zero" if family.endswith("zero")
-                              else "learned")
-        apply_section(config, "model", cfg)
-        lr = lr if lr is not None else 5e-3
-        if args.grid:
-            results = fusion_grid(corpus, text_dim, image_dim, seed=seed,
-                                  epochs=epochs, batch_size=batch, max_lr=lr)
-            (out / "grid_results.json").write_text(
-                json.dumps(results, indent=2), encoding="utf-8")
-            for name, val in results.items():
-                print(f"{name:12s} val macro-F1 {100 * val:.2f}")
-            log = None
-            best = max(results.values())
-        else:
-            model, _, log = train_fusion(corpus, config, seed=seed,
-                                         epochs=epochs, batch_size=batch,
-                                         max_lr=lr, out_path=out / "model.ckpt",
-                                         verbose=args.verbose)
-            best = max(r.val_macro_f1 for r in log.rows)
-            _save_model_checkpoint(out / "model.ckpt", model, family, config,
-                                   seed, best)
-    elif family == "crf":
-        if not args.fm_checkpoint:
-            raise ConfigError("crf training needs --fm-checkpoint")
-        fm = _load_fusion_checkpoint(args.fm_checkpoint)
-        lr = lr if lr is not None else 0.05
-        model, history = train_fm_crf(corpus, fm, epochs=epochs, lr=lr)
-        save_checkpoint(out / "model.ckpt", model.params,
-                        {"model": "crf", "seed": seed,
-                         "fm_checkpoint": str(args.fm_checkpoint),
-                         "config": {"n_tags": model.n_tags,
-                                    "n_features": model.n_features}})
-        log = None
-        best = None
-        (out / "train_log.jsonl").write_text(
-            "".join(json.dumps({"epoch": i, "nll": h}) + "\n"
-                    for i, h in enumerate(history)), encoding="utf-8")
-    else:  # bilstm family
-        if not args.fm_checkpoint:
-            raise ConfigError(f"{family} training needs --fm-checkpoint")
-        fm = _load_fusion_checkpoint(args.fm_checkpoint)
-        kind = "concat" if family in ("bilstm-f", "bilstm-f-crf") else "hidden"
-        data = seq_dataset(corpus, fm, kind)
-        input_dim = fm.config.concat_dim if kind == "concat" \
-            else fm.config.hidden
-        config = SeqModelConfig(variant=family, input_dim=input_dim)
-        apply_section(config, "model", cfg)
-        lr = lr if lr is not None else 2e-3
-        model, _, log = train_seq(data, config, seed=seed, epochs=epochs,
-                                  batch_lawsuits=batch,
-                                  max_lr=lr, out_path=out / "model.ckpt",
-                                  verbose=args.verbose)
-        best = max(r.val_macro_f1 for r in log.rows)
-        meta_cfg = dataclasses.asdict(config)
-        meta = {"model": family, "seed": seed, "val_macro_f1": best,
-                "config": meta_cfg, "fm_checkpoint": str(args.fm_checkpoint)}
-        save_checkpoint(out / "model.ckpt", model.state_dict(), meta)
-
-    if log is not None:
-        log.save(out / "train_log.jsonl")
-    resolved["train.lr"] = lr
-    for f_name, value in (cfg or {}).items():
+                "train.corpus": str(args.corpus), "train.lr": lr}
+    for f_name, value in cfg.items():
         resolved.setdefault(f_name, value)
     _write_run_files(out, resolved)
     if best is not None:
@@ -272,69 +347,18 @@ def cmd_train(args):
 def _predictions(args, corpus, split):
     """Per-page gold labels, predicted labels, predicted IOB tags, flags."""
     params, meta = load_checkpoint(args.model_checkpoint)
-    family = meta.get("model")
-    pages = list(iter_pages(corpus, split))
-    gold = [p.label for p in pages]
-    flags = [p.is_first_page for p in pages]
-
-    if family in ("textcnn", "textcnn-w"):
-        vocab = _load_vocab(args)
-        model = _restore(args.model_checkpoint, params, meta,
-                         lambda **config: TextCnn(len(vocab),
-                                                  TextCnnConfig(**config),
-                                                  seed=meta.get("seed", 0)))
-        ids = encode_pages(pages, vocab, model.config.max_tokens)
-        preds = []
-        for start in range(0, len(ids), 64):
-            probs = model.predict_probs(ids[start:start + 64])
-            preds.extend(CLASSES[i] for i in probs.argmax(axis=1))
-    elif family in ("fusion", "fusion-zero"):
-        model = _load_fusion_checkpoint(args.model_checkpoint)
-        data = embedding_arrays(pages, model.config.text_dim,
-                                model.config.image_dim)
-        preds = []
-        for start in range(0, len(pages), 512):
-            sl = slice(start, start + 512)
-            probs = model.predict_probs(data[0][sl], data[1][sl],
-                                        data[2][sl], data[3][sl])
-            preds.extend(CLASSES[i] for i in probs.argmax(axis=1))
-    elif family == "crf":
-        if not args.fm_checkpoint:
-            raise ConfigError("crf evaluation needs --fm-checkpoint")
-        fm = _load_fusion_checkpoint(args.fm_checkpoint)
-        crf_model = _restore(args.model_checkpoint, params, meta,
-                             crf_ops.CrfModel)
-        tags = []
-        for feats, _ in fm_probability_sequences(corpus, fm, split):
-            path, _ = crf_model.decode(feats)
-            tags.extend(IOB_TAGS[i] for i in path)
-        return gold, [t[2:] for t in tags], tags, flags
-    elif family in ("bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf"):
-        if not args.fm_checkpoint:
-            raise ConfigError(f"{family} evaluation needs --fm-checkpoint")
-        fm = _load_fusion_checkpoint(args.fm_checkpoint)
-        model = _restore(args.model_checkpoint, params, meta,
-                         lambda **config: SeqModel(SeqModelConfig(**config),
-                                                   seed=meta.get("seed", 0)))
-        kind = "concat" if family in ("bilstm-f", "bilstm-f-crf") else "hidden"
-        data = seq_dataset(corpus, fm, kind)
-        tags = []
-        for x, _ in data[split]:
-            tags.extend(IOB_TAGS[i] for i in model.decode(x))
-        return gold, [t[2:] for t in tags], tags, flags
-    else:
-        raise CheckpointIOError(f"unknown model family {family!r} in "
+    name = meta.get("model")
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise CheckpointIOError(f"unknown model family {name!r} in "
                                 f"{args.model_checkpoint}")
-    tags = [("B-" if f else "I-") + p for p, f in zip(preds, flags)]
-    return gold, preds, tags, flags
-
-
-def _load_vocab(args) -> Vocab:
-    path = args.vocab or Path(args.model_checkpoint).with_name("vocab.txt")
-    if not Path(path).exists():
-        raise ConfigError(f"vocabulary file not found: {path} "
-                          "(pass --vocab)")
-    return Vocab.load(path)
+    aux = _load_vocab(args) if family.vocab else \
+        _upstream_fm(args, name, "evaluation")
+    model = _restore(args.model_checkpoint, params, meta, family, aux)
+    pages = list(iter_pages(corpus, split))
+    tags = family.predict(model, aux, corpus, split, pages)
+    return ([p.label for p in pages], [t[2:] for t in tags], tags,
+            [p.is_first_page for p in pages])
 
 
 def cmd_eval(args):
@@ -370,71 +394,23 @@ def cmd_predict(args):
 # --------------------------------------------------------------- range-test
 
 def cmd_range_test(args):
-    from .optim import Adam
-
     if args.lr_min >= args.lr_max:
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
+    cfg = load_config(args.config) if args.config else {}
     corpus = _load_corpus_checked(args.corpus)
     seed = args.seed or 0
+    config = _model_config(args.model, corpus, None, cfg)
+    model, n, loss_fn = FAMILIES[args.model].setup(args.model, corpus,
+                                                   config, seed)
     rng = RngState(seed).consumer("range-test-shuffle")
-
-    if args.model in ("fusion", "fusion-zero"):
-        pages = list(iter_pages(corpus, "train"))
-        text_dim, image_dim = corpus_embedding_dims(corpus)
-        config = FusionConfig(text_dim=text_dim, image_dim=image_dim,
-                              missing_mode="zero" if args.model.endswith("zero")
-                              else "learned")
-        model = FusionModule(config, seed=seed)
-        data = embedding_arrays(pages, text_dim, image_dim)
-        text, image, tmask, imask, targets = data
-
-        def loss_step(idx, lr):
-            model.zero_grads()
-            logits = model.forward(text[idx], image[idx], tmask[idx],
-                                   imask[idx], train=True)
-            loss, dlogits = cross_entropy(logits, targets[idx])
-            model.backward(dlogits)
-            opt.step(model.named_grads(), lr)
-            return loss
-
-        opt = Adam(model.named_params())
-        n = len(pages)
-    elif args.model in ("textcnn", "textcnn-w"):
-        from .losses import class_weights
-        pages = [p for p in iter_pages(corpus, "train") if p.text_tokens]
-        config = TextCnnConfig()
-        if args.config:
-            apply_section(config, "model", load_config(args.config))
-        vocab = Vocab.build([p.text_tokens for p in pages])
-        ids = encode_pages(pages, vocab, config.max_tokens)
-        targets = np.array([CLASSES.index(p.label) for p in pages])
-        weights = None
-        if args.model.endswith("-w"):
-            counts = [int((targets == i).sum()) for i in range(len(CLASSES))]
-            weights = class_weights(counts)
-        model = TextCnn(len(vocab), config, seed=seed)
-        opt = Adam(model.named_params())
-
-        def loss_step(idx, lr):
-            model.zero_grads()
-            logits = model.forward(ids[idx], train=True)
-            loss, dlogits = cross_entropy(logits, targets[idx], weights)
-            model.backward(dlogits)
-            opt.step(model.named_grads(), lr)
-            return loss
-
-        n = len(pages)
-    else:
-        raise ConfigError(f"range test supports textcnn/fusion models, "
-                          f"not {args.model!r}")
 
     def batches():
         while True:
             yield from iterate_minibatches(n, args.batch_size, rng)
 
-    result = lr_range_test(loss_step, batches(), args.lr_min, args.lr_max,
-                           args.steps)
+    result = lr_range_test(train_step(model, loss_fn), batches(),
+                           args.lr_min, args.lr_max, args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "range_test.csv", "w", newline="", encoding="utf-8") as fh:
@@ -505,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("range-test", help="learning-rate range test")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=RANGE_TEST_MODELS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--lr-min", type=float, required=True)
     p.add_argument("--lr-max", type=float, required=True)

@@ -10,19 +10,15 @@ small GEMM; its domain is a step that keeps some surviving path within
 it.  :func:`forward_log_partition` and :func:`viterbi_decode` stay in
 log space and have no such limit.
 :class:`CrfModel` adds a linear emission map over F-dim input features
-and is what the fusion + CRF pipeline trains.  Brute-force
-counterparts (exhaustive path enumeration) are provided for small K, T
-and are used as oracles by the test suite.
+and is what the fusion + CRF pipeline trains.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .optim import Adam
-from .tensor import grid_positions, log_sum_exp, packing, softmax
+from .tensor import grid_positions, log_sum_exp, packing
 
 
 def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
@@ -172,53 +168,6 @@ def viterbi_decode(emissions, transitions, start, stop):
     return path.tolist(), float(final.max())
 
 
-def brute_force_log_partition(emissions, transitions, start, stop):
-    """Exhaustive enumeration over all K^T paths; oracle for small instances."""
-    scores = _all_path_scores(emissions, transitions, start, stop)
-    return float(log_sum_exp(np.array(scores)))
-
-
-def brute_force_decode(emissions, transitions, start, stop):
-    """Exhaustive argmax; returns (best path, best score).
-
-    Paths are enumerated in lexicographic order, so on exact ties the
-    lexicographically smallest optimal path is returned.
-    """
-    emissions = np.asarray(emissions)
-    t_len, k = emissions.shape
-    best_path, best_score = None, -np.inf
-    for tags in itertools.product(range(k), repeat=t_len):
-        s = sequence_score(emissions, transitions, start, stop, np.array(tags))
-        if s > best_score:
-            best_score, best_path = s, list(tags)
-    return best_path, float(best_score)
-
-
-def brute_force_marginals(emissions, transitions, start, stop):
-    """Posterior unary marginals by direct enumeration."""
-    emissions = np.asarray(emissions)
-    t_len, k = emissions.shape
-    scores = []
-    paths = list(itertools.product(range(k), repeat=t_len))
-    for tags in paths:
-        scores.append(sequence_score(emissions, transitions, start, stop, np.array(tags)))
-    probs = softmax(np.array(scores))
-    unary = np.zeros((t_len, k))
-    for p, tags in zip(probs, paths):
-        for t, tag in enumerate(tags):
-            unary[t, tag] += p
-    return unary
-
-
-def _all_path_scores(emissions, transitions, start, stop):
-    emissions = np.asarray(emissions)
-    t_len, k = emissions.shape
-    return [
-        sequence_score(emissions, transitions, start, stop, np.array(tags))
-        for tags in itertools.product(range(k), repeat=t_len)
-    ]
-
-
 class CrfModel:
     """Transitions plus a per-tag linear emission map over input features."""
 
@@ -282,7 +231,7 @@ class CrfModel:
 
 
 def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05,
-              l2=1e-4, verbose=False):
+              l2=1e-4):
     """Full-batch Adam on the summed NLL of whole sequences plus L2.
 
     ``sequences`` is an iterable of (features (T, F), gold tag ids).
@@ -311,6 +260,4 @@ def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05,
             total += l2 * float((model.params[k] ** 2).sum())
         opt.step(grads, lr)
         history.append(total)
-        if verbose:
-            print(f"crf loss {total:.4f}")
     return model, history

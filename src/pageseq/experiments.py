@@ -18,19 +18,15 @@ from .corpus import iter_pages
 from .fusion import (FusionConfig, FusionModule, MajorityBaseline,
                      MlpClassifier, corpus_embedding_dims, embedding_arrays,
                      evaluate_fusion, train_fusion)
-from .iob import CLASSES, IOB_TAGS
-from .losses import cross_entropy
+from .iob import CLASS_TO_ID, CLASSES, IOB_TAGS
 from .metrics import MetricsReport, score, score_by_first_page, score_collapsed
-from .optim import Adam
-from .schedule import OneCycleSchedule
-from .seqmodels import SeqModelConfig, lawsuit_tag_ids, train_seq
+from .seqmodels import (SeqModelConfig, evaluate_seq, lawsuit_tag_ids,
+                        train_seq)
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .textcnn import (TextCnnConfig, encode_pages, evaluate_text_cnn,
                       train_text_cnn)
-from .training import iterate_minibatches, minibatch_count
-
-CLASS_IDS = {c: i for i, c in enumerate(CLASSES)}
+from .training import classifier_loss, fit
 
 # desk-scale hyperparameters used by the synthetic experiments
 SMALL_TEXT_CNN = TextCnnConfig(max_tokens=60, embed_dim=32, filters_per_size=32,
@@ -115,21 +111,10 @@ def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
         raise ValueError(f"no training pages with {modality} embeddings")
     dim = len(getattr(train_pages[0], attr))
     x = np.stack([getattr(p, attr) for p in train_pages]).astype(np.float32)
-    y = np.array([CLASS_IDS[p.label] for p in train_pages])
+    y = np.array([CLASS_TO_ID[p.label] for p in train_pages])
     model = MlpClassifier(dim, hidden, seed=seed)
-    opt = Adam(model.named_params())
-    steps = minibatch_count(len(x), batch_size) * epochs
-    sched = OneCycleSchedule(total_steps=steps, max_lr=max_lr)
-    rng = RngState(seed).consumer("mlp-shuffle")
-    step = 0
-    for _ in range(epochs):
-        for idx in iterate_minibatches(len(x), batch_size, rng):
-            model.zero_grads()
-            logits = model.forward(x[idx], train=True)
-            _, dlogits = cross_entropy(logits, y[idx])
-            model.backward(dlogits)
-            opt.step(model.named_grads(), sched.lr(step))
-            step += 1
+    fit(model, len(x), classifier_loss(model, [x], y),
+        RngState(seed).consumer("mlp-shuffle"), epochs, batch_size, max_lr)
     return model
 
 
@@ -219,11 +204,7 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
                                 input_dim=fm.config.concat_dim)
     seq_model, _, _ = train_seq(seq_data, seq_config, seed=train_seed,
                                 epochs=seq_epochs, verbose=verbose)
-    gold_tags, pred_tags = [], []
-    for x, tags in seq_data["test"]:
-        gold_tags.extend(IOB_TAGS[i] for i in tags)
-        pred_tags.extend(IOB_TAGS[i] for i in seq_model.decode(x))
-    result.add("bilstm_f", score_collapsed(gold_tags, pred_tags, CLASSES))
+    result.add("bilstm_f", evaluate_seq(seq_model, seq_data["test"]))
 
     if with_first_page:
         probs = fm.predict_probs(*test_data[:4])

@@ -10,23 +10,18 @@ classifier, the always-missing-image ablation and the majority baseline.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .checkpoint import BestCheckpointKeeper
 from .corpus import iter_pages
-from .iob import CLASSES
+from .iob import CLASS_TO_ID, CLASSES
 from .layers import BatchNorm1d, Dropout, Linear
-from .losses import cross_entropy
 from .metrics import score
 from .model_base import ModelBase
-from .optim import Adam
-from .schedule import OneCycleSchedule
 from .tensor import DEFAULT_DTYPE, RngState, softmax
-from .training import TrainLog, iterate_minibatches, minibatch_count
-
-CLASS_IDS = {c: i for i, c in enumerate(CLASSES)}
+from .training import classifier_loss, fit
 
 
 @dataclass
@@ -231,7 +226,7 @@ def embedding_arrays(pages, text_dim, image_dim):
         if not tmask[i] and not imask[i]:
             raise ValueError(f"{page.lawsuit_id}:{page.page_index}: "
                              "no embedding on either modality")
-        targets[i] = CLASS_IDS[page.label]
+        targets[i] = CLASS_TO_ID[page.label]
     return text, image, tmask, imask, targets
 
 
@@ -243,65 +238,45 @@ def corpus_embedding_dims(corpus):
     raise ValueError("corpus has no page with both embeddings")
 
 
+def fusion_setup(corpus, config: FusionConfig, seed=0):
+    """A fresh model on the train split: returns (model, page count,
+    ``loss_fn`` for ``training.fit``)."""
+    pages = list(iter_pages(corpus, "train"))
+    text, image, tmask, imask, targets = embedding_arrays(
+        pages, config.text_dim, config.image_dim)
+    if not tmask.any() or not imask.any():
+        raise ValueError("a modality is missing from every training sample")
+    model = FusionModule(config, seed=seed)
+    return model, len(pages), classifier_loss(
+        model, [text, image, tmask, imask], targets)
+
+
 def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
                  batch_size=64, max_lr=5e-3, out_path=None, verbose=False):
     """One-cycle Adam training; checkpoints on best validation macro-F1.
 
     Returns (model, keeper, log).
     """
-    train_pages = list(iter_pages(corpus, "train"))
+    model, n, loss_fn = fusion_setup(corpus, config, seed)
     val_pages = list(iter_pages(corpus, "validation"))
-    if not train_pages or not val_pages:
-        raise ValueError("empty train or validation split")
-    data = embedding_arrays(train_pages, config.text_dim, config.image_dim)
-    text, image, tmask, imask, targets = data
-    if not tmask.any() or not imask.any():
-        raise ValueError("a modality is missing from every training sample")
+    if not val_pages:
+        raise ValueError("empty validation split")
     vdata = embedding_arrays(val_pages, config.text_dim, config.image_dim)
     val_gold = [p.label for p in val_pages]
-
-    model = FusionModule(config, seed=seed)
-    opt = Adam(model.named_params())
-    steps_per_epoch = minibatch_count(len(train_pages), batch_size)
-    sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
-    keeper = BestCheckpointKeeper(out_path) if out_path else None
-    log = TrainLog()
-    shuffle_rng = RngState(seed).consumer("fusion-shuffle")
-    step = 0
-    best = (-1.0, None)
-    for epoch in range(epochs):
-        losses = []
-        lr = sched.lr(step)
-        for idx in iterate_minibatches(len(train_pages), batch_size, shuffle_rng):
-            lr = sched.lr(step)
-            model.zero_grads()
-            logits = model.forward(text[idx], image[idx], tmask[idx],
-                                   imask[idx], train=True)
-            loss, dlogits = cross_entropy(logits, targets[idx])
-            model.backward(dlogits)
-            opt.step(model.named_grads(), lr)
-            losses.append(loss)
-            step += 1
-        report = evaluate_fusion(model, vdata, val_gold)
-        saved = False
-        if keeper:
-            saved = keeper.update(report.macro_f1, model.state_dict(),
-                                  {"epoch": epoch, "model": config.name})
-        if report.macro_f1 > best[0]:
-            best = (report.macro_f1, model.snapshot())
-        log.add(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
-                val_macro_f1=report.macro_f1,
-                val_weighted_f1=report.weighted_f1, saved=saved)
-        if verbose:
-            print(f"{config.name} epoch {epoch}: loss {np.mean(losses):.4f} "
-                  f"val macro-F1 {report.macro_f1:.4f}")
-    if best[1] is not None:
-        model.load_state(best[1])
+    family = "fusion-zero" if config.missing_mode == "zero" else "fusion"
+    keeper = BestCheckpointKeeper(out_path, {
+        "model": family, "seed": seed, "config": asdict(config)}) \
+        if out_path else None
+    log = fit(model, n, loss_fn, RngState(seed).consumer("fusion-shuffle"),
+              epochs, batch_size, max_lr,
+              evaluate=lambda m: evaluate_fusion(m, vdata, val_gold),
+              keeper=keeper, name=config.name, verbose=verbose)
     return model, keeper, log
 
 
-def evaluate_fusion(model, data, gold_labels, batch_size=512,
-                    force_missing_image=False):
+def predict_fusion(model, data, batch_size=512, force_missing_image=False):
+    """Predicted class names of ``embedding_arrays`` rows, ``batch_size``
+    at a time."""
     text, image, tmask, imask, _ = data
     preds = []
     for start in range(0, len(text), batch_size):
@@ -309,7 +284,13 @@ def evaluate_fusion(model, data, gold_labels, batch_size=512,
         probs = model.predict_probs(text[sl], image[sl], tmask[sl], imask[sl],
                                     force_missing_image=force_missing_image)
         preds.extend(CLASSES[i] for i in probs.argmax(axis=1))
-    return score(gold_labels, preds, CLASSES)
+    return preds
+
+
+def evaluate_fusion(model, data, gold_labels, batch_size=512,
+                    force_missing_image=False):
+    return score(gold_labels, predict_fusion(model, data, batch_size,
+                                             force_missing_image), CLASSES)
 
 
 GRID = [(512, "learned"), (512, "zero"), (128, "learned"), (128, "zero")]

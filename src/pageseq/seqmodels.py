@@ -12,7 +12,7 @@ lawsuit's predictions never depend on any other lawsuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,10 +24,8 @@ from .losses import cross_entropy
 from .lstm import BiLstm
 from .metrics import score_collapsed
 from .model_base import ModelBase
-from .optim import Adam
-from .schedule import OneCycleSchedule
 from .tensor import DEFAULT_DTYPE, RngState, packing, softmax
-from .training import TrainLog, iterate_minibatches, minibatch_count
+from .training import fit
 
 VARIANTS = ("bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf")
 BATCH_LAWSUITS = 8  # train_seq's lawsuits per step, the roster's setting
@@ -188,12 +186,14 @@ def lawsuit_tag_ids(lawsuit):
 
 def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
               batch_lawsuits=BATCH_LAWSUITS, max_lr=2e-3, out_path=None,
-              verbose=False):
+              fm_checkpoint=None, verbose=False):
     """Trains on whole lawsuits grouped into mini-batches, each packed
     into one forward and backward pass.
 
     ``lawsuit_inputs`` maps split name to a list of
-    (features (T, input_dim), gold IOB tag ids) pairs.
+    (features (T, input_dim), gold IOB tag ids) pairs.  ``fm_checkpoint``,
+    the fusion checkpoint the features came from, is recorded in the meta
+    of the checkpoints written to ``out_path``.
     Returns (model, keeper, log).
     """
     train_set = lawsuit_inputs["train"]
@@ -209,43 +209,22 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
                     "one lawsuit gives train-mode BatchNorm a single row; "
                     "use batch_lawsuits >= 2 and two or more train lawsuits")
     model = SeqModel(config, seed=seed)
-    opt = Adam(model.named_params())
-    steps_per_epoch = minibatch_count(len(train_set), batch_lawsuits)
-    sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
-    keeper = BestCheckpointKeeper(out_path) if out_path else None
-    log = TrainLog()
-    shuffle_rng = RngState(seed).consumer("seq-shuffle")
-    step = 0
-    best = (-1.0, None)
-    for epoch in range(epochs):
-        losses = []
-        lr = sched.lr(step)
-        for idx in iterate_minibatches(len(train_set), batch_lawsuits,
-                                       shuffle_rng):
-            lr = sched.lr(step)
-            model.zero_grads()
-            batch = [train_set[i] for i in idx]
-            losses.append(model.loss_and_backward(
-                np.concatenate([x for x, _ in batch]),
-                np.concatenate([tags for _, tags in batch]),
-                train=True, lengths=[len(tags) for _, tags in batch]))
-            opt.step(model.named_grads(), lr)
-            step += 1
-        report = evaluate_seq(model, val_set)
-        saved = False
-        if keeper:
-            saved = keeper.update(report.macro_f1, model.state_dict(),
-                                  {"epoch": epoch, "model": config.variant})
-        if report.macro_f1 > best[0]:
-            best = (report.macro_f1, model.snapshot())
-        log.add(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
-                val_macro_f1=report.macro_f1,
-                val_weighted_f1=report.weighted_f1, saved=saved)
-        if verbose:
-            print(f"{config.variant} epoch {epoch}: loss {np.mean(losses):.4f} "
-                  f"val macro-F1 {report.macro_f1:.4f}")
-    if best[1] is not None:
-        model.load_state(best[1])
+
+    def loss_fn(idx):
+        batch = [train_set[i] for i in idx]
+        return model.loss_and_backward(
+            np.concatenate([x for x, _ in batch]),
+            np.concatenate([tags for _, tags in batch]),
+            train=True, lengths=[len(tags) for _, tags in batch])
+
+    meta = {"model": config.variant, "seed": seed, "config": asdict(config)}
+    if fm_checkpoint is not None:
+        meta["fm_checkpoint"] = str(fm_checkpoint)
+    keeper = BestCheckpointKeeper(out_path, meta) if out_path else None
+    log = fit(model, len(train_set), loss_fn,
+              RngState(seed).consumer("seq-shuffle"), epochs, batch_lawsuits,
+              max_lr, evaluate=lambda m: evaluate_seq(m, val_set),
+              keeper=keeper, name=config.variant, verbose=verbose)
     return model, keeper, log
 
 

@@ -96,11 +96,6 @@ class Vocab:
     def encode_token(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def decode_id(self, idx: int) -> str:
-        if idx < 2:
-            raise ValueError("ids 0 and 1 are reserved (padding / unknown)")
-        return self.tokens[idx - 2]
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for t in self.tokens:
@@ -108,8 +103,15 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        """Reads a vocabulary written by :meth:`save`; a file that is not
+        UTF-8 raises ``ValueError`` naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls([line.rstrip("\n") for line in fh
+                            if line.rstrip("\n")])
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: vocabulary is not UTF-8 "
+                             f"({exc.reason} at byte {exc.start})") from None
 
 
 def encode(tokens, vocab: Vocab, max_tokens=500) -> np.ndarray:

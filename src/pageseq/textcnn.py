@@ -14,23 +14,22 @@ lookup to the adaptive pool; only the flatten reorders them, to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import BestCheckpointKeeper
 from .corpus import iter_pages
-from .iob import CLASSES
+from .iob import CLASS_TO_ID, CLASSES
 from .layers import (AdaptiveMaxPool1d, BatchNorm1d, Conv1d, Dropout,
                      Embedding, Linear, MaxPool1d, ReLU)
-from .losses import class_weights, cross_entropy
+from .losses import class_weights
 from .model_base import ModelBase
 from .metrics import score
-from .optim import Adam
-from .schedule import OneCycleSchedule
 from .tensor import DEFAULT_DTYPE, RngState, softmax
 from .text import Vocab, encode
-from .training import TrainLog, iterate_minibatches, minibatch_count
+from .training import classifier_loss, fit
 
 
 @dataclass
@@ -168,79 +167,62 @@ def encode_pages(pages, vocab, max_tokens):
     return ids
 
 
-def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
-                   epochs=20, batch_size=64, max_lr=2e-3, out_path=None,
-                   include_missing_text=False, verbose=False):
-    """Trains on the train split, checkpointing on best validation macro-F1.
-
-    Pages without text are excluded from training (they carry no signal
-    for this model) unless ``include_missing_text`` is set.
-
-    Returns (model, vocab, keeper, log).
-    """
-    def usable(p):
-        return include_missing_text or p.text_tokens
-    train_pages = [p for p in iter_pages(corpus, "train") if usable(p)]
-    val_pages = [p for p in iter_pages(corpus, "validation") if usable(p)]
-    if not train_pages or not val_pages:
-        raise ValueError("empty train or validation split")
-    counts = [sum(1 for p in train_pages if p.label == c) for c in CLASSES]
+def text_cnn_setup(corpus, config: TextCnnConfig, weighted: bool, seed=0):
+    """A fresh model on the train pages that have text: returns (model,
+    page count, ``loss_fn`` for ``training.fit``, vocabulary)."""
+    pages = [p for p in iter_pages(corpus, "train") if p.text_tokens]
+    if not pages:
+        raise ValueError("no train page has text")
+    counts = [sum(1 for p in pages if p.label == c) for c in CLASSES]
     if weighted and any(c == 0 for c in counts):
         missing = [c for c, n in zip(CLASSES, counts) if n == 0]
         raise ValueError(f"classes absent from training data: {missing}")
-    vocab = Vocab.build([p.text_tokens or [] for p in train_pages])
-    ids = encode_pages(train_pages, vocab, config.max_tokens)
-    targets = np.array([CLASS_IDS[p.label] for p in train_pages])
+    vocab = Vocab.build([p.text_tokens for p in pages])
+    ids = encode_pages(pages, vocab, config.max_tokens)
+    targets = np.array([CLASS_TO_ID[p.label] for p in pages])
+    model = TextCnn(len(vocab), config, seed=seed)
+    weights = class_weights(counts) if weighted else None
+    return (model, len(pages), classifier_loss(model, [ids], targets, weights),
+            vocab)
+
+
+def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
+                   epochs=20, batch_size=64, max_lr=2e-3, out_path=None,
+                   verbose=False):
+    """Trains on the train split, checkpointing on best validation
+    macro-F1 to ``out_path``, with the vocabulary beside it as
+    ``vocab.txt``.  Pages without text carry no signal for this model,
+    so training and validation skip them.
+
+    Returns (model, vocab, keeper, log).
+    """
+    model, n, loss_fn, vocab = text_cnn_setup(corpus, config, weighted, seed)
+    if out_path:  # the checkpoints are unusable without it
+        vocab.save(Path(out_path).with_name("vocab.txt"))
+    val_pages = [p for p in iter_pages(corpus, "validation") if p.text_tokens]
+    if not val_pages:
+        raise ValueError("no validation page has text")
     val_ids = encode_pages(val_pages, vocab, config.max_tokens)
     val_gold = [p.label for p in val_pages]
-
-    weights = class_weights(counts) if weighted else None
-    model = TextCnn(len(vocab), config, seed=seed)
-    opt = Adam(model.named_params())
-    steps_per_epoch = minibatch_count(len(train_pages), batch_size)
-    sched = OneCycleSchedule(total_steps=epochs * steps_per_epoch, max_lr=max_lr)
-    keeper = BestCheckpointKeeper(out_path) if out_path else None
-    log = TrainLog()
-    shuffle_rng = RngState(seed).consumer("textcnn-shuffle")
-    step = 0
-    best = (-1.0, None)
-    for epoch in range(epochs):
-        losses = []
-        lr = sched.lr(step)
-        for idx in iterate_minibatches(len(train_pages), batch_size, shuffle_rng):
-            lr = sched.lr(step)
-            model.zero_grads()
-            logits = model.forward(ids[idx], train=True)
-            loss, dlogits = cross_entropy(logits, targets[idx], weights)
-            model.backward(dlogits)
-            opt.step(model.named_grads(), lr)
-            losses.append(loss)
-            step += 1
-        report = evaluate_text_cnn(model, val_ids, val_gold)
-        saved = False
-        if keeper:
-            saved = keeper.update(report.macro_f1, model.state_dict(),
-                                  {"epoch": epoch, "model": "textcnn",
-                                   "weighted": weighted})
-        if report.macro_f1 > best[0]:
-            best = (report.macro_f1, model.snapshot())
-        log.add(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
-                val_macro_f1=report.macro_f1,
-                val_weighted_f1=report.weighted_f1, saved=saved)
-        if verbose:
-            print(f"epoch {epoch}: loss {np.mean(losses):.4f} "
-                  f"val macro-F1 {report.macro_f1:.4f}")
-    if best[1] is not None:
-        model.load_state(best[1])
+    family = "textcnn-w" if weighted else "textcnn"
+    keeper = BestCheckpointKeeper(out_path, {
+        "model": family, "seed": seed, "config": asdict(config)}) \
+        if out_path else None
+    log = fit(model, n, loss_fn, RngState(seed).consumer("textcnn-shuffle"),
+              epochs, batch_size, max_lr,
+              evaluate=lambda m: evaluate_text_cnn(m, val_ids, val_gold),
+              keeper=keeper, name=family, verbose=verbose)
     return model, vocab, keeper, log
 
 
-def evaluate_text_cnn(model, ids, gold_labels, batch_size=256):
+def predict_text_cnn(model, ids, batch_size=256):
+    """Predicted class names of the id rows, ``batch_size`` at a time."""
     preds = []
     for start in range(0, len(ids), batch_size):
         probs = model.predict_probs(ids[start : start + batch_size])
         preds.extend(CLASSES[i] for i in probs.argmax(axis=1))
-    return score(gold_labels, preds, CLASSES)
+    return preds
 
 
-CLASS_IDS = {c: i for i, c in enumerate(CLASSES)}
+def evaluate_text_cnn(model, ids, gold_labels, batch_size=256):
+    return score(gold_labels, predict_text_cnn(model, ids, batch_size), CLASSES)

@@ -1,9 +1,16 @@
-"""Shared training-loop plumbing: mini-batch iteration and epoch logs."""
+"""The one training loop: mini-batch Adam on a one-cycle schedule,
+keeping the epoch with the best validation macro-F1."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
+
+from .losses import cross_entropy
+from .optim import Adam
+from .schedule import OneCycleSchedule
 
 
 def _batch_starts(n, batch_size):
@@ -28,6 +35,70 @@ def iterate_minibatches(n, batch_size, rng):
     starts = _batch_starts(n, batch_size)
     for start, end in zip(starts, starts[1:] + [n]):
         yield order[start:end]
+
+
+def classifier_loss(model, inputs, targets, weights=None):
+    """A ``loss_fn`` for :func:`fit`: the cross-entropy of
+    ``model.forward(*(a[idx] for a in inputs))``, back-propagated."""
+    def loss_fn(idx):
+        logits = model.forward(*(a[idx] for a in inputs), train=True)
+        loss, dlogits = cross_entropy(logits, targets[idx], weights)
+        model.backward(dlogits)
+        return loss
+    return loss_fn
+
+
+def train_step(model, loss_fn):
+    """``step(idx, lr)``: zero the grads, run ``loss_fn(idx)`` (forward,
+    loss, backward), take an Adam step at ``lr``; returns the loss."""
+    opt = Adam(model.named_params())
+
+    def step(idx, lr):
+        model.zero_grads()
+        loss = loss_fn(idx)
+        opt.step(model.named_grads(), lr)
+        return loss
+    return step
+
+
+def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
+        keeper=None, name="", verbose=False):
+    """Trains on ``n`` items in shuffled mini-batches drawn from ``rng``,
+    at the one-cycle rate peaking at ``max_lr``, by :func:`train_step`.
+
+    After each epoch ``evaluate(model)`` gives the validation report,
+    whose macro-F1 updates ``keeper`` (a ``BestCheckpointKeeper``); the
+    first best epoch is restored at the end.  Without ``evaluate`` the
+    last step's parameters stay.  Returns the ``TrainLog``.
+    """
+    step = train_step(model, loss_fn)
+    sched = OneCycleSchedule(total_steps=epochs * minibatch_count(n, batch_size),
+                             max_lr=max_lr)
+    log = TrainLog()
+    best_f1, best_state = -1.0, None
+    t = 0
+    for epoch in range(epochs):
+        losses = []
+        for idx in iterate_minibatches(n, batch_size, rng):
+            lr = sched.lr(t)
+            losses.append(step(idx, lr))
+            t += 1
+        if evaluate is None:
+            continue
+        report = evaluate(model)
+        saved = keeper is not None and keeper.update(
+            report.macro_f1, model.state_dict(), {"epoch": epoch})
+        if report.macro_f1 > best_f1:
+            best_f1, best_state = report.macro_f1, model.snapshot()
+        log.add(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
+                val_macro_f1=report.macro_f1,
+                val_weighted_f1=report.weighted_f1, saved=saved)
+        if verbose:
+            print(f"{name} epoch {epoch}: loss {np.mean(losses):.4f} "
+                  f"val macro-F1 {report.macro_f1:.4f}")
+    if best_state is not None:
+        model.load_state(best_state)
+    return log
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Reference CRF forward-backward in log space.
+"""CRF oracles: exhaustive path enumeration, and the forward-backward
+in log space.
+
+The brute-force routines enumerate all K^T tag paths, so they serve
+only small K and T.
 
 ``crf.forward_backward`` used to run both recursions in log space over
 the padded (B, T_max, K) grid: one ``log_sum_exp`` over a (B, K, K)
@@ -8,9 +12,12 @@ as an oracle for the scaled recursion in probability space.  It has no
 dynamic-range limit, so it also shows where the scaled one must agree.
 """
 
+import itertools
+
 import numpy as np
 
-from pageseq.tensor import log_sum_exp, packing
+from pageseq.crf import sequence_score
+from pageseq.tensor import log_sum_exp, packing, softmax
 
 
 def forward_backward(emissions, transitions, start, stop, lengths=None):
@@ -44,3 +51,50 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
              + (emissions[pairs + 1] + betas[pairs + 1])[:, None, :])
     pairwise = np.exp(joint - row_log_z[pairs, :, None]).sum(axis=0)
     return unary, pairwise, float(log_z.sum())
+
+
+def brute_force_log_partition(emissions, transitions, start, stop):
+    """Exhaustive enumeration over all K^T paths; oracle for small instances."""
+    scores = _all_path_scores(emissions, transitions, start, stop)
+    return float(log_sum_exp(np.array(scores)))
+
+
+def brute_force_decode(emissions, transitions, start, stop):
+    """Exhaustive argmax; returns (best path, best score).
+
+    Paths are enumerated in lexicographic order, so on exact ties the
+    lexicographically smallest optimal path is returned.
+    """
+    emissions = np.asarray(emissions)
+    t_len, k = emissions.shape
+    best_path, best_score = None, -np.inf
+    for tags in itertools.product(range(k), repeat=t_len):
+        s = sequence_score(emissions, transitions, start, stop, np.array(tags))
+        if s > best_score:
+            best_score, best_path = s, list(tags)
+    return best_path, float(best_score)
+
+
+def brute_force_marginals(emissions, transitions, start, stop):
+    """Posterior unary marginals by direct enumeration."""
+    emissions = np.asarray(emissions)
+    t_len, k = emissions.shape
+    scores = []
+    paths = list(itertools.product(range(k), repeat=t_len))
+    for tags in paths:
+        scores.append(sequence_score(emissions, transitions, start, stop, np.array(tags)))
+    probs = softmax(np.array(scores))
+    unary = np.zeros((t_len, k))
+    for p, tags in zip(probs, paths):
+        for t, tag in enumerate(tags):
+            unary[t, tag] += p
+    return unary
+
+
+def _all_path_scores(emissions, transitions, start, stop):
+    emissions = np.asarray(emissions)
+    t_len, k = emissions.shape
+    return [
+        sequence_score(emissions, transitions, start, stop, np.array(tags))
+        for tags in itertools.product(range(k), repeat=t_len)
+    ]

@@ -298,3 +298,128 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--model", "nonsense", "--corpus", "x", "--out", "y"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("family, mode", [("fusion", "learned"),
+                                          ("fusion-zero", "zero")])
+def test_keeper_written_checkpoint_evaluates(workspace, tmp_path, capsys,
+                                             family, mode):
+    """The file the trainer's keeper writes carries what eval needs."""
+    from pageseq.corpus import load_corpus
+    from pageseq.fusion import (FusionConfig, corpus_embedding_dims,
+                                train_fusion)
+    corpus = load_corpus(workspace / "corpus")
+    text_dim, image_dim = corpus_embedding_dims(corpus)
+    config = FusionConfig(text_dim=text_dim, image_dim=image_dim, hidden=8,
+                          missing_mode=mode)
+    ckpt = tmp_path / "fm.ckpt"
+    train_fusion(corpus, config, seed=4, epochs=2, out_path=ckpt)
+    _, meta = load_checkpoint(ckpt)
+    assert meta["model"] == family and meta["seed"] == 4
+    assert meta["config"]["hidden"] == 8
+    capsys.readouterr()
+    assert main(["eval", "--model-checkpoint", str(ckpt),
+                 "--corpus", str(workspace / "corpus")]) == 0
+    assert json.loads(capsys.readouterr().out)["split"] == "test"
+
+
+def test_keeper_written_textcnn_w_checkpoint_evaluates(workspace, tmp_path,
+                                                       capsys):
+    from pageseq.corpus import load_corpus
+    from pageseq.runconfig import apply_section, load_config
+    from pageseq.textcnn import TextCnnConfig, train_text_cnn
+    config = TextCnnConfig()
+    apply_section(config, "model", load_config(workspace / "cnn.cfg"))
+    train_text_cnn(load_corpus(workspace / "corpus"), config, weighted=True,
+                   epochs=2, out_path=tmp_path / "model.ckpt")
+    assert load_checkpoint(tmp_path / "model.ckpt")[1]["model"] == "textcnn-w"
+    assert main(["eval", "--model-checkpoint", str(tmp_path / "model.ckpt"),
+                 "--corpus", str(workspace / "corpus")]) == 0
+
+
+@pytest.mark.parametrize("family", ["fusion", "bilstm-f"])
+def test_train_writes_the_checkpoint_once_per_improvement(workspace,
+                                                          monkeypatch, family):
+    import pageseq.checkpoint
+    import pageseq.cli
+    saves = []
+    save = pageseq.checkpoint.save_checkpoint
+
+    def counted(path, params, meta=None):
+        saves.append(meta)
+        save(path, params, meta)
+
+    monkeypatch.setattr(pageseq.checkpoint, "save_checkpoint", counted)
+    monkeypatch.setattr(pageseq.cli, "save_checkpoint", counted)
+    out = workspace / f"saves_{family}"
+    fm = ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")] \
+        if family.startswith("bilstm") else []
+    assert main(["train", "--model", family, "--corpus",
+                 str(workspace / "corpus"), "--out", str(out),
+                 "--epochs", "4", *fm]) == 0
+    rows = [json.loads(l) for l in
+            (out / "train_log.jsonl").read_text().splitlines()]
+    assert len(saves) == sum(r["saved"] for r in rows) >= 1
+    _, meta = load_checkpoint(out / "model.ckpt")
+    assert meta == saves[-1]
+    assert meta["val_macro_f1"] == max(r["val_macro_f1"] for r in rows)
+
+
+def test_eval_non_utf8_vocab_names_the_file(workspace, tmp_path, capsys):
+    assert main(["train", "--model", "textcnn",
+                 "--corpus", str(workspace / "corpus"),
+                 "--out", str(tmp_path / "cnn"), "--epochs", "2",
+                 "--config", str(workspace / "cnn.cfg")]) == 0
+    vocab = tmp_path / "cnn" / "vocab.txt"
+    vocab.write_bytes(b"ok\n\xff\xfe\n")
+    capsys.readouterr()
+    assert main(["eval", "--model-checkpoint",
+                 str(tmp_path / "cnn" / "model.ckpt"),
+                 "--corpus", str(workspace / "corpus")]) == 3
+    err = capsys.readouterr().err
+    assert str(vocab) in err and "Traceback" not in err
+
+
+def test_train_grid_rejects_a_non_fusion_model(workspace, capsys):
+    code = main(["train", "--model", "textcnn",
+                 "--corpus", str(workspace / "corpus"),
+                 "--out", str(workspace / "cnn_grid"), "--epochs", "2",
+                 "--config", str(workspace / "cnn.cfg"), "--grid"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (workspace / "cnn_grid" / "model.ckpt").exists()
+
+
+def test_range_test_fusion_applies_config(workspace, tmp_path, capsys):
+    def run(name, cfg_text):
+        argv = ["range-test", "--model", "fusion",
+                "--corpus", str(workspace / "corpus"), "--lr-min", "1e-4",
+                "--lr-max", "1.0", "--steps", "6", "--out", str(tmp_path / name)]
+        if cfg_text is not None:
+            (tmp_path / f"{name}.cfg").write_text(cfg_text)
+            argv += ["--config", str(tmp_path / f"{name}.cfg")]
+        return main(argv)
+
+    assert run("plain", None) == 0
+    assert run("narrow", "model.hidden=3\n") == 0
+    plain = (tmp_path / "plain" / "range_test.csv").read_text()
+    assert (tmp_path / "narrow" / "range_test.csv").read_text() != plain
+    capsys.readouterr()
+    assert run("bad", "model.banana=1\n") == 1
+    assert "model.banana" in capsys.readouterr().err
+
+
+def test_range_test_without_usable_pages_exits_3(tmp_path, capsys):
+    """No train page has text: the text CNN has nothing to step on, and
+    the range test must say so instead of waiting for a batch."""
+    (tmp_path / "synth.cfg").write_text(TINY_SYNTH.replace(
+        "synth.n_lawsuits=24", "synth.n_lawsuits=12")
+        + "synth.missing_text_rate=1.0\n")
+    assert main(["gen-synth", "--config", str(tmp_path / "synth.cfg"),
+                 "--out", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
+    assert main(["range-test", "--model", "textcnn",
+                 "--corpus", str(tmp_path / "corpus"), "--lr-min", "1e-4",
+                 "--lr-max", "1.0", "--steps", "5",
+                 "--out", str(tmp_path / "rt")]) == 3
+    assert "no train page has text" in capsys.readouterr().err

@@ -42,7 +42,7 @@ def test_log_partition_matches_brute_force():
         k = int(rng.integers(1, 5))
         em, tr, st, sp = _random_instance(rng, t, k)
         lz = C.forward_log_partition(em, tr, st, sp)
-        bz = C.brute_force_log_partition(em, tr, st, sp)
+        bz = crf_reference.brute_force_log_partition(em, tr, st, sp)
         assert abs(lz - bz) <= 1e-8
 
 
@@ -53,7 +53,7 @@ def test_viterbi_matches_brute_force():
         k = int(rng.integers(1, 5))
         em, tr, st, sp = _random_instance(rng, t, k)
         path, s = C.viterbi_decode(em, tr, st, sp)
-        bpath, bs = C.brute_force_decode(em, tr, st, sp)
+        bpath, bs = crf_reference.brute_force_decode(em, tr, st, sp)
         assert s == pytest.approx(bs, abs=1e-9)
         assert path == bpath
 
@@ -81,7 +81,8 @@ def test_viterbi_avoids_forbidden_bigram():
     path, _ = C.viterbi_decode(em, tr, np.zeros(k), np.zeros(k))
     assert path != [1, 1]
     assert 1 in path  # the dominant tag is still used once
-    bpath, _ = C.brute_force_decode(em, tr, np.zeros(k), np.zeros(k))
+    bpath, _ = crf_reference.brute_force_decode(em, tr, np.zeros(k),
+                                                np.zeros(k))
     assert path == bpath
 
 
@@ -92,7 +93,7 @@ def test_marginals_match_brute_force_and_sum_to_one():
         k = int(rng.integers(2, 5))
         em, tr, st, sp = _random_instance(rng, t, k)
         unary, pairwise, _ = C.forward_backward(em, tr, st, sp)
-        bunary = C.brute_force_marginals(em, tr, st, sp)
+        bunary = crf_reference.brute_force_marginals(em, tr, st, sp)
         np.testing.assert_allclose(unary, bunary, atol=1e-10)
         np.testing.assert_allclose(unary.sum(axis=1), 1.0, atol=1e-10)
         if t > 1:
@@ -142,9 +143,9 @@ def test_crf_model_decode_matches_brute_force_iob_width():
     feats = gen.standard_normal((4, 6))
     em = model.emissions(feats)
     path, s = model.decode(feats)
-    bpath, bs = C.brute_force_decode(em, model.params["transitions"],
-                                     model.params["start"],
-                                     model.params["stop"])
+    bpath, bs = crf_reference.brute_force_decode(
+        em, model.params["transitions"], model.params["start"],
+        model.params["stop"])
     assert path == bpath
     assert s == pytest.approx(bs)
 
@@ -239,7 +240,7 @@ def test_packed_marginals_match_brute_force():
         em, tr, st, sp = _packed_instance(rng, lengths, k)
         unary, _, _ = C.forward_backward(em, tr, st, sp, lengths)
         for part, got in zip(_split(em, lengths), _split(unary, lengths)):
-            want = C.brute_force_marginals(part, tr, st, sp)
+            want = crf_reference.brute_force_marginals(part, tr, st, sp)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 

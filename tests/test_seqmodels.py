@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import crf_reference
 from conftest import check_grads
-from pageseq import crf as crf_ops
 from pageseq.iob import IOB_TAGS
 from pageseq.seqmodels import (SeqModel, SeqModelConfig, predict_tags,
                                train_seq)
@@ -112,8 +112,8 @@ def test_crf_head_decode_matches_brute_force():
         x = gen.standard_normal((4, 4))
         scores = model.forward_scores(x, train=False).astype(np.float64)
         path = model.decode(x)
-        bpath, _ = crf_ops.brute_force_decode(scores, model.transitions,
-                                              model.start, model.stop)
+        bpath, _ = crf_reference.brute_force_decode(
+            scores, model.transitions, model.start, model.stop)
         assert path == bpath
 
 
