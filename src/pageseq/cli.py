@@ -309,9 +309,17 @@ def _train_settings(args, batch_default):
         section_value(cfg, "train.epochs", 20)
     batch = args.batch_size if args.batch_size is not None else \
         section_value(cfg, "train.batch_size", batch_default)
+    _check_batch(batch, "--batch-size" if args.batch_size is not None
+                 else "train.batch_size")
     lr = args.max_lr if args.max_lr is not None else \
         section_value(cfg, "train.lr", None, float)
     return cfg, seed, epochs, batch, lr
+
+
+def _check_batch(batch, option):
+    # a one-item step can give train-mode BatchNorm a single row
+    if batch < 2:
+        raise ConfigError(f"{option} must be at least 2, got {batch}")
 
 
 def cmd_train(args):
@@ -397,6 +405,7 @@ def cmd_range_test(args):
     if args.lr_min >= args.lr_max:
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
+    _check_batch(args.batch_size, "--batch-size")
     cfg = load_config(args.config) if args.config else {}
     corpus = _load_corpus_checked(args.corpus)
     seed = args.seed or 0

@@ -96,29 +96,41 @@ class BatchNorm1d(Layer):
             if x.shape[0] < 2:
                 raise ValueError("BatchNorm1d needs batch size >= 2 in train mode")
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat = x - mean
+            out = np.square(xhat)
+            var = out.mean(axis=0)  # x.var(axis=0), bit for bit
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
-            mean = self.running_mean
+            xhat = x - self.running_mean
             var = self.running_var
+            out = np.empty_like(xhat)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std
         self._cache = (xhat, inv_std, train, x.shape[0])
-        return self.params["gamma"] * xhat + self.params["beta"]
+        np.multiply(xhat, self.params["gamma"], out=out)
+        out += self.params["beta"]
+        return out
 
     def backward(self, grad):
         xhat, inv_std, train, n = self._cache
-        self.grads["gamma"] += (grad * xhat).sum(axis=0)
+        tmp = grad * xhat
+        self.grads["gamma"] += tmp.sum(axis=0)
         self.grads["beta"] += grad.sum(axis=0)
-        g = grad * self.params["gamma"]
-        if not train:
-            dx = g * inv_std
+        dx = grad * self.params["gamma"]
+        if train:
+            # batch statistics depend on x, so the full jacobian applies:
+            # dx = (inv_std / n) * (n * g - sum(g) - xhat * sum(g * xhat))
+            np.multiply(dx, xhat, out=tmp)
+            proj = tmp.sum(axis=0)
+            g_sum = dx.sum(axis=0)
+            dx *= n
+            dx -= g_sum
+            np.multiply(xhat, proj, out=tmp)
+            dx -= tmp
+            dx *= inv_std / n
         else:
-            # batch statistics depend on x, so the full jacobian applies
-            dx = (inv_std / n) * (
-                n * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0)
-            )
+            dx *= inv_std
         return dx
 
 
@@ -172,53 +184,81 @@ class Embedding(Layer):
 
 
 class Conv1d(Layer):
-    """1-d cross-correlation with same-padding over (batch, length, ch).
+    """Parallel 1-d cross-correlations with same-padding over (batch,
+    length, ch): one bank of ``out_ch`` filters per kernel size, the
+    banks' outputs concatenated along ch in ``kernel_sizes`` order.
 
-    The im2col matrix has one row per (batch, position) and its columns
-    in (in_ch, tap) order, matching the (in_ch * kernel, out_ch) weight.
+    Bank k owns ``conv{k}.weight``, (in_ch * k, out_ch) with rows in
+    (in_ch, tap) order, and ``conv{k}.bias``.  All banks run as one GEMM
+    (the lowering of Chetlur et al. 2014, arXiv:1410.0759): they share a
+    grid of kmax taps, the im2col matrix has one row per (batch,
+    position) and its columns in (tap, in_ch) order, and each call
+    assembles the (kmax * in_ch, banks * out_ch) weight from the banks,
+    with zero rows for the taps a bank lacks.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, rng, dtype=DEFAULT_DTYPE):
+    def __init__(self, in_ch, out_ch, kernel_sizes, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
+        if len(set(kernel_sizes)) != len(kernel_sizes) or min(kernel_sizes) < 1:
+            raise ValueError(f"kernel sizes must be distinct and positive, "
+                             f"got {kernel_sizes}")
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.kernel = kernel
-        fan_in = in_ch * kernel
-        self._add_param(
-            "weight", glorot_uniform(rng, fan_in, out_ch, (fan_in, out_ch), dtype)
-        )
-        self._add_param("bias", np.zeros(out_ch, dtype=dtype))
+        self.kernel_sizes = tuple(kernel_sizes)
+        self.taps = max(self.kernel_sizes)
+        # same-padding puts (k - 1) // 2 of a bank's taps before the centre
+        self.lead = (self.taps - 1) // 2
+        # (kernel, first tap on the shared grid, output columns) per bank
+        self._banks = [(k, self.lead - (k - 1) // 2,
+                        slice(i * out_ch, (i + 1) * out_ch))
+                       for i, k in enumerate(self.kernel_sizes)]
+        self.dtype = np.dtype(dtype)
+        for k in self.kernel_sizes:
+            fan_in = in_ch * k
+            self._add_param(f"conv{k}.weight", glorot_uniform(
+                rng, fan_in, out_ch, (fan_in, out_ch), dtype))
+            self._add_param(f"conv{k}.bias", np.zeros(out_ch, dtype=dtype))
         self._cache = None
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[2] != self.in_ch:
             raise ShapeError(f"Conv1d expects (batch, L, {self.in_ch}), got {x.shape}")
-        b, length, _ = x.shape
+        b, length, c = x.shape
         if length < 1:
             raise ShapeError("Conv1d input length must be >= 1")
-        k = self.kernel
-        pad_l = (k - 1) // 2
-        xp = np.zeros((b, length + k - 1, self.in_ch), dtype=x.dtype)
-        xp[:, pad_l : pad_l + length] = x
-        cols = np.empty((b, length, self.in_ch, k), dtype=x.dtype)
-        for j in range(k):
-            cols[..., j] = xp[:, j : j + length]
-        cols = cols.reshape(b * length, self.in_ch * k)
-        out = cols @ self.params["weight"] + self.params["bias"]
-        self._cache = (cols, b, length, pad_l)
-        return out.reshape(b, length, self.out_ch)
+        taps, lead = self.taps, self.lead
+        xp = np.zeros((b, length + taps - 1, c), dtype=x.dtype)
+        xp[:, lead : lead + length] = x
+        # windows (b, length, c, taps) -> one copy in (tap, c) column order
+        cols = np.lib.stride_tricks.sliding_window_view(xp, taps, axis=1) \
+            .transpose(0, 1, 3, 2).reshape(b * length, taps * c)
+        weight = np.zeros((taps, c, len(self.kernel_sizes) * self.out_ch),
+                          dtype=self.dtype)
+        for k, t0, cs in self._banks:
+            weight[t0 : t0 + k, :, cs] = \
+                self.params[f"conv{k}.weight"].reshape(c, k, -1).transpose(1, 0, 2)
+        weight = weight.reshape(taps * c, -1)
+        out = cols @ weight
+        out += np.concatenate([self.params[f"conv{k}.bias"]
+                               for k in self.kernel_sizes])
+        self._cache = (cols, weight, x.shape)
+        return out.reshape(b, length, -1)
 
     def backward(self, grad):
-        cols, b, length, pad_l = self._cache
-        k = self.kernel
-        gmat = grad.reshape(b * length, self.out_ch)
-        self.grads["weight"] += cols.T @ gmat
-        self.grads["bias"] += gmat.sum(axis=0)
-        dcols = (gmat @ self.params["weight"].T).reshape(b, length, self.in_ch, k)
-        dxp = np.zeros((b, length + k - 1, self.in_ch), dtype=grad.dtype)
-        for j in range(k):
-            dxp[:, j : j + length] += dcols[..., j]
-        return dxp[:, pad_l : pad_l + length]
+        cols, weight, (b, length, c) = self._cache
+        taps, lead = self.taps, self.lead
+        gmat = grad.reshape(b * length, -1)
+        dweight = (cols.T @ gmat).reshape(taps, c, -1)
+        dbias = gmat.sum(axis=0)
+        for k, t0, cs in self._banks:
+            dw = self.grads[f"conv{k}.weight"].reshape(c, k, -1)
+            dw += dweight[t0 : t0 + k, :, cs].transpose(1, 0, 2)
+            self.grads[f"conv{k}.bias"] += dbias[cs]
+        dcols = (gmat @ weight.T).reshape(b, length, taps, c)
+        dxp = np.zeros((b, length + taps - 1, c), dtype=grad.dtype)
+        for t in range(taps):
+            dxp[:, t : t + length] += dcols[:, :, t]
+        return dxp[:, lead : lead + length]
 
 
 def _bits(a):

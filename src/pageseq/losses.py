@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import softmax
-
 
 @dataclass
 class ClassWeights:
@@ -43,10 +41,15 @@ def cross_entropy(logits, targets, weights=None):
         raise ValueError(f"targets shape {targets.shape} does not match batch {b}")
     if targets.min() < 0 or targets.max() >= c:
         raise IndexError("target class index out of range")
-    probs = softmax(logits, axis=1)
+    top = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total  # tensor.softmax(logits, axis=1), bit for bit
     w = np.ones(b, dtype=logits.dtype) if weights is None else \
         np.asarray(weights, dtype=logits.dtype)[targets]
-    logp = np.log(probs[np.arange(b), targets])
+    # the target's logit minus the log-sum-exp stays finite where its
+    # probability underflows to 0
+    logp = logits[np.arange(b), targets] - (top[:, 0] + np.log(total[:, 0]))
     loss = float(-(w * logp).mean())
     dlogits = probs * w[:, None]
     dlogits[np.arange(b), targets] -= w

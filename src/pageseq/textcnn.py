@@ -55,18 +55,16 @@ class TextCnnConfig:
 
 
 class ConvBlock:
-    """Parallel convolutions (one per kernel size) -> concat -> BN -> pool,
-    over (batch, length, ch); the convolutions concatenate along ch."""
+    """Parallel convolutions (one filter bank per kernel size,
+    concatenated along ch) -> BN -> pool, over (batch, length, ch)."""
 
     def __init__(self, in_ch, filters, kernel_sizes, pool_size, rng, dtype):
-        self.filters = filters
-        self.convs = [Conv1d(in_ch, filters, k, rng, dtype) for k in kernel_sizes]
+        self.conv = Conv1d(in_ch, filters, kernel_sizes, rng, dtype)
         self.bn = BatchNorm1d(filters * len(kernel_sizes), dtype=dtype)
         self.pool = MaxPool1d(pool_size)
 
     def forward(self, x, train=False):
-        outs = [conv.forward(x, train=train) for conv in self.convs]
-        y = np.concatenate(outs, axis=2)
+        y = self.conv.forward(x, train=train)
         b, length, c = y.shape
         y = self.bn.forward(y.reshape(b * length, c), train=train)
         return self.pool.forward(y.reshape(b, length, c), train=train)
@@ -74,18 +72,8 @@ class ConvBlock:
     def backward(self, grad):
         grad = self.pool.backward(grad)
         b, length, c = grad.shape
-        grad = self.bn.backward(grad.reshape(b * length, c)).reshape(b, length, c)
-        dx = None
-        for i, conv in enumerate(self.convs):
-            g = grad[..., i * self.filters : (i + 1) * self.filters]
-            d = conv.backward(g)
-            dx = d if dx is None else dx + d
-        return dx
-
-    def children(self):
-        out = {f"conv{c.kernel}": c for c in self.convs}
-        out["bn"] = self.bn
-        return out
+        grad = self.bn.backward(grad.reshape(b * length, c))
+        return self.conv.backward(grad.reshape(b, length, c))
 
 
 class TextCnn(ModelBase):
@@ -116,8 +104,9 @@ class TextCnn(ModelBase):
     def _children(self):
         out = {"embedding": self.embedding}
         for i, block in enumerate(self.blocks):
-            for name, layer in block.children().items():
-                out[f"block{i}.{name}"] = layer
+            # the conv's parameters are named conv{k}.weight and conv{k}.bias
+            out[f"block{i}"] = block.conv
+            out[f"block{i}.bn"] = block.bn
         out["fc1"] = self.fc1
         out["fc2"] = self.fc2
         return out

@@ -1,19 +1,23 @@
 """Reference text-CNN trunk in the (batch, ch, length) layout.
 
-The trunk used to run channels-first: im2col through
-``sliding_window_view`` and a transpose, pools through ``argmax`` and
+The trunk used to run channels-first, with one convolution per kernel
+size: im2col through ``sliding_window_view`` and a transpose, one GEMM
+and one col2im per kernel, pools through ``argmax`` and
 ``take_along_axis``, and a 3-D BatchNorm branch that transposed to
-(batch * length, ch) and back.  That code is kept here, unchanged, as an
-oracle: the channels-last layers must reproduce it bit for bit.
+(batch * length, ch) and back.  That code is kept here as an oracle.
+The pools and BatchNorm must reproduce it bit for bit; the fused
+convolution, which sums over its taps in another order, within
+rounding.
 
-Each reference class subclasses the layer it checks and overrides only
-``forward`` and ``backward``, so parameters, their initialisation and
-gradient buffers are the production ones.
+Each reference class shares the parameters, their initialisation and
+gradient buffers of the production layer it checks, and overrides only
+``forward`` and ``backward``.
 """
 
 import numpy as np
 
-from pageseq.layers import AdaptiveMaxPool1d, BatchNorm1d, Conv1d, MaxPool1d
+from pageseq.layers import (AdaptiveMaxPool1d, BatchNorm1d, Layer,
+                            MaxPool1d)
 from pageseq.tensor import ShapeError
 from pageseq.textcnn import ConvBlock, TextCnn
 
@@ -25,7 +29,57 @@ def _adopt(cls, obj):
     return ref
 
 
-class RefConv1d(Conv1d):
+class OldBatchNorm1d(BatchNorm1d):
+    """BatchNorm1d as it was before it reused ``x - mean`` and ran its
+    scale, shift and backward in place."""
+
+    def forward(self, x, train=False):
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ShapeError(f"BatchNorm1d({self.dim}) got input shape {x.shape}")
+        if train:
+            if x.shape[0] < 2:
+                raise ValueError("BatchNorm1d needs batch size >= 2 in train mode")
+            mean = x.mean(axis=0)
+            var = x.var(axis=0)
+            self.running_mean += self.momentum * (mean - self.running_mean)
+            self.running_var += self.momentum * (var - self.running_var)
+        else:
+            mean = self.running_mean
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean) * inv_std
+        self._cache = (xhat, inv_std, train, x.shape[0])
+        return self.params["gamma"] * xhat + self.params["beta"]
+
+    def backward(self, grad):
+        xhat, inv_std, train, n = self._cache
+        self.grads["gamma"] += (grad * xhat).sum(axis=0)
+        self.grads["beta"] += grad.sum(axis=0)
+        g = grad * self.params["gamma"]
+        if not train:
+            dx = g * inv_std
+        else:
+            # batch statistics depend on x, so the full jacobian applies
+            dx = (inv_std / n) * (
+                n * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0)
+            )
+        return dx
+
+
+class RefConv1d(Layer):
+    """The kernel-``kernel`` bank of a fused Conv1d as a convolution of
+    its own, reading and accumulating into that bank's parameters."""
+
+    def __init__(self, conv, kernel):
+        super().__init__()
+        self.in_ch = conv.in_ch
+        self.out_ch = conv.out_ch
+        self.kernel = kernel
+        for name in ("weight", "bias"):
+            self.params[name] = conv.params[f"conv{kernel}.{name}"]
+            self.grads[name] = conv.grads[f"conv{kernel}.{name}"]
+        self._cache = None
+
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.in_ch:
             raise ShapeError(f"Conv1d expects (batch, {self.in_ch}, L), got {x.shape}")
@@ -53,7 +107,7 @@ class RefConv1d(Conv1d):
         return dxp[:, :, pad_l : pad_l + length]
 
 
-class RefBatchNorm1d(BatchNorm1d):
+class RefBatchNorm1d(OldBatchNorm1d):
     """Per-channel normalisation of (batch, ch, length) over batch and length."""
 
     def forward(self, x, train=False):
@@ -116,7 +170,8 @@ class RefConvBlock(ConvBlock):
     @classmethod
     def adopt(cls, block):
         ref = _adopt(cls, block)
-        ref.convs = [_adopt(RefConv1d, conv) for conv in block.convs]
+        ref.filters = block.conv.out_ch
+        ref.convs = [RefConv1d(block.conv, k) for k in block.conv.kernel_sizes]
         ref.bn = _adopt(RefBatchNorm1d, block.bn)
         ref.pool = _adopt(RefMaxPool1d, block.pool)
         return ref

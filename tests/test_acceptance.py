@@ -147,13 +147,15 @@ def test_criterion_2_gradient_correctness(capsys):
     totals["embedding"] = n
 
     # conv1d
-    conv = Conv1d(6, 8, 4, init, np.float64)
+    conv = Conv1d(6, 8, (4,), init, np.float64)
     x = rng.standard_normal((2, 30, 6))
     c = rng.standard_normal((2, 30, 8))
     conv.forward(x, train=True); conv.zero_grads()
     dx = conv.backward(c.copy())
-    n = _check(obj(conv, x, c), conv.params["weight"], conv.grads["weight"], rng, 192)
-    n += _check(obj(conv, x, c), conv.params["bias"], conv.grads["bias"], rng, 8)
+    n = _check(obj(conv, x, c), conv.params["conv4.weight"],
+               conv.grads["conv4.weight"], rng, 192)
+    n += _check(obj(conv, x, c), conv.params["conv4.bias"],
+                conv.grads["conv4.bias"], rng, 8)
     n += _check(obj(conv, x, c), x, dx, rng, 300)
     totals["conv1d"] = n
 

@@ -423,3 +423,33 @@ def test_range_test_without_usable_pages_exits_3(tmp_path, capsys):
                  "--lr-max", "1.0", "--steps", "5",
                  "--out", str(tmp_path / "rt")]) == 3
     assert "no train page has text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["textcnn", "fusion", "crf", "bilstm-f"])
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_train_batch_size_below_two_is_config_error(tmp_path, capsys,
+                                                    model, value):
+    """Rejected before the corpus loads: the corpus path does not exist,
+    which would exit 2."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"train.batch_size={value}\n")
+    for flags, option in ((["--batch-size", value], "--batch-size"),
+                          (["--config", str(cfg)], "train.batch_size")):
+        code = main(["train", "--model", model, "--corpus",
+                     str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
+                     *flags])
+        assert code == 1
+        assert option in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model", ["textcnn", "fusion"])
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_range_test_batch_size_below_two_is_config_error(tmp_path, capsys,
+                                                         model, value):
+    code = main(["range-test", "--model", model, "--corpus",
+                 str(tmp_path / "missing"), "--lr-min", "1e-5",
+                 "--lr-max", "1.0", "--batch-size", value,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "--batch-size" in capsys.readouterr().err

@@ -82,16 +82,18 @@ def test_convblock_gradients(rng):
     x = rng.standard_normal((4, 9, 3))
     c = rng.standard_normal((4, 4, 6))
     block.forward(x, train=True)
-    layers = [*block.convs, block.bn]
-    for layer in layers:
+    for layer in (block.conv, block.bn):
         layer.zero_grads()
     dx = block.backward(c.copy())
     fn = _objective(block, x, c)
-    for conv in block.convs:
-        check_grads(fn, conv.params["weight"], conv.grads["weight"], rng)
+    conv = block.conv
+    for k in (3, 4, 5):
+        check_grads(fn, conv.params[f"conv{k}.weight"],
+                    conv.grads[f"conv{k}.weight"], rng)
         # train-mode batch-norm subtracts each channel's mean, so a conv
         # bias cannot move the output
-        np.testing.assert_allclose(conv.grads["bias"], 0.0, atol=1e-12)
+        np.testing.assert_allclose(conv.grads[f"conv{k}.bias"], 0.0,
+                                   atol=1e-12)
     check_grads(fn, block.bn.params["gamma"], block.bn.grads["gamma"], rng)
     check_grads(fn, block.bn.params["beta"], block.bn.grads["beta"], rng)
     check_grads(fn, x, dx, rng)
@@ -137,16 +139,16 @@ def test_embedding_lookup_and_grad():
 def test_conv1d_same_length_output():
     rng = _rng()
     for k in (1, 2, 3, 4, 5):
-        conv = Conv1d(2, 3, k, rng, np.float64)
+        conv = Conv1d(2, 3, (k,), rng, np.float64)
         out = conv.forward(np.zeros((1, 7, 2)))
         assert out.shape == (1, 7, 3), f"kernel {k}"
 
 
 def test_conv1d_matches_manual_convolution():
     rng = _rng()
-    conv = Conv1d(1, 1, 3, rng, np.float64)
-    w = conv.params["weight"][:, 0]  # (in_ch * k,) with in_ch = 1
-    b = conv.params["bias"][0]
+    conv = Conv1d(1, 1, (3,), rng, np.float64)
+    w = conv.params["conv3.weight"][:, 0]  # (in_ch * k,) with in_ch = 1
+    b = conv.params["conv3.bias"][0]
     x = np.arange(5, dtype=np.float64)[None, :, None]
     out = conv.forward(x)[0, :, 0]
     padded = np.concatenate([[0.0], x[0, :, 0], [0.0]])
@@ -155,16 +157,36 @@ def test_conv1d_matches_manual_convolution():
 
 
 def test_conv1d_gradients(rng):
-    conv = Conv1d(3, 2, 4, _rng(), np.float64)
+    conv = Conv1d(3, 2, (4,), _rng(), np.float64)
     x = rng.standard_normal((2, 6, 3))
     c = rng.standard_normal((2, 6, 2))
     conv.forward(x, train=True)
     conv.zero_grads()
     dx = conv.backward(c.copy())
     fn = _objective(conv, x, c)
-    check_grads(fn, conv.params["weight"], conv.grads["weight"], rng)
-    check_grads(fn, conv.params["bias"], conv.grads["bias"], rng)
+    check_grads(fn, conv.params["conv4.weight"], conv.grads["conv4.weight"], rng)
+    check_grads(fn, conv.params["conv4.bias"], conv.grads["conv4.bias"], rng)
     check_grads(fn, x, dx, rng)
+
+
+@pytest.mark.parametrize("length", [1, 3, 7])
+def test_fused_conv1d_gradients(rng, length):
+    """All banks of one Conv1d, at lengths below the largest kernel too."""
+    conv = Conv1d(3, 2, (3, 4, 5), _rng(), np.float64)
+    x = rng.standard_normal((2, length, 3))
+    c = rng.standard_normal((2, length, 6))
+    conv.forward(x, train=True)
+    conv.zero_grads()
+    dx = conv.backward(c.copy())
+    fn = _objective(conv, x, c)
+    for name in conv.params:
+        check_grads(fn, conv.params[name], conv.grads[name], rng)
+    check_grads(fn, x, dx, rng)
+
+
+def test_conv1d_rejects_repeated_kernel_sizes():
+    with pytest.raises(ValueError):
+        Conv1d(2, 3, (3, 3), _rng())
 
 
 def test_maxpool_floor_semantics():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,13 @@ def test_cross_entropy_weighting_raises_minority_loss():
     base, _ = cross_entropy(logits, np.array([1]))
     up, _ = cross_entropy(logits, np.array([1]), np.array([1.0, 5.0]))
     assert up == pytest.approx(5 * base)
+
+
+def test_cross_entropy_finite_when_target_probability_underflows():
+    """softmax([0, 200])[0] is 0 in float32; its log-softmax is -200."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, dlogits = cross_entropy(np.array([[0.0, 200.0]], np.float32),
+                                      np.array([0]))
+    assert loss == pytest.approx(200.0)
+    np.testing.assert_array_equal(dlogits, [[-1.0, 1.0]])

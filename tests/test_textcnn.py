@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pageseq.checkpoint import load_checkpoint
 from pageseq.corpus import iter_pages
 from pageseq.synth import SynthConfig, generate_synthetic
 from pageseq.text import Vocab
@@ -98,3 +101,18 @@ def test_training_deterministic():
     assert log1.rows[0].train_loss == log2.rows[0].train_loss
     for name, p1 in m1.named_params().items():
         np.testing.assert_array_equal(p1, m2.named_params()[name])
+
+
+def test_checkpoint_with_one_conv_per_kernel_size_loads():
+    """``data/textcnn_per_kernel.ckpt`` was written by pageseq at c0acf5a,
+    when each kernel size had a Conv1d of its own, with the logits that
+    model gave: its parameter names and shapes load as they are, and the
+    one-GEMM trunk reproduces the logits within float32 rounding."""
+    params, meta = load_checkpoint(
+        Path(__file__).parent / "data" / "textcnn_per_kernel.ckpt")
+    model = TextCnn(params["embedding.weight"].shape[0],
+                    TextCnnConfig(**meta["config"]), seed=meta["seed"])
+    model.load_state(params)
+    logits = model.forward(np.array(meta["ids"]), train=False)
+    np.testing.assert_allclose(logits, np.float32(meta["logits"]),
+                               rtol=0, atol=1e-6)
