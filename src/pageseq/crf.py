@@ -8,9 +8,10 @@ works in probability space with per-step scaling, so each step is one
 small GEMM; its domain is a step that keeps some surviving path within
 ~700 nats of the largest scores, and it raises ``ValueError`` outside
 it.  :func:`forward_log_partition` and :func:`viterbi_decode` stay in
-log space and have no such limit.
-:class:`CrfModel` adds a linear emission map over F-dim input features
-and is what the fusion + CRF pipeline trains.
+log space and have no such limit.  :class:`CrfHead` holds the
+transition, start and stop scores: it is the CRF layer of the BiLSTM-CRF
+and of :class:`CrfModel`, which adds a linear emission map over F-dim
+input features and is what the fusion + CRF pipeline trains.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from .optim import Adam
 from .tensor import grid_positions, log_sum_exp, packing
 
 
-def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
+def sequence_score(emissions, transitions, start, stop, tags, lengths=None,
+                   weights=None):
     """Log-score of a tag path: emissions + transitions + start/stop.
 
     Packed emissions (N, K) and tags (N,) of several sequences, named by
-    ``lengths`` as in :func:`forward_backward`, give the summed score.
+    ``lengths`` as in :func:`forward_backward`, give the summed score,
+    each sequence's times its ``weights`` entry (1 when omitted).
     """
     emissions = np.asarray(emissions)
     tags = np.asarray(tags)
@@ -34,10 +37,21 @@ def sequence_score(emissions, transitions, start, stop, tags, lengths=None):
         raise ValueError("tags length does not match emissions")
     if tags.min() < 0 or tags.max() >= emissions.shape[1]:
         raise IndexError("tag out of range")
-    _, firsts, lasts, pairs = packing(n_rows, lengths)
-    score = (start[tags[firsts]].sum() + emissions[np.arange(n_rows), tags].sum()
-             + stop[tags[lasts]].sum() + transitions[tags[pairs], tags[pairs + 1]].sum())
+    packed = packing(n_rows, lengths)
+    _, firsts, lasts, pairs = packed
+    w, w_row = _weights(packed, weights)
+    score = ((start[tags[firsts]] * w).sum()
+             + (emissions[np.arange(n_rows), tags] * w_row).sum()
+             + (stop[tags[lasts]] * w).sum()
+             + (transitions[tags[pairs], tags[pairs + 1]] * w_row[pairs]).sum())
     return float(score)
+
+
+def _weights(packed, weights):
+    """Each sequence's weight, all ones for ``None``, and each row's."""
+    w = (np.ones(packed.lengths.size) if weights is None
+         else np.asarray(weights, dtype=np.float64))
+    return w, np.repeat(w, packed.lengths)
 
 
 def forward_log_partition(emissions, transitions, start, stop):
@@ -49,13 +63,15 @@ def forward_log_partition(emissions, transitions, start, stop):
     return float(log_sum_exp(alpha + stop))
 
 
-def forward_backward(emissions, transitions, start, stop, lengths=None):
+def forward_backward(emissions, transitions, start, stop, lengths=None,
+                     weights=None):
     """Posterior marginals of a batch of sequences, packed.
 
     ``emissions`` is (N, K): the rows of every sequence concatenated, with
     ``lengths`` giving each sequence's row count (one sequence when it is
     omitted).  Returns the unary marginals (N, K), the expected transition
-    counts (K, K) summed over the batch, and the summed log partition.
+    counts (K, K) summed over the batch, and the summed log partition,
+    each sequence's share times its ``weights`` entry (1 when omitted).
 
     The recursions are Rabiner's (1989) scaled forward-backward, in
     probability space.  Every score is shifted by its max and
@@ -64,16 +80,19 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
     step mirrors it with the same ``c_t``, and log Z is the sum of the
     ``log c_t`` plus the shifts.  Both run once over a left-aligned,
     time-major (T_max, B, K) grid whose padded rows hold no mass and
-    have ``c_t = 1``.  The domain is float64's ``exp`` range: a step
-    that leaves every surviving path more than ~700 nats below the
-    largest scores makes ``c_t`` underflow to 0, and ``ValueError``
-    names the sequence where that happens or ``c_t`` is not finite.
+    have ``c_t = 1``.  The backward recursion is linear in its stop
+    message, so a sequence's weight enters there.  The domain is
+    float64's ``exp`` range: a step that leaves every surviving path
+    more than ~700 nats below the largest scores makes ``c_t`` underflow
+    to 0, and ``ValueError`` names the sequence where that happens or
+    ``c_t`` is not finite.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     transitions, start, stop = (np.asarray(a, dtype=np.float64)
                                 for a in (transitions, start, stop))
     n_rows, k = emissions.shape
     packed = packing(n_rows, lengths)
+    w, w_row = _weights(packed, weights)
     (pos,), t_max, n_seq = grid_positions(n_rows, packed)
     em_max = emissions.max(axis=1, keepdims=True)
     tr_max, start_max, stop_max = transitions.max(), start.max(), stop.max()
@@ -102,7 +121,7 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
     if not stop_scale.min() > 0:
         raise _scale_error(stop_scale, 0.0, "its stop")
     beta = np.zeros_like(ex)
-    beta[ends, seqs] = exp_stop / stop_scale[:, None]
+    beta[ends, seqs] = exp_stop / stop_scale[:, None] * w[:, None]
     # msg[t] = ex[t] * beta[t] / c_t, the message step t passes back
     msg = ex / scale[:, :, None]
     for t in range(t_max - 1, 0, -1):
@@ -110,8 +129,9 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
         beta[t - 1] += msg[t] @ exp_tr.T
     unary = (alpha * beta).reshape(-1, k)[pos]
     pairwise = exp_tr * np.tensordot(alpha[:-1], msg[1:], axes=([0, 1], [0, 1]))
-    log_z = (np.log(scale).sum() + np.log(stop_scale).sum() + em_max.sum()
-             + n_seq * (start_max + stop_max) + (n_rows - n_seq) * tr_max)
+    log_z = ((np.log(scale) * w).sum() + (np.log(stop_scale) * w).sum()
+             + (em_max[:, 0] * w_row).sum() + w.sum() * (start_max + stop_max)
+             + (w_row.sum() - w.sum()) * tr_max)
     return unary, pairwise, float(log_z)
 
 
@@ -125,25 +145,28 @@ def _scale_error(scale, pad, where):
         "surviving paths, or a score is not finite")
 
 
-def nll_and_grad(emissions, transitions, start, stop, gold_tags, lengths=None):
+def nll_and_grad(emissions, transitions, start, stop, gold_tags, lengths=None,
+                 weights=None):
     """CRF negative log-likelihood and gradients via expected counts.
 
     Takes packed emissions (N, K) and gold tags (N,) of the sequences
     named by ``lengths``, as :func:`forward_backward` does.  Returns
     (nll, d_emissions, d_transitions, d_start, d_stop), each summed over
-    the sequences.
+    the sequences times their ``weights`` entries (1 when omitted).
     """
     emissions, gold_tags = np.asarray(emissions), np.asarray(gold_tags)
     n_rows = emissions.shape[0]
     packed = packing(n_rows, lengths)
-    gold = sequence_score(emissions, transitions, start, stop, gold_tags, packed)
-    unary, pairwise, log_z = forward_backward(emissions, transitions, start,
-                                              stop, packed)
-    d_em = unary
-    d_em[np.arange(n_rows), gold_tags] -= 1.0
-    d_trans = pairwise
+    gold = sequence_score(emissions, transitions, start, stop, gold_tags,
+                          packed, weights)
+    # each gradient is the expected counts (the marginals) less the gold
+    d_em, d_trans, log_z = forward_backward(emissions, transitions, start,
+                                            stop, packed, weights)
+    _, w_row = _weights(packed, weights)
+    d_em[np.arange(n_rows), gold_tags] -= w_row
     pairs = packed.pairs
-    np.subtract.at(d_trans, (gold_tags[pairs], gold_tags[pairs + 1]), 1.0)
+    np.subtract.at(d_trans, (gold_tags[pairs], gold_tags[pairs + 1]),
+                   w_row[pairs])
     # a sequence's start (stop) gradient is its first (last) emission's
     d_start = d_em[packed.firsts].sum(axis=0)
     d_stop = d_em[packed.lasts].sum(axis=0)
@@ -168,66 +191,70 @@ def viterbi_decode(emissions, transitions, start, stop):
     return path.tolist(), float(final.max())
 
 
-class CrfModel:
-    """Transitions plus a per-tag linear emission map over input features."""
+class CrfHead:
+    """A linear-chain CRF's transition, start and stop scores (float64)
+    as a layer: ``params`` and ``grads`` by name, and ``zero_grads``."""
 
-    def __init__(self, n_tags, n_features, dtype=np.float64):
+    def __init__(self, n_tags):
+        self.params = {"transitions": np.zeros((n_tags, n_tags)),
+                       "start": np.zeros(n_tags), "stop": np.zeros(n_tags)}
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def zero_grads(self):
+        for g in self.grads.values():
+            g[...] = 0
+
+    def nll_and_backward(self, emissions, tags, lengths=None, weights=None):
+        """:func:`nll_and_grad` over the head's scores: adds their gradients
+        to ``grads`` and returns (nll, d_emissions)."""
+        nll, d_em, *d_head = nll_and_grad(emissions, *self.params.values(),
+                                          tags, lengths, weights)
+        for g, d in zip(self.grads.values(), d_head):
+            g += d
+        return nll, d_em
+
+    def decode(self, emissions):
+        """Viterbi (path, score) of one sequence's (T, K) emissions."""
+        return viterbi_decode(emissions, *self.params.values())
+
+
+class CrfModel:
+    """A :class:`CrfHead` over a per-tag linear emission map of features."""
+
+    def __init__(self, n_tags, n_features):
         self.n_tags = n_tags
         self.n_features = n_features
-        self.params = {
-            "transitions": np.zeros((n_tags, n_tags), dtype=dtype),
-            "start": np.zeros(n_tags, dtype=dtype),
-            "stop": np.zeros(n_tags, dtype=dtype),
-            "emit_w": np.zeros((n_features, n_tags), dtype=dtype),
-            "emit_b": np.zeros(n_tags, dtype=dtype),
-        }
+        self.head = CrfHead(n_tags)
+        self.params = {**self.head.params,
+                       "emit_w": np.zeros((n_features, n_tags)),
+                       "emit_b": np.zeros(n_tags)}
 
     def state_dict(self):
         return self.params
 
     def emissions(self, features):
-        features = np.asarray(features, dtype=self.params["emit_w"].dtype)
+        features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise ValueError(
                 f"expected features (T, {self.n_features}), got {features.shape}")
         return features @ self.params["emit_w"] + self.params["emit_b"]
 
-    def sequence_score(self, features, tags):
-        p = self.params
-        return sequence_score(self.emissions(features), p["transitions"],
-                              p["start"], p["stop"], tags)
-
-    def log_partition(self, features):
-        p = self.params
-        return forward_log_partition(self.emissions(features), p["transitions"],
-                                     p["start"], p["stop"])
-
     def nll_and_grad(self, features, gold_tags, lengths=None):
-        """NLL plus grads for every parameter and the input features.
+        """NLL plus the grads of every parameter, by name.
 
         ``features`` (N, F) and ``gold_tags`` (N,) may pack several
         sequences, with ``lengths`` as in :func:`forward_backward`; the
-        NLL and parameter grads are then summed over the sequences.
+        NLL and grads are then summed over the sequences.
         """
-        features = np.asarray(features, dtype=self.params["emit_w"].dtype)
-        p = self.params
-        em = self.emissions(features)
-        nll, d_em, d_trans, d_start, d_stop = nll_and_grad(
-            em, p["transitions"], p["start"], p["stop"], gold_tags, lengths)
-        grads = {
-            "transitions": d_trans,
-            "start": d_start,
-            "stop": d_stop,
-            "emit_w": features.T @ d_em,
-            "emit_b": d_em.sum(axis=0),
-        }
-        d_features = d_em @ p["emit_w"].T
-        return nll, grads, d_features
+        features = np.asarray(features, dtype=np.float64)
+        self.head.zero_grads()
+        nll, d_em = self.head.nll_and_backward(self.emissions(features),
+                                               gold_tags, lengths)
+        return nll, {**self.head.grads, "emit_w": features.T @ d_em,
+                     "emit_b": d_em.sum(axis=0)}
 
     def decode(self, features):
-        p = self.params
-        return viterbi_decode(self.emissions(features), p["transitions"],
-                              p["start"], p["stop"])
+        return self.head.decode(self.emissions(features))
 
 
 def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05,
@@ -254,7 +281,7 @@ def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05,
     opt = Adam(model.params)
     history = []
     for _ in range(epochs):
-        total, grads, _ = model.nll_and_grad(features, tags, lengths)
+        total, grads = model.nll_and_grad(features, tags, lengths)
         for k in grads:
             grads[k] += 2.0 * l2 * model.params[k]
             total += l2 * float((model.params[k] ** 2).sum())

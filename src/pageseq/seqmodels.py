@@ -71,13 +71,7 @@ class SeqModel(ModelBase):
         self.fc_out = Linear(2 * config.lstm_hidden, config.n_tags, init, dtype,
                              w_scale=1e-3)
         if config.crf_head:
-            k = config.n_tags
-            self.transitions = np.zeros((k, k), dtype=np.float64)
-            self.start = np.zeros(k, dtype=np.float64)
-            self.stop = np.zeros(k, dtype=np.float64)
-            self.g_transitions = np.zeros_like(self.transitions)
-            self.g_start = np.zeros_like(self.start)
-            self.g_stop = np.zeros_like(self.stop)
+            self.crf = crf_ops.CrfHead(config.n_tags)
 
     def _children(self):
         out = {}
@@ -85,19 +79,9 @@ class SeqModel(ModelBase):
             out.update({"bn_in": self.bn_in, "fc_in": self.fc_in})
         out.update({"bilstm": self.bilstm, "bn_out": self.bn_out,
                     "fc_out": self.fc_out})
+        if self.config.crf_head:
+            out["crf"] = self.crf
         return out
-
-    def _extra_params(self):
-        if not self.config.crf_head:
-            return {}
-        return {"crf.transitions": self.transitions, "crf.start": self.start,
-                "crf.stop": self.stop}
-
-    def _extra_grads(self):
-        if not self.config.crf_head:
-            return {}
-        return {"crf.transitions": self.g_transitions, "crf.start": self.g_start,
-                "crf.stop": self.g_stop}
 
     def forward_scores(self, x, train=False, lengths=None):
         """Per-page tag scores (N, n_tags) of the lawsuits packed in ``x``.
@@ -134,7 +118,8 @@ class SeqModel(ModelBase):
 
         The loss is the mean over the lawsuits of each lawsuit's loss
         normalised by its length; ``lengths`` is as in
-        :meth:`forward_scores`.
+        :meth:`forward_scores`.  The CRF head takes the whole mini-batch
+        in one call, weighing lawsuit i by 1 / (T_i * lawsuits).
         """
         tag_ids = np.asarray(tag_ids)
         scores = self.forward_scores(x, train=train, lengths=lengths)
@@ -143,39 +128,26 @@ class SeqModel(ModelBase):
                              f"{scores.shape[0]} pages")
         packed = packing(scores.shape[0], lengths)
         n_seq = packed.lengths.size
-        d_scores = np.empty_like(scores)
-        total = 0.0
-        for lo, hi in zip(packed.firsts, packed.lasts + 1):
-            loss, d_scores[lo:hi] = self._lawsuit_loss(scores[lo:hi],
-                                                       tag_ids[lo:hi], n_seq)
-            total += loss
+        if self.config.crf_head:
+            total, d_em = self.crf.nll_and_backward(
+                scores.astype(np.float64), tag_ids, packed,
+                1.0 / (packed.lengths * n_seq))
+            d_scores = d_em.astype(scores.dtype)
+        else:
+            d_scores = np.empty_like(scores)
+            total = 0.0
+            for lo, hi in zip(packed.firsts, packed.lasts + 1):
+                loss, d = cross_entropy(scores[lo:hi], tag_ids[lo:hi])
+                total += loss / n_seq
+                d_scores[lo:hi] = d / n_seq
         self.backward_scores(d_scores)
         return total
-
-    def _lawsuit_loss(self, scores, tag_ids, n_seq):
-        """One lawsuit's length-normalised loss and score gradient, both
-        divided by ``n_seq``; accumulates the CRF head's grads."""
-        if self.config.crf_head:
-            t_len = scores.shape[0]
-            nll, d_em, d_tr, d_st, d_sp = crf_ops.nll_and_grad(
-                scores.astype(np.float64), self.transitions, self.start,
-                self.stop, tag_ids)
-            scale = t_len * n_seq
-            self.g_transitions += d_tr / scale
-            self.g_start += d_st / scale
-            self.g_stop += d_sp / scale
-            return nll / scale, d_em / scale
-        loss, d_scores = cross_entropy(scores, tag_ids)
-        return loss / n_seq, d_scores / n_seq
 
     def decode(self, x):
         """Predicted IOB tag ids for one lawsuit (eval mode)."""
         scores = self.forward_scores(x, train=False)
         if self.config.crf_head:
-            path, _ = crf_ops.viterbi_decode(scores.astype(np.float64),
-                                             self.transitions, self.start,
-                                             self.stop)
-            return path
+            return self.crf.decode(scores.astype(np.float64))[0]
         return softmax(scores, axis=1).argmax(axis=1).tolist()
 
 

@@ -138,12 +138,11 @@ def ref_loss_and_backward(model, x, tag_ids, lengths):
     for lo, hi in spans:
         t_len = hi - lo
         if model.config.crf_head:
-            nll, d_em, d_tr, d_st, d_sp = crf_ops.nll_and_grad(
-                scores[lo:hi].astype(np.float64), model.transitions,
-                model.start, model.stop, tag_ids[lo:hi])
-            model.g_transitions += d_tr / t_len / n_seq
-            model.g_start += d_st / t_len / n_seq
-            model.g_stop += d_sp / t_len / n_seq
+            nll, d_em, *d_head = crf_ops.nll_and_grad(
+                scores[lo:hi].astype(np.float64), *model.crf.params.values(),
+                tag_ids[lo:hi])
+            for g, d in zip(model.crf.grads.values(), d_head):
+                g += d / t_len / n_seq
             total += nll / t_len
             d_scores[lo:hi] = d_em / t_len
         else:

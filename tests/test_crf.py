@@ -124,14 +124,17 @@ def test_crf_model_emission_map_and_grads(rng):
         model.params[name] += gen.standard_normal(model.params[name].shape) * 0.3
     feats = gen.standard_normal((5, 4))
     gold = np.array([0, 1, 2, 1, 0])
-    nll, grads, d_feats = model.nll_and_grad(feats, gold)
+    nll, grads = model.nll_and_grad(feats, gold)
 
     def fn():
-        return model.log_partition(feats) - model.sequence_score(feats, gold)
+        em, p = model.emissions(feats), model.params
+        return (C.forward_log_partition(em, p["transitions"], p["start"],
+                                        p["stop"])
+                - C.sequence_score(em, p["transitions"], p["start"],
+                                   p["stop"], gold))
 
     for name in ("transitions", "start", "stop", "emit_w", "emit_b"):
         check_grads(fn, model.params[name], grads[name], rng, count=30)
-    check_grads(fn, feats, d_feats, rng, count=30)
 
 
 def test_crf_model_decode_matches_brute_force_iob_width():
@@ -191,34 +194,51 @@ def test_packed_forward_backward_equals_per_sequence_calls():
     assert pairwise.sum() == pytest.approx(sum(RAGGED) - len(RAGGED))
 
 
-def test_packed_nll_and_grad_equals_per_sequence_sums():
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+def test_packed_nll_and_grad_equals_per_sequence_sums(weighted):
     rng = np.random.default_rng(11)
     em, tr, st, sp = _packed_instance(rng, RAGGED, 12)
     gold = rng.integers(0, 12, em.shape[0])
-    nll, d_em, d_tr, d_st, d_sp = C.nll_and_grad(em, tr, st, sp, gold, RAGGED)
+    weights = rng.uniform(0.1, 2.0, len(RAGGED)) if weighted else None
+    got = C.nll_and_grad(em, tr, st, sp, gold, RAGGED, weights)
+    nll, d_em, d_tr, d_st, d_sp = got
+    ones = np.ones(len(RAGGED))
     want = [0.0, [], 0.0, 0.0, 0.0]
-    for part, tags in zip(_split(em, RAGGED), _split(gold, RAGGED)):
+    for w, part, tags in zip(ones if weights is None else weights,
+                             _split(em, RAGGED), _split(gold, RAGGED)):
         n, e, t, s0, s1 = C.nll_and_grad(part, tr, st, sp, tags)
-        want[0] += n
-        want[1].append(e)
-        want[2] = want[2] + t
-        want[3] = want[3] + s0
-        want[4] = want[4] + s1
+        want[0] += w * n
+        want[1].append(w * e)
+        want[2] = want[2] + w * t
+        want[3] = want[3] + w * s0
+        want[4] = want[4] + w * s1
     assert nll == pytest.approx(want[0], rel=1e-10)
     np.testing.assert_allclose(d_em, np.concatenate(want[1]), rtol=0,
                                atol=1e-10)
-    for got, ref in zip((d_tr, d_st, d_sp), want[2:]):
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+    for got_d, ref in zip((d_tr, d_st, d_sp), want[2:]):
+        np.testing.assert_allclose(got_d, ref, rtol=0, atol=1e-10)
+    if weights is None:  # no weights is all ones, bit for bit
+        all_ones = C.nll_and_grad(em, tr, st, sp, gold, RAGGED, ones)
+        assert all_ones[0] == nll
+        for a, b in zip(got[1:], all_ones[1:]):
+            assert a.tobytes() == b.tobytes()
 
 
-def test_packed_sequence_score_equals_per_sequence_sum():
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+def test_packed_sequence_score_equals_per_sequence_sum(weighted):
     rng = np.random.default_rng(14)
     em, tr, st, sp = _packed_instance(rng, RAGGED, 12)
     tags = rng.integers(0, 12, em.shape[0])
-    want = sum(C.sequence_score(part, tr, st, sp, t)
-               for part, t in zip(_split(em, RAGGED), _split(tags, RAGGED)))
-    got = C.sequence_score(em, tr, st, sp, tags, RAGGED)
+    weights = rng.uniform(0.1, 2.0, len(RAGGED)) if weighted else None
+    w = np.ones(len(RAGGED)) if weights is None else weights
+    want = sum(wi * C.sequence_score(part, tr, st, sp, t) for wi, part, t in
+               zip(w, _split(em, RAGGED), _split(tags, RAGGED)))
+    got = C.sequence_score(em, tr, st, sp, tags, RAGGED, weights)
     assert got == pytest.approx(want, rel=1e-12)
+    if weights is None:  # no weights is all ones, bit for bit
+        assert got == C.sequence_score(em, tr, st, sp, tags, RAGGED, w)
 
 
 def test_gold_tags_are_checked():
@@ -267,7 +287,7 @@ def test_train_crf_history_matches_per_sequence_training():
         total = 0.0
         grads = {k: np.zeros_like(v) for k, v in model.params.items()}
         for feats, tags in seqs:
-            nll, g, _ = model.nll_and_grad(feats, tags)
+            nll, g = model.nll_and_grad(feats, tags)
             total += nll
             for name in grads:
                 grads[name] += g[name]

@@ -80,8 +80,8 @@ def test_labelling_matches_reference_bit_for_bit(variant):
         assert_bits_equal(scores, ref_forward_scores(model, x))
         want = scores.astype(np.float64)
         if model.config.crf_head:
-            path, _ = crf_ops.viterbi_decode(want, model.transitions,
-                                             model.start, model.stop)
+            path, _ = crf_ops.viterbi_decode(want,
+                                             *model.crf.params.values())
         else:
             path = want.argmax(axis=1).tolist()
         assert model.decode(x) == path

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import crf_reference
 from conftest import check_grads
+from pageseq import cli, crf
+from pageseq.checkpoint import load_checkpoint
 from pageseq.iob import IOB_TAGS
 from pageseq.seqmodels import (SeqModel, SeqModelConfig, predict_tags,
                                train_seq)
+from pageseq.training import minibatch_count
 
 
 def _model(variant, input_dim=6, **kw):
@@ -65,6 +70,9 @@ def test_batch_independence():
 def test_bptt_gradients_full_fusion_stack(rng):
     """Finite differences through BN stem, BiLSTM and output head."""
     model = _model("bilstm-f")
+    # an output head of the usual scale, so the BiLSTM's grads sit well
+    # above the finite differences' rounding noise
+    model.fc_out.params["weight"][...] = rng.standard_normal((8, 12))
     x = rng.standard_normal((3, 6))
     tags = np.array([0, 1, 1])
 
@@ -85,6 +93,7 @@ def test_bptt_gradients_full_fusion_stack(rng):
 
 def test_crf_head_gradients(rng):
     model = _model("bilstm-f-crf")
+    model.fc_out.params["weight"][...] = rng.standard_normal((8, 12))
     x = rng.standard_normal((3, 6))
     tags = np.array([0, 5, 11])
 
@@ -105,16 +114,45 @@ def test_crf_head_gradients(rng):
 def test_crf_head_decode_matches_brute_force():
     model = _model("bilstm-crf", input_dim=4)
     gen = np.random.default_rng(4)
-    model.transitions += gen.standard_normal(model.transitions.shape)
-    model.start += gen.standard_normal(model.start.shape)
-    model.stop += gen.standard_normal(model.stop.shape)
+    for p in model.crf.params.values():
+        p += gen.standard_normal(p.shape)
     for _ in range(5):
         x = gen.standard_normal((4, 4))
         scores = model.forward_scores(x, train=False).astype(np.float64)
         path = model.decode(x)
         bpath, _ = crf_reference.brute_force_decode(
-            scores, model.transitions, model.start, model.stop)
+            scores, *model.crf.params.values())
         assert path == bpath
+
+
+def test_checkpoint_of_the_crf_head_in_seqmodel_loads():
+    """``data/bilstm_crf_parent.ckpt`` was written by pageseq at 51297fb,
+    when ``SeqModel`` held the CRF's scores in arrays of its own, with the
+    paths that model decoded: its ``crf.*`` entries load through the CLI's
+    restore into the CRF head and decode the same paths."""
+    path = Path(__file__).parent / "data" / "bilstm_crf_parent.ckpt"
+    params, meta = load_checkpoint(path)
+    model = cli._restore(path, params, meta, cli.FAMILIES[meta["model"]])
+    for x, want in zip(meta["inputs"], meta["paths"]):
+        assert model.decode(np.float32(x)) == want
+
+
+def test_crf_head_takes_one_packed_call_per_step(monkeypatch):
+    calls = []
+    nll_and_grad = crf.nll_and_grad
+
+    def counted(*args, **kw):
+        calls.append(len(args[0]))
+        return nll_and_grad(*args, **kw)
+
+    monkeypatch.setattr(crf, "nll_and_grad", counted)
+    rng = np.random.default_rng(10)
+    data = {"train": _lawsuit_set(rng, 9), "validation": _lawsuit_set(rng, 2)}
+    config = SeqModelConfig(variant="bilstm-f-crf", input_dim=6,
+                            lstm_hidden=4, pre_fc=5)
+    train_seq(data, config, epochs=3, batch_lawsuits=4)
+    assert len(calls) == minibatch_count(9, 4) * 3
+    assert sum(calls) == 3 * sum(len(tags) for _, tags in data["train"])
 
 
 def test_predict_tags_are_iob():
