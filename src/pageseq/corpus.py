@@ -12,11 +12,22 @@ Embedding files are binary: magic ``PSEQEMB1``, a length-prefixed
 modality tag, u32 dim, u32 row count, then little-endian float32 rows.
 Row order is defined by the sibling JSONL index
 (lawsuit_id, page_index, row).
+
+In memory, a loaded corpus holds each distinct token once:
+:func:`load_corpus` maps every token (and every label and lawsuit id of
+``pages.jsonl``) to one shared ``str`` across all pages and splits, and
+each page's ``text_tokens`` is its own list of those strings.  Each
+``.emb`` payload is read once into one writable float32 block per split
+and modality, and a page's ``text_embedding`` or ``image_embedding`` is
+a row view of that block, so writing a row changes only its page.  A
+page's embedding keeps its whole block alive: a caller that keeps a few
+pages of a large split should copy their rows.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -100,21 +111,27 @@ def _write_emb(path, idx_path, rows, index):
 
 def _read_emb(path, idx_path):
     """Rows (count, dim) of an embedding file and its index rows
-    (lawsuit_id, page_index, row).  A truncated or inconsistent file or
-    a malformed index row raises ``CorpusError`` naming the file."""
-    blob = Path(path).read_bytes()
-    if blob[:8] != EMB_MAGIC:
-        raise CorpusError(f"{path}: bad magic bytes")
-    off = 9 + (blob[8] if len(blob) > 8 else 0)  # past the tag
-    if len(blob) < off + 8:
-        raise CorpusError(f"{path}: truncated header")
-    dim, count = struct.unpack_from("<II", blob, off)
-    off += 8
-    if len(blob) - off != 4 * dim * count:
-        raise CorpusError(f"{path}: {len(blob) - off} payload bytes, but the "
-                          f"header gives {count} rows of {dim} float32")
-    rows = np.frombuffer(blob, dtype="<f4", count=count * dim,
-                         offset=off).reshape(count, dim)
+    (lawsuit_id, page_index, row).  The payload is read straight into
+    one writable array; no other copy of it is made.  A truncated or
+    inconsistent file or a malformed index row raises ``CorpusError``
+    naming the file, and so does an index that names a row twice."""
+    with open(path, "rb") as fh:
+        head = fh.read(9)
+        if head[:8] != EMB_MAGIC:
+            raise CorpusError(f"{path}: bad magic bytes")
+        off = 9 + (head[8] if len(head) > 8 else 0)  # past the tag
+        head += fh.read(off + 8 - len(head))
+        if len(head) < off + 8:
+            raise CorpusError(f"{path}: truncated header")
+        dim, count = struct.unpack_from("<II", head, off)
+        off += 8
+        payload = os.fstat(fh.fileno()).st_size - off
+        if payload != 4 * dim * count:
+            raise CorpusError(f"{path}: {payload} payload bytes, but the "
+                              f"header gives {count} rows of {dim} float32")
+        rows = np.empty((count, dim), dtype="<f4")
+        if fh.readinto(rows) != payload:
+            raise CorpusError(f"{path}: file changed while it was read")
     try:
         with open(idx_path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -124,7 +141,7 @@ def _read_emb(path, idx_path):
         raise CorpusError(f"{idx_path}: not UTF-8 text") from None
     if lines[-1] == "":
         lines.pop()  # the newline that ends the last row
-    index = []
+    index, taken = [], set()
     for lineno, line in enumerate(lines, 1):
         try:
             rec = json.loads(line)
@@ -136,6 +153,9 @@ def _read_emb(path, idx_path):
                 and type(row) is int and 0 <= row < count):
             raise CorpusError(f"{idx_path}:{lineno}: bad index row {line!r} "
                               f"for {count} embedding rows")
+        if row in taken:  # two pages would share one row view
+            raise CorpusError(f"{idx_path}:{lineno}: row {row} is named twice")
+        taken.add(row)
         index.append((lid, page_index, row))
     if len(index) != count:
         raise CorpusError(f"{idx_path}: index has {len(index)} rows, "
@@ -180,16 +200,95 @@ def save_corpus(corpus: Corpus, root):
                        split_dir / f"{name}.idx.jsonl", arr, idx)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "true or false",
+               type(None): "null"}
+_PAGE_FIELDS = (("lawsuit_id", str), ("page_index", int), ("label", str),
+                ("is_first_page", bool))
+
+
+def _read_manifest(path) -> dict:
+    """Split name -> lawsuit ids, from a checked ``manifest.json``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not UTF-8 text") from None
+    try:
+        manifest = json.loads(text)
+    except ValueError:
+        raise CorpusError(f"{path}: not valid JSON") from None
+    if type(manifest) is not dict:
+        raise CorpusError(f"{path}: not a JSON object")
+    splits = manifest.get("splits")
+    if not (type(splits) is dict and all(
+            type(ids) is list and all(type(lid) is str for lid in ids)
+            for ids in splits.values())):
+        raise CorpusError(f"{path}: splits must be an object that maps each "
+                          "split to an array of lawsuit id strings")
+    return splits
+
+
+def _page(raw: bytes, path, lineno, shared: dict) -> Page:
+    """One checked line of ``pages.jsonl`` as a page whose strings come
+    from, or are added to, ``shared``."""
+    try:
+        rec = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}:{lineno}: not UTF-8 text") from None
+    except ValueError:
+        raise CorpusError(f"{path}:{lineno}: not valid JSON") from None
+    fault = _page_fault(rec)
+    if fault:
+        raise CorpusError(f"{path}:{lineno}: {fault}")
+    tokens = rec.get("text_tokens")
+    if tokens is not None:
+        tokens = _shared_tokens(tokens, shared)
+        if tokens is None:
+            raise CorpusError(f"{path}:{lineno}: text_tokens must be null "
+                              "or an array of strings")
+    lid, label = rec["lawsuit_id"], rec["label"]
+    return Page(shared.setdefault(lid, lid), rec["page_index"],
+                shared.setdefault(label, label), rec["is_first_page"], tokens)
+
+
+def _shared_tokens(tokens, shared: dict) -> list | None:
+    """A new list of the ``shared`` strings equal to ``tokens`` (adding
+    those not seen before), or None when ``tokens`` is not a list of
+    str."""
+    if type(tokens) is not list or not all(
+            type(token) is str for token in tokens):
+        return None
+    return list(map(shared.setdefault, tokens, tokens))
+
+
+def _page_fault(rec) -> str | None:
+    """What makes a decoded ``pages.jsonl`` line not a page row, or None
+    when it is one (``text_tokens`` aside)."""
+    if type(rec) is not dict:
+        return "not a JSON object"
+    for name, kind in _PAGE_FIELDS:
+        value = rec.get(name)
+        if type(value) is not kind:
+            if name not in rec:
+                return f"{name} is missing"
+            return (f"{name} must be {_JSON_KINDS[kind]}, "
+                    f"not {_JSON_KINDS[type(value)]}")
+    return None
+
+
 def load_corpus(root) -> Corpus:
+    """Reads and checks a corpus saved by :func:`save_corpus`; see the
+    module docstring for how it is held in memory."""
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise CorpusError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    splits = _read_manifest(manifest_path)
     corpus: Corpus = {}
     seen: dict[str, str] = {}
+    shared: dict[str, str] = {}  # each distinct string of pages.jsonl, once
     for split in SPLITS:
-        ids = manifest["splits"].get(split, [])
+        ids = splits.get(split, [])
         for lid in ids:
             if lid in seen:
                 raise CorpusError(f"lawsuit {lid} appears in both "
@@ -203,20 +302,13 @@ def load_corpus(root) -> Corpus:
                 raise CorpusError(f"missing pages file: {pages_path}")
             corpus[split] = []
             continue
-        with open(pages_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                rec = json.loads(line)
-                lid = rec["lawsuit_id"]
-                if lid not in lawsuits:
-                    raise CorpusError(f"{pages_path}:{lineno}: lawsuit {lid} "
-                                      "not in manifest")
-                lawsuits[lid].pages.append(Page(
-                    lawsuit_id=lid,
-                    page_index=rec["page_index"],
-                    label=rec["label"],
-                    is_first_page=rec["is_first_page"],
-                    text_tokens=rec.get("text_tokens"),
-                ))
+        with open(pages_path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                page = _page(raw, pages_path, lineno, shared)
+                if page.lawsuit_id not in lawsuits:
+                    raise CorpusError(f"{pages_path}:{lineno}: lawsuit "
+                                      f"{page.lawsuit_id} not in manifest")
+                lawsuits[page.lawsuit_id].pages.append(page)
         for lawsuit in lawsuits.values():
             lawsuit.pages.sort(key=lambda p: p.page_index)
         pages = {(p.lawsuit_id, p.page_index): p
@@ -238,7 +330,7 @@ def load_corpus(root) -> Corpus:
                 if getattr(page, attr) is not None:
                     raise CorpusError(f"{idx_path}: page {page_index} of "
                                       f"lawsuit {lid} has two rows")
-                setattr(page, attr, rows[row].copy())
+                setattr(page, attr, rows[row])
         split_lawsuits = []
         for lid in ids:
             lawsuit = lawsuits[lid]

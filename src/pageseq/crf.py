@@ -7,11 +7,11 @@ recursion once for the whole batch over a padded view.  Forward-backward
 works in probability space with per-step scaling, so each step is one
 small GEMM; its domain is a step that keeps some surviving path within
 ~700 nats of the largest scores, and it raises ``ValueError`` outside
-it.  :func:`forward_log_partition` and :func:`viterbi_decode` stay in
-log space and have no such limit.  :class:`CrfHead` holds the
-transition, start and stop scores: it is the CRF layer of the BiLSTM-CRF
-and of :class:`CrfModel`, which adds a linear emission map over F-dim
-input features and is what the fusion + CRF pipeline trains.
+it.  :func:`viterbi_decode` stays in log space and has no such limit.
+:class:`CrfHead` holds the transition, start and stop scores: it is the
+CRF layer of the BiLSTM-CRF and of :class:`CrfModel`, which adds a
+linear emission map over F-dim input features and is what the fusion +
+CRF pipeline trains.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .optim import Adam
-from .tensor import grid_positions, log_sum_exp, packing
+from .tensor import grid_positions, packing
 
 
 def sequence_score(emissions, transitions, start, stop, tags, lengths=None,
@@ -52,15 +52,6 @@ def _weights(packed, weights):
     w = (np.ones(packed.lengths.size) if weights is None
          else np.asarray(weights, dtype=np.float64))
     return w, np.repeat(w, packed.lengths)
-
-
-def forward_log_partition(emissions, transitions, start, stop):
-    """log sum over all K^T paths of exp(score), by the forward recursion."""
-    emissions = np.asarray(emissions)
-    alpha = start + emissions[0]
-    for t in range(1, emissions.shape[0]):
-        alpha = emissions[t] + log_sum_exp(alpha[:, None] + transitions, axis=0)
-    return float(log_sum_exp(alpha + stop))
 
 
 def forward_backward(emissions, transitions, start, stop, lengths=None,

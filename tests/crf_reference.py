@@ -1,8 +1,9 @@
-"""CRF oracles: exhaustive path enumeration, and the forward-backward
-in log space.
+"""CRF oracles: exhaustive path enumeration, and the forward recursion
+and the forward-backward in log space.
 
 The brute-force routines enumerate all K^T tag paths, so they serve
-only small K and T.
+only small K and T.  :func:`forward_log_partition` is the textbook
+forward recursion over one sequence, with no length limit.
 
 ``crf.forward_backward`` used to run both recursions in log space over
 the padded (B, T_max, K) grid: one ``log_sum_exp`` over a (B, K, K)
@@ -51,6 +52,16 @@ def forward_backward(emissions, transitions, start, stop, lengths=None):
              + (emissions[pairs + 1] + betas[pairs + 1])[:, None, :])
     pairwise = np.exp(joint - row_log_z[pairs, :, None]).sum(axis=0)
     return unary, pairwise, float(log_z.sum())
+
+
+def forward_log_partition(emissions, transitions, start, stop):
+    """log sum over all K^T paths of exp(score), by the forward recursion
+    in log space, for one (T, K) sequence."""
+    emissions = np.asarray(emissions)
+    alpha = start + emissions[0]
+    for t in range(1, emissions.shape[0]):
+        alpha = emissions[t] + log_sum_exp(alpha[:, None] + transitions, axis=0)
+    return float(log_sum_exp(alpha + stop))
 
 
 def brute_force_log_partition(emissions, transitions, start, stop):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import pageseq
 from pageseq.checkpoint import load_checkpoint, save_checkpoint
 from pageseq.cli import main
+from test_corpus import BAD_MANIFESTS, BAD_PAGE_ROWS, edit_first_line
 
 TINY_SYNTH = ("synth.n_lawsuits=24\n"
               "synth.seed=3\n"
@@ -78,6 +80,31 @@ def test_audit_non_finite_embedding_exits_2(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == [
         f"{page.lawsuit_id}:{page.page_index}: image embedding has NaN or Inf"]
+
+
+@pytest.mark.parametrize("file, probe", [
+    *(pytest.param("train/pages.jsonl", probe, id=f"row-{probe}")
+      for probe in sorted(BAD_PAGE_ROWS)),
+    *(pytest.param("manifest.json", probe, id=f"manifest-{probe}")
+      for probe in sorted(BAD_MANIFESTS)),
+])
+def test_audit_bad_page_row_or_manifest_exits_2(workspace, tmp_path, capsys,
+                                                file, probe):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    path = corpus / file
+    if file == "manifest.json":
+        edit, message = BAD_MANIFESTS[probe]
+        path.write_bytes(edit(path.read_bytes()))
+        where = f"{path}: {message}"
+    else:
+        edit, message = BAD_PAGE_ROWS[probe]
+        edit_first_line(path, edit)
+        where = f"{path}:1: {message}"
+    assert main(["audit", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {where}"), err
+    assert "Traceback" not in err
 
 
 def test_train_writes_run_files(workspace):

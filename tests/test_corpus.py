@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,16 +31,83 @@ def test_save_load_round_trip(tmp_path):
                 assert pa.label == pb.label
                 assert pa.is_first_page == pb.is_first_page
                 assert pa.text_tokens == pb.text_tokens
-                if pa.text_embedding is None:
-                    assert pb.text_embedding is None
-                else:
-                    np.testing.assert_array_equal(pa.text_embedding,
-                                                  pb.text_embedding)
-                if pa.image_embedding is None:
-                    assert pb.image_embedding is None
-                else:
-                    np.testing.assert_array_equal(pa.image_embedding,
-                                                  pb.image_embedding)
+                for attr in ("text_embedding", "image_embedding"):
+                    want, got = getattr(pa, attr), getattr(pb, attr)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got.dtype == want.dtype
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+
+
+def test_loaded_tokens_are_shared_across_pages_and_splits(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+    loaded = load_corpus(tmp_path)
+    first: dict[str, str] = {}
+    counts = Counter()
+    for split in loaded:
+        for page in iter_pages(loaded, split):
+            for token in page.text_tokens or ():
+                assert first.setdefault(token, token) is token
+                counts[token, split] += 1
+    # the check above is not vacuous: tokens repeat within and across splits
+    assert max(counts.values()) > 1
+    assert len({token for token, _ in counts}) < len(counts)
+    lists = [page.text_tokens for split in loaded
+             for page in iter_pages(loaded, split) if page.text_tokens]
+    assert len({id(tokens) for tokens in lists}) == len(lists)
+
+
+def test_loaded_embeddings_are_rows_of_one_block(tmp_path):
+    corpus = small_corpus()
+    save_corpus(corpus, tmp_path)
+    loaded = load_corpus(tmp_path)
+    blocks = []
+    for split in loaded:
+        for attr in ("text_embedding", "image_embedding"):
+            rows = [getattr(p, attr) for p in iter_pages(loaded, split)
+                    if getattr(p, attr) is not None]
+            block = rows[0].base
+            assert block.ndim == 2 and block.shape[0] == len(rows)
+            assert block.flags.writeable and block.dtype == np.float32
+            assert all(row.base is block and np.shares_memory(row, block)
+                       for row in rows)
+            blocks.append(block)
+            before = [row.copy() for row in rows]
+            rows[0][:] = 99.0
+            assert all(np.array_equal(row, want)
+                       for row, want in zip(rows[1:], before[1:]))
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(blocks) for b in blocks[i + 1:])
+
+
+def _traced_size(make):
+    """What ``make()`` returns, and the traced bytes that stay allocated."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    made = make()
+    gc.collect()
+    return made, tracemalloc.get_traced_memory()[0] - before
+
+
+def test_loaded_corpus_is_about_as_small_as_generated(tmp_path):
+    # Per-token strings or per-page embedding copies roughly double the
+    # loaded corpus; this bound keeps either from coming back.
+    config = SynthConfig(n_lawsuits=12, seed=11)
+    generate_synthetic(config)  # first-call allocations are not the corpus
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        corpus, generated = _traced_size(lambda: generate_synthetic(config))
+        save_corpus(corpus, tmp_path)
+        del corpus
+        _, loaded = _traced_size(lambda: load_corpus(tmp_path))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert loaded <= 1.3 * generated, (loaded, generated)
 
 
 def test_save_twice_is_byte_identical(tmp_path):
@@ -70,6 +139,130 @@ def test_duplicate_lawsuit_across_splits(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorpusError, match=dup):
         load_corpus(tmp_path)
+
+
+def edit_first_line(path, edit):
+    """Replaces line 1 of the file at ``path`` by ``edit(line)``."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(edit(first) + b"\n" + rest)
+
+
+def _rewrite_first_page_row(tmp_path, edit):
+    """Saves the small corpus with line 1 of train/pages.jsonl replaced
+    by ``edit(line)``; returns the file's path."""
+    save_corpus(small_corpus(), tmp_path)
+    path = tmp_path / "train" / "pages.jsonl"
+    edit_first_line(path, edit)
+    return path
+
+
+def _set_field(name, value):
+    def edit(line):
+        rec = json.loads(line)
+        rec[name] = value
+        return json.dumps(rec).encode("utf-8")
+    return edit
+
+
+def _drop_field(name):
+    def edit(line):
+        rec = json.loads(line)
+        del rec[name]
+        return json.dumps(rec).encode("utf-8")
+    return edit
+
+
+BAD_PAGE_ROWS = {
+    "truncated": (lambda line: line[:len(line) // 2], "not valid JSON"),
+    "list": (lambda line: b"[1, 2]", "not a JSON object"),
+    "str-page-index": (_set_field("page_index", "0"),
+                       "page_index must be an integer, not a string"),
+    "bool-page-index": (_set_field("page_index", False),
+                        "page_index must be an integer, not true or false"),
+    "int-tokens": (_set_field("text_tokens", 5),
+                   "text_tokens must be null or an array of strings"),
+    "int-token-items": (_set_field("text_tokens", [1, 2]),
+                        "text_tokens must be null or an array of strings"),
+    "str-first-page": (_set_field("is_first_page", "yes"),
+                       "is_first_page must be true or false, not a string"),
+    "int-lawsuit-id": (_set_field("lawsuit_id", 7),
+                       "lawsuit_id must be a string, not an integer"),
+    "null-label": (_set_field("label", None),
+                   "label must be a string, not null"),
+    "no-label": (_drop_field("label"), "label is missing"),
+    "not-utf8": (lambda line: line + b"\xff", "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_PAGE_ROWS))
+def test_bad_page_row_names_file_and_line(tmp_path, probe):
+    edit, message = BAD_PAGE_ROWS[probe]
+    path = _rewrite_first_page_row(tmp_path, edit)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == f"{path}:1: {message}"
+
+
+BAD_MANIFESTS = {
+    "truncated": (lambda text: text[:len(text) // 2], "not valid JSON"),
+    "not-utf8": (lambda text: b"\xff" + text, "not UTF-8 text"),
+    "list": (lambda text: b"[1, 2]", "not a JSON object"),
+    "int-splits": (lambda text: b'{"splits": 3}', "splits must be"),
+    "no-splits": (lambda text: b'{"train": []}', "splits must be"),
+    "str-split": (lambda text: b'{"splits": {"train": "suit-00000"}}',
+                  "splits must be"),
+    "int-id": (lambda text: b'{"splits": {"train": [1]}}', "splits must be"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_MANIFESTS))
+def test_bad_manifest_names_file(tmp_path, probe):
+    edit, message = BAD_MANIFESTS[probe]
+    save_corpus(small_corpus(), tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+def _tiny_corpus(root):
+    """One two-page lawsuit with tokens and no embedding rows."""
+    pages = [Page("L1", 0, "RE", True, text_tokens=["a", "b"]),
+             Page("L1", 1, "RE", False, text_tokens=["b"])]
+    save_corpus({"train": [Lawsuit("L1", pages)]}, root)
+
+
+def _load_or_fail_cleanly(root):
+    """Loads, or raises the CorpusError that the CLI reports as exit 2."""
+    try:
+        load_corpus(root)
+    except CorpusError:
+        pass
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "train/pages.jsonl"])
+def test_json_truncation_at_every_offset_fails_cleanly(tmp_path, name):
+    _tiny_corpus(tmp_path)
+    path = tmp_path / name
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        _load_or_fail_cleanly(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "train/pages.jsonl"])
+def test_json_byte_flip_at_every_offset_fails_cleanly(tmp_path, name):
+    _tiny_corpus(tmp_path)
+    path = tmp_path / name
+    blob = path.read_bytes()
+    rng = np.random.default_rng(14)
+    for offset in range(len(blob)):
+        for mask in (0xFF, int(rng.integers(1, 256))):
+            damaged = bytearray(blob)
+            damaged[offset] ^= mask
+            path.write_bytes(bytes(damaged))
+            _load_or_fail_cleanly(tmp_path)
 
 
 def test_bad_embedding_magic(tmp_path):
@@ -141,6 +334,19 @@ def test_page_with_two_index_rows_rejected(tmp_path):
 
     _rewrite_index(tmp_path / "train" / "image.idx.jsonl", duplicate_first)
     with pytest.raises(CorpusError, match="image.idx.jsonl.*two rows"):
+        load_corpus(tmp_path)
+
+
+def test_index_naming_a_row_twice_rejected(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+
+    def reuse_first_row(rows):
+        rows[1]["row"] = rows[0]["row"]
+        return rows
+
+    _rewrite_index(tmp_path / "train" / "text.idx.jsonl", reuse_first_row)
+    with pytest.raises(CorpusError,
+                       match="text.idx.jsonl:2: row 0 is named twice"):
         load_corpus(tmp_path)
 
 
