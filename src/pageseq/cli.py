@@ -30,7 +30,7 @@ from .experiments import fm_probability_sequences, seq_dataset, train_fm_crf
 from .fusion import (FusionConfig, FusionModule, corpus_embedding_dims,
                      embedding_arrays, fusion_grid, fusion_setup,
                      predict_fusion, train_fusion)
-from .iob import CLASSES, IOB_TAGS
+from .iob import CLASSES, IOB_TAGS, iob_collapse, iob_encode
 from .metrics import score, score_by_first_page
 from .model_base import load_named
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
@@ -145,8 +145,7 @@ def _saved_log(run, log):
 
 def _page_tags(pages, preds):
     """The IOB tags of page labels, from the pages' first-page flags."""
-    return [("B-" if p.is_first_page else "I-") + c
-            for p, c in zip(pages, preds)]
+    return iob_encode(preds, [p.is_first_page for p in pages])
 
 
 def _fusion_grid(run):
@@ -365,7 +364,7 @@ def _predictions(args, corpus, split):
     model = _restore(args.model_checkpoint, params, meta, family, aux)
     pages = list(iter_pages(corpus, split))
     tags = family.predict(model, aux, corpus, split, pages)
-    return ([p.label for p in pages], [t[2:] for t in tags], tags,
+    return ([p.label for p in pages], iob_collapse(tags), tags,
             [p.is_first_page for p in pages])
 
 

@@ -13,6 +13,12 @@ modality tag, u32 dim, u32 row count, then little-endian float32 rows.
 Row order is defined by the sibling JSONL index
 (lawsuit_id, page_index, row).
 
+A ``pages.jsonl`` row holds lawsuit_id, page_index, label,
+is_first_page and either ``text_tokens`` (an array of strings) or raw
+OCR ``text`` (a string, tokenised on load by
+:func:`pageseq.text.normalize_text`); both null, or absent, means the
+page has no text.  :func:`save_corpus` writes ``text_tokens``.
+
 In memory, a loaded corpus holds each distinct token once:
 :func:`load_corpus` maps every token (and every label and lawsuit id of
 ``pages.jsonl``) to one shared ``str`` across all pages and splits, and
@@ -36,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .iob import CLASSES
+from .text import normalize_text
 
 SPLITS = ["train", "validation", "test"]
 EMB_MAGIC = b"PSEQEMB1"
@@ -240,7 +247,15 @@ def _page(raw: bytes, path, lineno, shared: dict) -> Page:
     fault = _page_fault(rec)
     if fault:
         raise CorpusError(f"{path}:{lineno}: {fault}")
-    tokens = rec.get("text_tokens")
+    tokens, text = rec.get("text_tokens"), rec.get("text")
+    if text is not None:
+        if type(text) is not str:
+            raise CorpusError(f"{path}:{lineno}: text must be null or a "
+                              f"string, not {_JSON_KINDS[type(text)]}")
+        if tokens is not None:
+            raise CorpusError(f"{path}:{lineno}: a page has text or "
+                              "text_tokens, not both")
+        tokens = normalize_text(text)
     if tokens is not None:
         tokens = _shared_tokens(tokens, shared)
         if tokens is None:
@@ -263,7 +278,7 @@ def _shared_tokens(tokens, shared: dict) -> list | None:
 
 def _page_fault(rec) -> str | None:
     """What makes a decoded ``pages.jsonl`` line not a page row, or None
-    when it is one (``text_tokens`` aside)."""
+    when it is one (``text`` and ``text_tokens`` aside)."""
     if type(rec) is not dict:
         return "not a JSON object"
     for name, kind in _PAGE_FIELDS:

@@ -37,15 +37,20 @@ SMALL_TEXT_CNN = TextCnnConfig(max_tokens=60, embed_dim=32, filters_per_size=32,
 def concat_features(pages, fm: FusionModule):
     """Concatenated text+image embeddings with the FM's missing vectors."""
     c = fm.config
-    out = np.zeros((len(pages), c.concat_dim), dtype=np.float32)
-    for i, page in enumerate(pages):
-        t = page.text_embedding if page.text_embedding is not None \
-            else fm.missing_text
-        im = page.image_embedding if page.image_embedding is not None \
-            else fm.missing_image
-        out[i, : c.text_dim] = t
-        out[i, c.text_dim :] = im
-    return out
+    x = fm.concat(*embedding_arrays(pages, c.text_dim, c.image_dim)[:4])
+    return x.astype(np.float32, copy=False)
+
+
+def _fm_sequences(lawsuits, fm: FusionModule, features, dtype):
+    """Per lawsuit: ``features`` (``fm.concat``, ``fm.hidden`` or
+    ``fm.predict_probs``) of its pages as ``dtype``, and its IOB tag ids."""
+    c = fm.config
+    items = []
+    for lawsuit in lawsuits:
+        arrays = embedding_arrays(lawsuit.pages, c.text_dim, c.image_dim)
+        items.append((features(*arrays[:4]).astype(dtype, copy=False),
+                      lawsuit_tag_ids(lawsuit)))
+    return items
 
 
 def seq_dataset(corpus, fm: FusionModule, kind: str):
@@ -54,33 +59,16 @@ def seq_dataset(corpus, fm: FusionModule, kind: str):
     ``kind`` is "hidden" (FM first-FC activations) or "concat"
     (text+image embeddings with FM missing substitution).
     """
-    out = {}
-    for split in corpus:
-        items = []
-        for lawsuit in corpus[split]:
-            pages = lawsuit.pages
-            if kind == "concat":
-                x = concat_features(pages, fm)
-            elif kind == "hidden":
-                text, image, tmask, imask, _ = embedding_arrays(
-                    pages, fm.config.text_dim, fm.config.image_dim)
-                x = fm.hidden(text, image, tmask, imask).astype(np.float32)
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-            items.append((x, lawsuit_tag_ids(lawsuit)))
-        out[split] = items
-    return out
+    features = {"concat": fm.concat, "hidden": fm.hidden}.get(kind)
+    if features is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return {split: _fm_sequences(corpus[split], fm, features, np.float32)
+            for split in corpus}
 
 
 def fm_probability_sequences(corpus, fm: FusionModule, split):
     """Per-lawsuit FM softmax outputs (T, 6) plus IOB tag ids."""
-    items = []
-    for lawsuit in corpus[split]:
-        text, image, tmask, imask, _ = embedding_arrays(
-            lawsuit.pages, fm.config.text_dim, fm.config.image_dim)
-        probs = fm.predict_probs(text, image, tmask, imask)
-        items.append((probs.astype(np.float64), lawsuit_tag_ids(lawsuit)))
-    return items
+    return _fm_sequences(corpus[split], fm, fm.predict_probs, np.float64)
 
 
 def train_fm_crf(corpus, fm: FusionModule, epochs=80, lr=0.08, l2=1e-4):

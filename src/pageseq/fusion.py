@@ -2,8 +2,8 @@
 
 The fusion module concatenates per-page text and image embeddings,
 substituting a learned vector (or zeros) when a modality is absent, and
-classifies through batch-norm and two FC layers.  Also here: the
-unimodal embedding classifier used for image-only baselines, the hybrid
+classifies through the MLP trunk (batch-norm and two FC layers) that the
+image-only baseline uses on one modality.  Also here: the hybrid
 classifier, the always-missing-image ablation and the majority baseline.
 """
 
@@ -47,110 +47,18 @@ class FusionConfig:
         return f"FM-{self.hidden}{suffix}"
 
 
-class FusionModule(ModelBase):
-    """concat -> BN -> FC(d) -> dropout -> BN -> FC(classes)."""
-
-    def __init__(self, config: FusionConfig, seed=0, dtype=DEFAULT_DTYPE):
-        self.config = config
-        rngs = RngState(seed)
-        init = rngs.consumer("fusion-init")
-        c = config
-        # zero init: learned and zero variants start from the same point
-        self.missing_text = np.zeros(c.text_dim, dtype=dtype)
-        self.missing_image = np.zeros(c.image_dim, dtype=dtype)
-        self.g_missing_text = np.zeros_like(self.missing_text)
-        self.g_missing_image = np.zeros_like(self.missing_image)
-        self.bn0 = BatchNorm1d(c.concat_dim, dtype=dtype)
-        self.fc1 = Linear(c.concat_dim, c.hidden, init, dtype)
-        self.dropout = Dropout(c.dropout, rngs.consumer("fusion-dropout"))
-        self.bn1 = BatchNorm1d(c.hidden, dtype=dtype)
-        self.fc2 = Linear(c.hidden, c.classes, init, dtype, w_scale=1e-3)
-        self._masks = None
-
-    def _children(self):
-        return {"bn0": self.bn0, "fc1": self.fc1, "bn1": self.bn1,
-                "fc2": self.fc2}
-
-    def _extra_params(self):
-        return {"missing_text": self.missing_text,
-                "missing_image": self.missing_image}
-
-    def _extra_grads(self):
-        return {"missing_text": self.g_missing_text,
-                "missing_image": self.g_missing_image}
-
-    def _substitute(self, emb, present, missing_vec, dim):
-        b = present.shape[0]
-        if emb is None:
-            emb = np.zeros((b, dim), dtype=missing_vec.dtype)
-        if emb.shape != (b, dim):
-            raise ValueError(f"embedding shape {emb.shape} != ({b}, {dim})")
-        return np.where(present[:, None], emb, missing_vec)
-
-    def forward(self, text, image, text_present, image_present, train=False,
-                force_missing_image=False):
-        """Logits for a batch; absent modalities are substituted.
-
-        ``text``/``image`` rows where the matching mask is False are
-        ignored.  ``force_missing_image`` runs the "w/o img acts"
-        ablation: every sample uses the missing-image vector.
-        """
-        text_present = np.asarray(text_present, dtype=bool)
-        image_present = np.asarray(image_present, dtype=bool)
-        if force_missing_image:
-            image_present = np.zeros_like(image_present)
-            if not text_present.all():
-                raise ValueError("fusion w/o image acts requires text on "
-                                 "every sample")
-        if np.any(~text_present & ~image_present):
-            raise ValueError("sample with both modalities missing")
-        c = self.config
-        tvec = self._substitute(text, text_present, self.missing_text, c.text_dim)
-        ivec = self._substitute(image, image_present, self.missing_image,
-                                c.image_dim)
-        x = np.concatenate([tvec, ivec], axis=1)
-        h = self.fc1.forward(self.bn0.forward(x, train=train), train=train)
-        self._hidden = h
-        self._masks = (text_present, image_present)
-        out = self.bn1.forward(self.dropout.forward(h, train=train), train=train)
-        return self.fc2.forward(out, train=train)
-
-    def backward(self, dlogits):
-        g = self.dropout.backward(self.bn1.backward(self.fc2.backward(dlogits)))
-        g = self.bn0.backward(self.fc1.backward(g))
-        if self.config.missing_mode == "learned":
-            text_present, image_present = self._masks
-            dt = g[:, : self.config.text_dim]
-            di = g[:, self.config.text_dim :]
-            if np.any(~text_present):
-                self.g_missing_text += dt[~text_present].sum(axis=0)
-            if np.any(~image_present):
-                self.g_missing_image += di[~image_present].sum(axis=0)
-        return g
-
-    def predict_probs(self, text, image, text_present, image_present,
-                      force_missing_image=False):
-        logits = self.forward(text, image, text_present, image_present,
-                              train=False,
-                              force_missing_image=force_missing_image)
-        return softmax(logits, axis=1)
-
-    def hidden(self, text, image, text_present, image_present):
-        """FC(d) activations in eval mode (the BiLSTM input features)."""
-        self.forward(text, image, text_present, image_present, train=False)
-        return self._hidden
-
-
 class MlpClassifier(ModelBase):
-    """Single-modality analogue of the fusion module (BN-FC-BN-FC)."""
+    """BN-FC-dropout-BN-FC: the image-only baseline and the FM trunk."""
+
+    stream = "mlp"  # names the rng consumers "<stream>-init", "-dropout"
 
     def __init__(self, input_dim, hidden, classes=6, dropout=0.5, seed=0,
                  dtype=DEFAULT_DTYPE):
         rngs = RngState(seed)
-        init = rngs.consumer("mlp-init")
+        init = rngs.consumer(f"{self.stream}-init")
         self.bn0 = BatchNorm1d(input_dim, dtype=dtype)
         self.fc1 = Linear(input_dim, hidden, init, dtype)
-        self.dropout = Dropout(dropout, rngs.consumer("mlp-dropout"))
+        self.dropout = Dropout(dropout, rngs.consumer(f"{self.stream}-dropout"))
         self.bn1 = BatchNorm1d(hidden, dtype=dtype)
         self.fc2 = Linear(hidden, classes, init, dtype, w_scale=1e-3)
         self._layers = [self.bn0, self.fc1, self.dropout, self.bn1, self.fc2]
@@ -169,8 +77,92 @@ class MlpClassifier(ModelBase):
             grad = layer.backward(grad)
         return grad
 
-    def predict_probs(self, x):
-        return softmax(self.forward(x, train=False), axis=1)
+    def predict_probs(self, *inputs, **options):
+        return softmax(self.forward(*inputs, train=False, **options), axis=1)
+
+
+class FusionModule(MlpClassifier):
+    """The MLP trunk over [text; image] with missing-modality vectors."""
+
+    stream = "fusion"
+
+    def __init__(self, config: FusionConfig, seed=0, dtype=DEFAULT_DTYPE):
+        c = self.config = config
+        super().__init__(c.concat_dim, c.hidden, c.classes, c.dropout, seed,
+                         dtype)
+        # zero init: learned and zero variants start from the same point
+        self.missing_text = np.zeros(c.text_dim, dtype=dtype)
+        self.missing_image = np.zeros(c.image_dim, dtype=dtype)
+        self.g_missing_text = np.zeros_like(self.missing_text)
+        self.g_missing_image = np.zeros_like(self.missing_image)
+        self._masks = None
+
+    def _extra_params(self):
+        return {"missing_text": self.missing_text,
+                "missing_image": self.missing_image}
+
+    def _extra_grads(self):
+        return {"missing_text": self.g_missing_text,
+                "missing_image": self.g_missing_image}
+
+    def concat(self, text, image, text_present, image_present,
+               force_missing_image=False):
+        """Rows [text; image] with the missing vector where the mask is
+        False (either input may then be None).  ``force_missing_image``
+        runs the "w/o img acts" ablation: no sample uses its image.
+        """
+        text_present = np.asarray(text_present, dtype=bool)
+        image_present = np.asarray(image_present, dtype=bool)
+        if force_missing_image:
+            image_present = np.zeros_like(image_present)
+            if not text_present.all():
+                raise ValueError("fusion w/o image acts requires text on "
+                                 "every sample")
+        if np.any(~text_present & ~image_present):
+            raise ValueError("sample with both modalities missing")
+        parts = []
+        for emb, present, missing in ((text, text_present, self.missing_text),
+                                      (image, image_present,
+                                       self.missing_image)):
+            shape = (len(present), len(missing))
+            if emb is None:
+                emb = np.zeros(shape, dtype=missing.dtype)
+            if emb.shape != shape:
+                raise ValueError(f"embedding shape {emb.shape} != {shape}")
+            parts.append(emb)
+        # one copy, then only the absent rows are overwritten
+        x = np.concatenate(parts, axis=1,
+                           dtype=np.result_type(*parts, self.missing_text))
+        x[~text_present, :self.config.text_dim] = self.missing_text
+        x[~image_present, self.config.text_dim:] = self.missing_image
+        return x
+
+    def forward(self, text, image, text_present, image_present, train=False,
+                force_missing_image=False):
+        """Logits of the trunk over :meth:`concat`."""
+        x = self.concat(text, image, text_present, image_present,
+                        force_missing_image)
+        # the rows that took a missing vector, for backward
+        self._masks = (np.asarray(text_present, dtype=bool),
+                       np.asarray(image_present, dtype=bool)
+                       & (not force_missing_image))
+        return super().forward(x, train=train)
+
+    def backward(self, dlogits):
+        g = super().backward(dlogits)
+        if self.config.missing_mode == "learned":
+            text_present, image_present = self._masks
+            d = self.config.text_dim
+            if np.any(~text_present):
+                self.g_missing_text += g[~text_present, :d].sum(axis=0)
+            if np.any(~image_present):
+                self.g_missing_image += g[~image_present, d:].sum(axis=0)
+        return g
+
+    def hidden(self, text, image, text_present, image_present):
+        """FC(d) activations in eval mode (the BiLSTM input features)."""
+        x = self.concat(text, image, text_present, image_present)
+        return self.fc1.forward(self.bn0.forward(x, train=False), train=False)
 
 
 class HybridClassifier:
@@ -213,21 +205,21 @@ def embedding_arrays(pages, text_dim, image_dim):
     n = len(pages)
     text = np.zeros((n, text_dim), dtype=np.float32)
     image = np.zeros((n, image_dim), dtype=np.float32)
-    tmask = np.zeros(n, dtype=bool)
-    imask = np.zeros(n, dtype=bool)
-    targets = np.zeros(n, dtype=np.int64)
+    tmask, imask = [], []
     for i, page in enumerate(pages):
-        if page.text_embedding is not None:
-            text[i] = page.text_embedding
-            tmask[i] = True
-        if page.image_embedding is not None:
-            image[i] = page.image_embedding
-            imask[i] = True
-        if not tmask[i] and not imask[i]:
+        t, im = page.text_embedding, page.image_embedding
+        if t is None and im is None:
             raise ValueError(f"{page.lawsuit_id}:{page.page_index}: "
                              "no embedding on either modality")
-        targets[i] = CLASS_TO_ID[page.label]
-    return text, image, tmask, imask, targets
+        if t is not None:
+            text[i] = t
+        if im is not None:
+            image[i] = im
+        tmask.append(t is not None)
+        imask.append(im is not None)
+    targets = np.array([CLASS_TO_ID[p.label] for p in pages], dtype=np.int64)
+    return (text, image, np.array(tmask, dtype=bool),
+            np.array(imask, dtype=bool), targets)
 
 
 def corpus_embedding_dims(corpus):

@@ -2,29 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
-class ClassWeights:
-    """Per-class loss factors w_i = n / (c * f_i)."""
-
-    counts: np.ndarray
-    weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        f = np.asarray(self.counts, dtype=np.float64)
-        if f.size == 0 or np.any(f <= 0):
-            raise ValueError("every class count must be positive")
-        self.counts = f
-        n = f.sum()
-        self.weights = n / (len(f) * f)
-
-
 def class_weights(counts) -> np.ndarray:
-    return ClassWeights(counts).weights
+    """Per-class loss factors w_i = n / (c * f_i) of the class counts f."""
+    f = np.asarray(counts, dtype=np.float64)
+    if f.size == 0 or np.any(f <= 0):
+        raise ValueError("every class count must be positive")
+    return f.sum() / (len(f) * f)
 
 
 def cross_entropy(logits, targets, weights=None):

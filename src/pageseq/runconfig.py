@@ -94,7 +94,11 @@ def apply_section(instance, section: str, config: dict):
         try:
             post()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            # a message that starts with a field name names the key
+            message = str(exc)
+            if message.split(" ", 1)[0] in fields:
+                message = prefix + message
+            raise ConfigError(message) from exc
     return used
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,13 +56,40 @@ class SynthConfig:
     split_fractions: tuple = (0.70, 0.15, 0.15)
 
     def __post_init__(self):
-        for rate in (self.missing_text_rate, self.missing_image_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"missing-modality rate {rate} outside [0, 1]")
-        if abs(sum(self.class_freq) - 1.0) > 1e-9:
-            raise ValueError("class_freq must sum to 1")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ValueError("split_fractions must sum to 1")
+        """Raises ``ValueError`` naming the first field out of range."""
+        def need(name, ok, want):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got "
+                                 f"{getattr(self, name)!r}")
+
+        def shares(values, n):
+            return len(values) == n and all(0 <= v <= 1 for v in values) \
+                and abs(sum(values) - 1.0) <= 1e-9
+
+        k = len(CLASSES)
+        need("seed", self.seed >= 0, "at least 0")
+        for name in ("n_lawsuits", "max_doc_len", "text_dim", "image_dim",
+                     "keywords_per_class", "filler_vocab"):
+            need(name, getattr(self, name) >= 1, "at least 1")
+        for name in ("markov_structure", "missing_text_rate",
+                     "missing_image_rate", "keyword_rate_first",
+                     "keyword_rate_interior", "keyword_confusion"):
+            need(name, 0 <= getattr(self, name) <= 1, "in [0, 1]")
+        for name in ("docs_per_lawsuit_mean", "text_noise", "image_noise",
+                     "tokens_per_page"):
+            need(name, 0 <= getattr(self, name) < math.inf,
+                 "finite and at least 0")
+        for name in ("text_strength_first", "text_strength_interior",
+                     "image_strength_first", "image_strength_interior",
+                     "first_page_boost"):
+            need(name, math.isfinite(getattr(self, name)), "finite")
+        need("class_freq", shares(self.class_freq, k),
+             f"{k} page shares in [0, 1] that sum to 1")
+        need("doc_len_mean", len(self.doc_len_mean) == k and all(
+            1 <= m < math.inf for m in self.doc_len_mean),
+            f"{k} finite mean lengths of at least 1")
+        need("split_fractions", shares(self.split_fractions, 3),
+             "3 fractions in [0, 1] that sum to 1")
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")

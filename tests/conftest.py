@@ -6,6 +6,13 @@ import pageseq  # noqa: F401  isort:skip
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same bounded examples on every run, so the
+# suite stays deterministic and quick
+settings.register_profile("pageseq", derandomize=True, database=None,
+                          max_examples=40, deadline=None)
+settings.load_profile("pageseq")
 
 
 def central_diff(fn, arr, coords, h=1e-5):

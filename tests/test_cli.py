@@ -58,6 +58,25 @@ def test_gen_synth_unknown_key(tmp_path, capsys):
     assert "synth.banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_lawsuits", "-5"),
+    ("image_noise", "nan"),
+    ("max_doc_len", "0"),
+    ("class_freq", "0.5,0.5"),
+    ("doc_len_mean", "0,0,0,0,0,0"),
+])
+def test_gen_synth_out_of_range_value_names_the_key(tmp_path, capsys, key,
+                                                    value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"synth.{key}={value}\n")
+    code = main(["gen-synth", "--config", str(cfg),
+                 "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"config error: synth.{key} must be "), err
+    assert not (tmp_path / "c").exists()
+
+
 def test_audit_clean(workspace, capsys):
     assert main(["audit", "--corpus", str(workspace / "corpus")]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ from pageseq.corpus import (CorpusError, Lawsuit, Page, audit_splits,
                             iter_pages, load_corpus, save_corpus)
 from pageseq.synth import (SynthConfig, doc_type_distribution,
                            generate_synthetic, markov_matrix)
+from pageseq.text import normalize_text
 
 
 def small_corpus(**kw):
@@ -191,6 +192,11 @@ BAD_PAGE_ROWS = {
                    "label must be a string, not null"),
     "no-label": (_drop_field("label"), "label is missing"),
     "not-utf8": (lambda line: line + b"\xff", "not UTF-8 text"),
+    "int-text": (_set_field("text", 5),
+                 "text must be null or a string, not an integer"),
+    "text-and-tokens": (lambda line: _set_field("text", "lei")(
+        _set_field("text_tokens", ["lei"])(line)),
+        "a page has text or text_tokens, not both"),
 }
 
 
@@ -224,6 +230,28 @@ def test_bad_manifest_names_file(tmp_path, probe):
     with pytest.raises(CorpusError) as info:
         load_corpus(tmp_path)
     assert str(info.value).startswith(f"{path}: {message}")
+
+
+def test_page_text_is_tokenised_on_load(tmp_path):
+    """A row with raw ``text`` and null or absent ``text_tokens`` loads
+    with ``normalize_text(text)`` as its tokens, as shared strings."""
+    raw = "Recurso extraordinário: vide Lei 11.419 e o recurso"
+    _tiny_corpus(tmp_path)
+    path = tmp_path / "train" / "pages.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["text_tokens"] = None
+    rows[0]["text"] = raw
+    del rows[1]["text_tokens"]
+    rows[1]["text"] = raw.upper()
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    pages = load_corpus(tmp_path)["train"][0].pages
+    assert pages[0].text_tokens == normalize_text(raw)
+    assert pages[0].text_tokens == ["recurso", "extraordinário", "vide",
+                                    "LEI_11419", "recurso"]
+    assert pages[1].text_tokens == pages[0].text_tokens
+    assert all(a is b for a, b in zip(pages[0].text_tokens,
+                                      pages[1].text_tokens))
+    assert pages[0].text_tokens[0] is pages[0].text_tokens[-1]
 
 
 def _tiny_corpus(root):

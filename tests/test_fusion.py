@@ -1,12 +1,17 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pageseq import cli
+from pageseq.checkpoint import load_checkpoint
 from pageseq.corpus import Page, iter_pages
 from pageseq.fusion import (FusionConfig, FusionModule, HybridClassifier,
                             MajorityBaseline, MlpClassifier,
                             corpus_embedding_dims, embedding_arrays,
                             evaluate_fusion, fusion_grid, train_fusion)
-from pageseq.experiments import train_unimodal_mlp
+from pageseq.experiments import concat_features, train_unimodal_mlp
 from pageseq.iob import CLASSES
 from pageseq.losses import cross_entropy
 from pageseq.synth import SynthConfig, generate_synthetic
@@ -134,6 +139,21 @@ def test_embedding_arrays_masks():
     assert tmask.tolist() == [True, False]
     assert imask.tolist() == [True, True]
     assert targets.tolist() == [CLASSES.index("RE"), CLASSES.index("ARE")]
+    # concat_features: each row is the page's embedding or the missing vector
+    pages.append(Page("s", 2, "RE", False,
+                      text_embedding=np.full(4, 3.0, dtype=np.float32)))
+    fm = FusionModule(FusionConfig(text_dim=4, image_dim=3, hidden=5))
+    fm.missing_text[...] = [-1, -2, -3, -4]
+    fm.missing_image[...] = [-5, -6, -7]
+    x = concat_features(pages, fm)
+    assert x.dtype == np.float32
+    for row, page in zip(x, pages):
+        for got, emb, missing in ((row[:4], page.text_embedding,
+                                   fm.missing_text),
+                                  (row[4:], page.image_embedding,
+                                   fm.missing_image)):
+            np.testing.assert_array_equal(
+                got, missing if emb is None else emb)
 
 
 def test_train_fusion_end_to_end_and_grid():
@@ -204,3 +224,45 @@ def test_mlp_classifier_shapes(rng):
     probs = model.predict_probs(x)
     assert probs.shape == (5, 6)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+def _state_sha256(state):
+    digest = hashlib.sha256()
+    for name, value in state.items():
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+def test_checkpoint_of_the_fusion_trunk_of_its_own_loads():
+    """``data/fusion_parent.ckpt`` was written by pageseq at d19eb0c, when
+    ``FusionModule`` built a trunk of its own, from that model with every
+    entry perturbed (missing vectors and BN running stats included).  Its
+    meta holds what that model gave on a batch with missing-text and
+    missing-image rows (eval logits, ``hidden``, probabilities, then a
+    train-mode step), and the digests of the fresh seed-3
+    ``FusionModule`` and ``MlpClassifier`` states.  Restored through the
+    CLI, the shared trunk gives all of it bit for bit."""
+    path = Path(__file__).parent / "data" / "fusion_parent.ckpt"
+    params, meta = load_checkpoint(path)
+    model = cli._restore(path, params, meta, cli.FAMILIES[meta["model"]])
+    batch = (np.float32(meta["text"]), np.float32(meta["image"]),
+             np.array(meta["text_present"]), np.array(meta["image_present"]))
+    assert not batch[2].all() and not batch[3].all()
+    outputs = {"logits": model.forward(*batch), "hidden": model.hidden(*batch),
+               "probs": model.predict_probs(*batch),
+               "train_logits": model.forward(*batch, train=True)}
+    model.zero_grads()
+    model.backward(np.float32(meta["dlogits"]))
+    mlp = MlpClassifier(CFG.concat_dim, CFG.hidden, seed=3)
+    outputs["mlp_train_logits"] = mlp.forward(np.float32(meta["mlp_x"]),
+                                              train=True)
+    for name, got in outputs.items():
+        assert got.dtype == np.float32, name
+        np.testing.assert_array_equal(got, np.float32(meta[name]), name)
+    assert _state_sha256(model.named_grads()) == meta["grads_sha256"]
+    assert _state_sha256(FusionModule(CFG, seed=3).state_dict()) == \
+        meta["fresh_fusion_sha256"]
+    assert _state_sha256(MlpClassifier(CFG.concat_dim, CFG.hidden,
+                                       seed=3).state_dict()) == \
+        meta["fresh_mlp_sha256"]
