@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import __version__
 from . import crf as crf_ops
-from .checkpoint import CheckpointIOError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointIOError, load_checkpoint
 from .corpus import (SPLITS, CorpusError, audit_splits, iter_pages,
                      load_corpus, save_corpus)
 from .experiments import fm_probability_sequences, seq_dataset, train_fm_crf
@@ -32,7 +32,6 @@ from .fusion import (FusionConfig, FusionModule, corpus_embedding_dims,
                      predict_fusion, train_fusion)
 from .iob import CLASSES, IOB_TAGS, iob_collapse, iob_encode
 from .metrics import score, score_by_first_page
-from .model_base import load_named
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
 from .schedule import lr_range_test
@@ -99,7 +98,8 @@ def cmd_gen_synth(args):
         unused = set(file_cfg) - used
         if unused:
             raise ConfigError(f"unknown config key {sorted(unused)[0]!r}")
-    if args.seed is not None:
+    if args.seed is not None:  # synth.seed is checked with the config
+        _check_min(args.seed, 0, "--seed")
         config.seed = args.seed
     corpus = generate_synthetic(config)
     out = Path(args.out)
@@ -160,19 +160,6 @@ def _fusion_grid(run):
     return max(results.values())
 
 
-def _train_crf(run):
-    model, history = train_fm_crf(run.corpus, run.fm, epochs=run.epochs,
-                                  lr=run.lr)
-    save_checkpoint(run.out / "model.ckpt", model.params,
-                    {"model": "crf", "seed": run.seed,
-                     "fm_checkpoint": run.fm_checkpoint,
-                     "config": {"n_tags": model.n_tags,
-                                "n_features": model.n_features}})
-    (run.out / "train_log.jsonl").write_text(
-        "".join(json.dumps({"epoch": i, "nll": h}) + "\n"
-                for i, h in enumerate(history)), encoding="utf-8")
-
-
 def _seq_config(name, corpus, fm):
     config = SeqModelConfig(variant=name, input_dim=fm.config.hidden)
     if config.fusion_input:
@@ -191,7 +178,7 @@ class Family:
     model; FAMILIES maps each --model name to one."""
 
     config: Callable  # (name, corpus, fm) -> model config, or None
-    train: Callable  # (TrainRun) -> best validation macro-F1, or None
+    train: Callable  # (TrainRun) -> best validation macro-F1
     model: Callable  # (meta config, seed, vocab or fm) -> model to restore
     predict: Callable  # (model, vocab or fm, corpus, split, pages) -> tags
     lr: float  # --max-lr default
@@ -229,14 +216,17 @@ FUSION = Family(
     setup=lambda name, corpus, config, seed: fusion_setup(corpus, config,
                                                           seed),
     lr=5e-3, grid=_fusion_grid)
+# crf and the bilstm families batch lawsuits, the others pages
 FM_CRF = Family(
-    config=lambda name, corpus, fm: None, train=_train_crf,
+    config=lambda name, corpus, fm: None,
+    train=lambda run: _saved_log(run, train_fm_crf(
+        run.corpus, run.fm, batch_lawsuits=run.batch,
+        fm_checkpoint=run.fm_checkpoint, **_fit_kw(run))[-1]),
     model=lambda c, seed, _: crf_ops.CrfModel(**c),
     predict=lambda model, fm, corpus, split, pages: [
         IOB_TAGS[i] for feats, _ in fm_probability_sequences(corpus, fm, split)
         for i in model.decode(feats)[0]],
     lr=0.05, needs_fm=True)
-# a bilstm family batches lawsuits, the others pages
 SEQ = Family(
     config=_seq_config,
     train=lambda run: _saved_log(run, train_seq(
@@ -270,7 +260,7 @@ def _restore(path, params, meta, family, aux=None):
     file."""
     try:
         model = family.model(meta["config"], meta.get("seed", 0), aux)
-        load_named(model.state_dict(), params, type(model).__name__)
+        model.load_state(params)
     except (KeyError, TypeError, ValueError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         raise CheckpointIOError(f"{path}: {detail}") from None
@@ -300,33 +290,33 @@ def _load_vocab(args) -> Vocab:
 
 # -------------------------------------------------------------------- train
 
-def _train_settings(args, batch_default):
+def _train_settings(args, family):
     cfg = load_config(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else \
         section_value(cfg, "train.seed", 0)
     epochs = args.epochs if args.epochs is not None else \
         section_value(cfg, "train.epochs", 20)
     batch = args.batch_size if args.batch_size is not None else \
-        section_value(cfg, "train.batch_size", batch_default)
-    _check_batch(batch, "--batch-size" if args.batch_size is not None
-                 else "train.batch_size")
+        section_value(cfg, "train.batch_size", family.batch)
+    _check_min(batch, 2, "--batch-size" if args.batch_size is not None
+               else "train.batch_size")
+    _check_min(seed, 0, "--seed" if args.seed is not None else "train.seed")
     lr = args.max_lr if args.max_lr is not None else \
-        section_value(cfg, "train.lr", None, float)
+        section_value(cfg, "train.lr", family.lr)
     return cfg, seed, epochs, batch, lr
 
 
-def _check_batch(batch, option):
-    # a one-item step can give train-mode BatchNorm a single row
-    if batch < 2:
-        raise ConfigError(f"{option} must be at least 2, got {batch}")
+def _check_min(value, low, option):
+    # numpy seeds are >= 0; a one-item step gives BatchNorm a single row
+    if value < low:
+        raise ConfigError(f"{option} must be at least {low}, got {value}")
 
 
 def cmd_train(args):
     family = FAMILIES[args.model]
     if args.grid and family.grid is None:
         raise ConfigError(f"--grid needs a fusion model, not {args.model}")
-    cfg, seed, epochs, batch, lr = _train_settings(args, family.batch)
-    lr = lr if lr is not None else family.lr
+    cfg, seed, epochs, batch, lr = _train_settings(args, family)
     corpus = _load_corpus_checked(args.corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -336,16 +326,11 @@ def cmd_train(args):
                    args.fm_checkpoint, seed, epochs, batch, lr, out,
                    args.verbose)
     best = (family.grid if args.grid else family.train)(run)
-    resolved = {"train.model": args.model, "train.seed": seed,
-                "train.epochs": epochs, "train.batch_size": batch,
-                "train.corpus": str(args.corpus), "train.lr": lr}
-    for f_name, value in cfg.items():
-        resolved.setdefault(f_name, value)
-    _write_run_files(out, resolved)
-    if best is not None:
-        print(f"best validation macro-F1 {100 * best:.2f}")
-    else:
-        print("training done")
+    _write_run_files(out, {**cfg, "train.model": args.model,
+                           "train.seed": seed, "train.epochs": epochs,
+                           "train.batch_size": batch,
+                           "train.corpus": str(args.corpus), "train.lr": lr})
+    print(f"best validation macro-F1 {100 * best:.2f}")
     return EXIT_OK
 
 
@@ -404,14 +389,14 @@ def cmd_range_test(args):
     if args.lr_min >= args.lr_max:
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
-    _check_batch(args.batch_size, "--batch-size")
+    _check_min(args.batch_size, 2, "--batch-size")
+    _check_min(args.seed, 0, "--seed")
     cfg = load_config(args.config) if args.config else {}
     corpus = _load_corpus_checked(args.corpus)
-    seed = args.seed or 0
     config = _model_config(args.model, corpus, None, cfg)
     model, n, loss_fn = FAMILIES[args.model].setup(args.model, corpus,
-                                                   config, seed)
-    rng = RngState(seed).consumer("range-test-shuffle")
+                                                   config, args.seed)
+    rng = RngState(args.seed).consumer("range-test-shuffle")
 
     def batches():
         while True:
@@ -460,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int,
-                   help="pages per step, or lawsuits for the bilstm "
-                        "families (default 64 pages, 8 lawsuits)")
+                   help="pages per step, or lawsuits for crf and the "
+                        "bilstm families (default 64, or 8 lawsuits for "
+                        "bilstm)")
     p.add_argument("--max-lr", type=float)
     p.add_argument("--grid", action="store_true",
                    help="fusion only: run the four-config sweep")
@@ -495,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_range_test)

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .iob import CLASSES
+from .iob import CLASS_TO_ID, CLASSES
 from .text import normalize_text
 
 SPLITS = ["train", "validation", "test"]
@@ -288,6 +288,8 @@ def _page_fault(rec) -> str | None:
                 return f"{name} is missing"
             return (f"{name} must be {_JSON_KINDS[kind]}, "
                     f"not {_JSON_KINDS[type(value)]}")
+    if rec["label"] not in CLASS_TO_ID:
+        return f"unknown label {rec['label']!r}"
     return None
 
 
@@ -317,17 +319,20 @@ def load_corpus(root) -> Corpus:
                 raise CorpusError(f"missing pages file: {pages_path}")
             corpus[split] = []
             continue
+        pages = {}  # (lawsuit id, page index) -> page
         with open(pages_path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 page = _page(raw, pages_path, lineno, shared)
                 if page.lawsuit_id not in lawsuits:
                     raise CorpusError(f"{pages_path}:{lineno}: lawsuit "
                                       f"{page.lawsuit_id} not in manifest")
+                if (page.lawsuit_id, page.page_index) in pages:
+                    raise CorpusError(f"{pages_path}:{lineno}: repeats page "
+                                      f"{page.page_index} of {page.lawsuit_id}")
+                pages[page.lawsuit_id, page.page_index] = page
                 lawsuits[page.lawsuit_id].pages.append(page)
         for lawsuit in lawsuits.values():
             lawsuit.pages.sort(key=lambda p: p.page_index)
-        pages = {(p.lawsuit_id, p.page_index): p
-                 for lawsuit in lawsuits.values() for p in lawsuit.pages}
         for name, attr in (("text", "text_embedding"), ("image", "image_embedding")):
             emb_path = split_dir / f"{name}.emb"
             if not emb_path.exists():
@@ -352,7 +357,10 @@ def load_corpus(root) -> Corpus:
             if not lawsuit.pages:
                 raise CorpusError(f"manifest lists lawsuit {lid} with no pages "
                                   f"on disk under {split_dir}")
-            lawsuit.validate()
+            try:
+                lawsuit.validate()
+            except CorpusError as exc:
+                raise CorpusError(f"{pages_path}: {exc}") from None
             split_lawsuits.append(lawsuit)
         corpus[split] = split_lawsuits
     return corpus

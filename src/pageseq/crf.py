@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import Adam
-from .tensor import grid_positions, packing
+from .layers import Layer
+from .model_base import ModelBase
+from .tensor import RngState, grid_positions, packing
+from .training import fit
 
 
 def sequence_score(emissions, transitions, start, stop, tags, lengths=None,
@@ -182,18 +184,15 @@ def viterbi_decode(emissions, transitions, start, stop):
     return path.tolist(), float(final.max())
 
 
-class CrfHead:
+class CrfHead(Layer):
     """A linear-chain CRF's transition, start and stop scores (float64)
-    as a layer: ``params`` and ``grads`` by name, and ``zero_grads``."""
+    as a layer."""
 
     def __init__(self, n_tags):
-        self.params = {"transitions": np.zeros((n_tags, n_tags)),
-                       "start": np.zeros(n_tags), "stop": np.zeros(n_tags)}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0
+        super().__init__()
+        self._add_param("transitions", np.zeros((n_tags, n_tags)))
+        self._add_param("start", np.zeros(n_tags))
+        self._add_param("stop", np.zeros(n_tags))
 
     def nll_and_backward(self, emissions, tags, lengths=None, weights=None):
         """:func:`nll_and_grad` over the head's scores: adds their gradients
@@ -209,8 +208,12 @@ class CrfHead:
         return viterbi_decode(emissions, *self.params.values())
 
 
-class CrfModel:
-    """A :class:`CrfHead` over a per-tag linear emission map of features."""
+class CrfModel(ModelBase):
+    """A :class:`CrfHead` over a per-tag linear emission map of features.
+
+    Its parameters have flat names: the head's ``transitions``,
+    ``start`` and ``stop``, then ``emit_w`` (F, K) and ``emit_b`` (K).
+    """
 
     def __init__(self, n_tags, n_features):
         self.n_tags = n_tags
@@ -219,9 +222,15 @@ class CrfModel:
         self.params = {**self.head.params,
                        "emit_w": np.zeros((n_features, n_tags)),
                        "emit_b": np.zeros(n_tags)}
+        self.grads = {**self.head.grads,
+                      "emit_w": np.zeros((n_features, n_tags)),
+                      "emit_b": np.zeros(n_tags)}
 
-    def state_dict(self):
+    def _extra_params(self):
         return self.params
+
+    def _extra_grads(self):
+        return self.grads
 
     def emissions(self, features):
         features = np.asarray(features, dtype=np.float64)
@@ -231,51 +240,57 @@ class CrfModel:
         return features @ self.params["emit_w"] + self.params["emit_b"]
 
     def nll_and_grad(self, features, gold_tags, lengths=None):
-        """NLL plus the grads of every parameter, by name.
+        """The NLL and ``grads``, which it overwrites with the NLL's.
 
         ``features`` (N, F) and ``gold_tags`` (N,) may pack several
         sequences, with ``lengths`` as in :func:`forward_backward`; the
         NLL and grads are then summed over the sequences.
         """
         features = np.asarray(features, dtype=np.float64)
-        self.head.zero_grads()
+        self.zero_grads()
         nll, d_em = self.head.nll_and_backward(self.emissions(features),
                                                gold_tags, lengths)
-        return nll, {**self.head.grads, "emit_w": features.T @ d_em,
-                     "emit_b": d_em.sum(axis=0)}
+        self.grads["emit_w"][...] = features.T @ d_em
+        self.grads["emit_b"][...] = d_em.sum(axis=0)
+        return nll, self.grads
 
     def decode(self, features):
         return self.head.decode(self.emissions(features))
 
 
-def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05,
-              l2=1e-4):
-    """Full-batch Adam on the summed NLL of whole sequences plus L2.
+def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05, l2=1e-4,
+              batch_size=None, seed=0, **fit_kw):
+    """Adam at the constant rate ``lr`` on the summed NLL of whole
+    sequences plus L2, by :func:`training.fit` with ``fit_kw``.
 
-    ``sequences`` is an iterable of (features (T, F), gold tag ids).
+    ``sequences`` is an iterable of (features (T, F), gold tag ids).  A
+    step packs ``batch_size`` sequences (all of them when None) in their
+    order in ``sequences``; ``seed`` shuffles them into steps.
+    Returns (model, log).
     """
     sequences = [(np.asarray(f, dtype=np.float64), np.asarray(t)) for f, t in sequences]
     if not sequences:
         raise ValueError("no training sequences")
-    for feats, tags in sequences:
-        if feats.shape[0] == 0:
-            raise ValueError("empty sequence")
-        if feats.shape[1] != n_features:
-            raise ValueError(f"feature dim {feats.shape[1]} != {n_features}")
-        if len(tags) != feats.shape[0]:
-            raise ValueError("tags length mismatch")
-    # one packed batch: an epoch is one emission GEMM and one forward-backward
-    features = np.concatenate([f for f, _ in sequences])
-    tags = np.concatenate([t for _, t in sequences])
-    lengths = [len(t) for _, t in sequences]
+    for i, (feats, tags) in enumerate(sequences):
+        if len(tags) != len(feats):  # the emission map checks the rest
+            raise ValueError(f"sequence {i}: {len(tags)} tags for "
+                             f"{len(feats)} feature rows")
     model = CrfModel(n_tags, n_features)
-    opt = Adam(model.params)
-    history = []
-    for _ in range(epochs):
-        total, grads = model.nll_and_grad(features, tags, lengths)
-        for k in grads:
-            grads[k] += 2.0 * l2 * model.params[k]
-            total += l2 * float((model.params[k] ** 2).sum())
-        opt.step(grads, lr)
-        history.append(total)
-    return model, history
+
+    def loss_fn(idx):
+        # in ascending order, a full batch packs the sequences as given,
+        # whatever the shuffle, so its sums are those of one packed pass
+        batch = [sequences[i] for i in np.sort(idx)]
+        total, grads = model.nll_and_grad(
+            np.concatenate([f for f, _ in batch]),
+            np.concatenate([t for _, t in batch]), [len(t) for _, t in batch])
+        for name, p in model.params.items():
+            grads[name] += 2.0 * l2 * p
+            total += l2 * float((p ** 2).sum())
+        return total
+
+    n = len(sequences)
+    return model, fit(model, n, loss_fn,
+                      RngState(seed).consumer("crf-shuffle"), epochs,
+                      batch_size or n, lr, name="crf", one_cycle=False,
+                      **fit_kw)

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crf as crf_ops
+from .checkpoint import BestCheckpointKeeper
 from .corpus import iter_pages
 from .fusion import (FusionConfig, FusionModule, MajorityBaseline,
                      MlpClassifier, corpus_embedding_dims, embedding_arrays,
                      evaluate_fusion, train_fusion)
 from .iob import CLASS_TO_ID, CLASSES, IOB_TAGS
-from .metrics import MetricsReport, score, score_by_first_page, score_collapsed
+from .metrics import MetricsReport, score, score_by_first_page
 from .seqmodels import (SeqModelConfig, evaluate_seq, lawsuit_tag_ids,
                         train_seq)
 from .synth import SynthConfig, generate_synthetic
@@ -71,22 +72,28 @@ def fm_probability_sequences(corpus, fm: FusionModule, split):
     return _fm_sequences(corpus[split], fm, fm.predict_probs, np.float64)
 
 
-def train_fm_crf(corpus, fm: FusionModule, epochs=80, lr=0.08, l2=1e-4):
-    """CRF over FM prediction vectors; 12 IOB tags, 6-dim features."""
-    train_seqs = fm_probability_sequences(corpus, fm, "train")
-    model, history = crf_ops.train_crf(train_seqs, n_tags=len(IOB_TAGS),
-                                       n_features=len(CLASSES), epochs=epochs,
-                                       lr=lr, l2=l2)
-    return model, history
-
-
-def evaluate_fm_crf(corpus, fm, crf_model, split="test") -> MetricsReport:
-    gold, pred = [], []
-    for feats, tags in fm_probability_sequences(corpus, fm, split):
-        path, _ = crf_model.decode(feats)
-        gold.extend(IOB_TAGS[i] for i in tags)
-        pred.extend(IOB_TAGS[i] for i in path)
-    return score_collapsed(gold, pred, CLASSES)
+def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
+                 seed=0, batch_lawsuits=None, out_path=None,
+                 fm_checkpoint=None, verbose=False):
+    """CRF over FM prediction vectors; 12 IOB tags, 6-dim features, at
+    the constant rate ``max_lr`` on ``batch_lawsuits`` train lawsuits per
+    step (all of them when None).  Only with ``out_path`` is each epoch
+    validated and the best kept, there (its meta naming
+    ``fm_checkpoint``) and in the model.  Returns (model, log).
+    """
+    validation = {}
+    if out_path is not None:
+        val_seqs = fm_probability_sequences(corpus, fm, "validation")
+        meta = {"model": "crf", "seed": seed, "fm_checkpoint": fm_checkpoint,
+                "config": {"n_tags": len(IOB_TAGS),
+                           "n_features": len(CLASSES)}}
+        validation = {"keeper": BestCheckpointKeeper(out_path, meta),
+                      "evaluate": lambda m: evaluate_seq(
+                          lambda x: m.decode(x)[0], val_seqs)}
+    return crf_ops.train_crf(
+        fm_probability_sequences(corpus, fm, "train"), n_tags=len(IOB_TAGS),
+        n_features=len(CLASSES), epochs=epochs, lr=max_lr, l2=l2,
+        batch_size=batch_lawsuits, seed=seed, verbose=verbose, **validation)
 
 
 def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
@@ -185,14 +192,16 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
         result.add("fm_zero", evaluate_fusion(fm_zero, test_data, test_gold))
 
     crf_model, _ = train_fm_crf(corpus, fm)
-    result.add("fm_crf", evaluate_fm_crf(corpus, fm, crf_model))
+    result.add("fm_crf", evaluate_seq(lambda x: crf_model.decode(x)[0],
+                                      fm_probability_sequences(corpus, fm,
+                                                               "test")))
 
     seq_data = seq_dataset(corpus, fm, "concat")
     seq_config = SeqModelConfig(variant="bilstm-f",
                                 input_dim=fm.config.concat_dim)
     seq_model, _, _ = train_seq(seq_data, seq_config, seed=train_seed,
                                 epochs=seq_epochs, verbose=verbose)
-    result.add("bilstm_f", evaluate_seq(seq_model, seq_data["test"]))
+    result.add("bilstm_f", evaluate_seq(seq_model.decode, seq_data["test"]))
 
     if with_first_page:
         probs = fm.predict_probs(*test_data[:4])

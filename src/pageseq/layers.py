@@ -34,12 +34,6 @@ class Layer:
         for g in self.grads.values():
             g[...] = 0
 
-    def forward(self, x, train=False):
-        raise NotImplementedError
-
-    def backward(self, grad):
-        raise NotImplementedError
-
 
 def glorot_uniform(rng, fan_in, fan_out, shape, dtype):
     bound = np.sqrt(6.0 / (fan_in + fan_out))

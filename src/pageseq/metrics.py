@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .iob import iob_collapse
+
 
 @dataclass
 class ClassScores:
@@ -111,17 +113,9 @@ def score(gold, pred, classes) -> MetricsReport:
     return report
 
 
-def collapse_tag(tag: str) -> str:
-    """B-X / I-X -> X; bare class labels pass through."""
-    if tag.startswith(("B-", "I-")):
-        return tag[2:]
-    return tag
-
-
 def score_collapsed(gold_iob, pred_iob, classes) -> MetricsReport:
     """Scores IOB sequences on the collapsed base classes."""
-    return score([collapse_tag(t) for t in gold_iob],
-                 [collapse_tag(t) for t in pred_iob], classes)
+    return score(iob_collapse(gold_iob), iob_collapse(pred_iob), classes)
 
 
 def score_by_first_page(gold, pred, flags, classes):

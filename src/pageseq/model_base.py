@@ -14,7 +14,7 @@ from .layers import BatchNorm1d
 
 class ModelBase:
     def _children(self) -> dict:
-        raise NotImplementedError
+        return {}
 
     def _extra_params(self) -> dict:
         return {}
@@ -23,17 +23,17 @@ class ModelBase:
         return {}
 
     def named_params(self):
-        out = dict(self._extra_params())
-        for cn, child in self._children().items():
-            for pn, p in child.params.items():
-                out[f"{cn}.{pn}"] = p
-        return out
+        return self._named(self._extra_params(), "params")
 
     def named_grads(self):
-        out = dict(self._extra_grads())
+        return self._named(self._extra_grads(), "grads")
+
+    def _named(self, out, attr):
+        """``out`` plus each child's ``attr`` dict, as "child.name"."""
+        out = dict(out)
         for cn, child in self._children().items():
-            for pn, g in child.grads.items():
-                out[f"{cn}.{pn}"] = g
+            for name, value in getattr(child, attr).items():
+                out[f"{cn}.{name}"] = value
         return out
 
     def named_buffers(self):
@@ -60,23 +60,17 @@ class ModelBase:
         return {k: np.copy(v) for k, v in self.state_dict().items()}
 
     def load_state(self, state: dict):
-        """Copies ``state`` into the model; it must name every parameter
-        and buffer of :meth:`state_dict`, and nothing else, with the same
-        shapes."""
-        load_named(self.state_dict(), state, type(self).__name__)
-
-
-def load_named(own: dict, state: dict, owner: str):
-    """Copies each array of ``state`` into the array of ``own`` with its
-    name.  Raises ``KeyError`` unless both have the same names, and
-    ``ValueError`` on a shape that differs."""
-    missing = sorted(set(own) - set(state))
-    unknown = sorted(set(state) - set(own))
-    if missing or unknown:
-        raise KeyError(f"{owner} state names differ: missing {missing}, "
-                       f"unknown {unknown}")
-    for name, value in state.items():
-        if np.shape(value) != own[name].shape:
-            raise ValueError(f"{owner} parameter {name!r} has shape "
-                             f"{np.shape(value)}, expected {own[name].shape}")
-        own[name][...] = value
+        """Copies ``state`` into the model.  Raises ``KeyError`` unless it
+        names every parameter and buffer of :meth:`state_dict` and nothing
+        else, and ``ValueError`` on a shape that differs."""
+        own, owner = self.state_dict(), type(self).__name__
+        missing = sorted(set(own) - set(state))
+        unknown = sorted(set(state) - set(own))
+        if missing or unknown:
+            raise KeyError(f"{owner} state names differ: missing {missing}, "
+                           f"unknown {unknown}")
+        for name, value in state.items():
+            if np.shape(value) != own[name].shape:
+                raise ValueError(f"{owner} parameter {name!r} has shape "
+                                 f"{np.shape(value)}, expected {own[name].shape}")
+            own[name][...] = value

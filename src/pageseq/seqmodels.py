@@ -189,13 +189,12 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
             np.concatenate([tags for _, tags in batch]),
             train=True, lengths=[len(tags) for _, tags in batch])
 
-    meta = {"model": config.variant, "seed": seed, "config": asdict(config)}
-    if fm_checkpoint is not None:
-        meta["fm_checkpoint"] = str(fm_checkpoint)
-    keeper = BestCheckpointKeeper(out_path, meta) if out_path else None
+    keeper = BestCheckpointKeeper(out_path, {
+        "model": config.variant, "seed": seed, "fm_checkpoint": fm_checkpoint,
+        "config": asdict(config)}) if out_path else None
     log = fit(model, len(train_set), loss_fn,
               RngState(seed).consumer("seq-shuffle"), epochs, batch_lawsuits,
-              max_lr, evaluate=lambda m: evaluate_seq(m, val_set),
+              max_lr, evaluate=lambda m: evaluate_seq(m.decode, val_set),
               keeper=keeper, name=config.variant, verbose=verbose)
     return model, keeper, log
 
@@ -204,10 +203,11 @@ def predict_tags(model, x):
     return [IOB_TAGS[i] for i in model.decode(np.asarray(x))]
 
 
-def evaluate_seq(model, lawsuit_set):
-    """Collapsed-class report over a list of (features, gold tag ids)."""
+def evaluate_seq(decode, lawsuit_set):
+    """Collapsed-class report over a list of (features, gold tag ids) of
+    the tag ids ``decode(features)`` gives."""
     gold, pred = [], []
     for x, tags in lawsuit_set:
         gold.extend(IOB_TAGS[i] for i in tags)
-        pred.extend(predict_tags(model, x))
+        pred.extend(IOB_TAGS[i] for i in decode(x))
     return score_collapsed(gold, pred, CLASSES)

@@ -1,10 +1,10 @@
-"""The one training loop: mini-batch Adam on a one-cycle schedule,
-keeping the epoch with the best validation macro-F1."""
+"""The one training loop: mini-batch Adam on a one-cycle (or constant)
+schedule, keeping the epoch with the best validation macro-F1."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,40 +62,42 @@ def train_step(model, loss_fn):
 
 
 def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
-        keeper=None, name="", verbose=False):
-    """Trains on ``n`` items in shuffled mini-batches drawn from ``rng``,
-    at the one-cycle rate peaking at ``max_lr``, by :func:`train_step`.
+        keeper=None, name="", verbose=False, one_cycle=True):
+    """Trains on ``n`` items in shuffled mini-batches drawn from ``rng``
+    by :func:`train_step`, at the one-cycle rate peaking at ``max_lr``,
+    or at ``max_lr`` throughout without ``one_cycle``.
 
     After each epoch ``evaluate(model)`` gives the validation report,
     whose macro-F1 updates ``keeper`` (a ``BestCheckpointKeeper``); the
     first best epoch is restored at the end.  Without ``evaluate`` the
-    last step's parameters stay.  Returns the ``TrainLog``.
+    last step's parameters stay, and the log rows have no validation
+    scores.  Returns the ``TrainLog``.
     """
     step = train_step(model, loss_fn)
-    sched = OneCycleSchedule(total_steps=epochs * minibatch_count(n, batch_size),
-                             max_lr=max_lr)
+    total_steps = epochs * minibatch_count(n, batch_size)
+    sched = OneCycleSchedule(total_steps, max_lr) if one_cycle else None
     log = TrainLog()
     best_f1, best_state = -1.0, None
     t = 0
     for epoch in range(epochs):
         losses = []
         for idx in iterate_minibatches(n, batch_size, rng):
-            lr = sched.lr(t)
+            lr = sched.lr(t) if sched else max_lr
             losses.append(step(idx, lr))
             t += 1
-        if evaluate is None:
-            continue
-        report = evaluate(model)
-        saved = keeper is not None and keeper.update(
-            report.macro_f1, model.state_dict(), {"epoch": epoch})
-        if report.macro_f1 > best_f1:
-            best_f1, best_state = report.macro_f1, model.snapshot()
-        log.add(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
-                val_macro_f1=report.macro_f1,
-                val_weighted_f1=report.weighted_f1, saved=saved)
-        if verbose:
-            print(f"{name} epoch {epoch}: loss {np.mean(losses):.4f} "
-                  f"val macro-F1 {report.macro_f1:.4f}")
+        row = EpochLogRow(epoch, lr, float(np.mean(losses)))
+        if evaluate is not None:
+            report = evaluate(model)
+            row.val_macro_f1 = report.macro_f1
+            row.val_weighted_f1 = report.weighted_f1
+            row.saved = keeper is not None and keeper.update(
+                report.macro_f1, model.state_dict(), {"epoch": epoch})
+            if report.macro_f1 > best_f1:
+                best_f1, best_state = report.macro_f1, model.snapshot()
+            if verbose:
+                print(f"{name} epoch {epoch}: loss {row.train_loss:.4f} "
+                      f"val macro-F1 {report.macro_f1:.4f}")
+        log.rows.append(row)
     if best_state is not None:
         model.load_state(best_state)
     return log
@@ -106,17 +108,14 @@ class EpochLogRow:
     epoch: int
     lr: float
     train_loss: float
-    val_macro_f1: float
-    val_weighted_f1: float
-    saved: bool
+    val_macro_f1: float | None = None
+    val_weighted_f1: float | None = None
+    saved: bool = False
 
 
+@dataclass
 class TrainLog:
-    def __init__(self):
-        self.rows: list[EpochLogRow] = []
-
-    def add(self, **kw):
-        self.rows.append(EpochLogRow(**kw))
+    rows: list[EpochLogRow] = field(default_factory=list)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -285,6 +285,55 @@ def test_train_seq_batches_lawsuits(workspace, monkeypatch, flag, per_step):
     assert f"train.batch_size={per_step}\n" in (out / "config.txt").read_text()
 
 
+@pytest.mark.parametrize("flag, per_step", [([], 64),
+                                            (["--batch-size", "4"], 4)])
+def test_train_crf_batches_lawsuits(workspace, monkeypatch, flag, per_step):
+    """--batch-size is the CRF's lawsuits per step (64 by default), every
+    step at the constant --max-lr, and the run files record it."""
+    from pageseq.corpus import load_corpus
+    from pageseq.optim import Adam
+    from pageseq.training import minibatch_count
+    steps = []
+    adam_step = Adam.step
+
+    def counted_step(self, grads, lr):
+        steps.append(lr)
+        adam_step(self, grads, lr)
+
+    monkeypatch.setattr(Adam, "step", counted_step)
+    out = workspace / f"crf_batch_{per_step}"
+    assert main(["train", "--model", "crf",
+                 "--corpus", str(workspace / "corpus"), "--out", str(out),
+                 "--epochs", "2", "--max-lr", "0.03", *flag,
+                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]) == 0
+    n_train = len(load_corpus(workspace / "corpus")["train"])
+    assert minibatch_count(n_train, 4) > 1
+    assert steps == [0.03] * 2 * minibatch_count(n_train, per_step)
+    assert f"train.batch_size={per_step}\n" in (out / "config.txt").read_text()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("gen-synth", "--seed"), ("train", "--seed"), ("train", "train.seed"),
+    ("range-test", "--seed")])
+def test_negative_seed_is_config_error(workspace, tmp_path, capsys, command,
+                                       option):
+    """Rejected before anything is written, naming the flag or key."""
+    out = tmp_path / "out"
+    seed = ["--seed", "-1"]
+    if option == "train.seed":
+        (tmp_path / "train.cfg").write_text("train.seed=-1\n")
+        seed = ["--config", str(tmp_path / "train.cfg")]
+    corpus = ["--corpus", str(workspace / "corpus")]
+    argv = {"gen-synth": [],
+            "train": ["--model", "fusion", *corpus, "--epochs", "1"],
+            "range-test": ["--model", "fusion", *corpus, "--lr-min", "1e-4",
+                           "--lr-max", "1.0", "--steps", "3"]}[command]
+    assert main([command, *argv, *seed, "--out", str(out)]) == 1
+    assert f"config error: {option} must be at least 0, got -1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_line_count_equals_split_pages(workspace, capsys):
     out = workspace / "preds.jsonl"
     assert main(["predict", "--model-checkpoint",
@@ -383,11 +432,12 @@ def test_keeper_written_textcnn_w_checkpoint_evaluates(workspace, tmp_path,
                  "--corpus", str(workspace / "corpus")]) == 0
 
 
-@pytest.mark.parametrize("family", ["fusion", "bilstm-f"])
+@pytest.mark.parametrize("family", ["fusion", "bilstm-f", "crf"])
 def test_train_writes_the_checkpoint_once_per_improvement(workspace,
                                                           monkeypatch, family):
+    """Every family keeps its best epoch through the keeper and logs the
+    same keys; the checkpoint's meta names the epoch it holds."""
     import pageseq.checkpoint
-    import pageseq.cli
     saves = []
     save = pageseq.checkpoint.save_checkpoint
 
@@ -396,19 +446,22 @@ def test_train_writes_the_checkpoint_once_per_improvement(workspace,
         save(path, params, meta)
 
     monkeypatch.setattr(pageseq.checkpoint, "save_checkpoint", counted)
-    monkeypatch.setattr(pageseq.cli, "save_checkpoint", counted)
     out = workspace / f"saves_{family}"
     fm = ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")] \
-        if family.startswith("bilstm") else []
+        if family != "fusion" else []
     assert main(["train", "--model", family, "--corpus",
                  str(workspace / "corpus"), "--out", str(out),
                  "--epochs", "4", *fm]) == 0
     rows = [json.loads(l) for l in
             (out / "train_log.jsonl").read_text().splitlines()]
     assert len(saves) == sum(r["saved"] for r in rows) >= 1
+    assert [list(r) for r in rows] == [[
+        "epoch", "lr", "train_loss", "val_macro_f1", "val_weighted_f1",
+        "saved"]] * 4
     _, meta = load_checkpoint(out / "model.ckpt")
     assert meta == saves[-1]
     assert meta["val_macro_f1"] == max(r["val_macro_f1"] for r in rows)
+    assert rows[meta["epoch"]]["val_macro_f1"] == meta["val_macro_f1"]
 
 
 def test_eval_non_utf8_vocab_names_the_file(workspace, tmp_path, capsys):

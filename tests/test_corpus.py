@@ -190,6 +190,8 @@ BAD_PAGE_ROWS = {
                        "lawsuit_id must be a string, not an integer"),
     "null-label": (_set_field("label", None),
                    "label must be a string, not null"),
+    "unknown-label": (_set_field("label", "Acordao"),
+                      "unknown label 'Acordao'"),
     "no-label": (_drop_field("label"), "label is missing"),
     "not-utf8": (lambda line: line + b"\xff", "not UTF-8 text"),
     "int-text": (_set_field("text", 5),
@@ -207,6 +209,22 @@ def test_bad_page_row_names_file_and_line(tmp_path, probe):
     with pytest.raises(CorpusError) as info:
         load_corpus(tmp_path)
     assert str(info.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize("second_index, message", [
+    (0, ":2: repeats page 0 of L1"),
+    (2, ": lawsuit L1: page indices not contiguous at position 1")])
+def test_bad_page_index_names_the_pages_file(tmp_path, second_index,
+                                             message):
+    """A repeated index names its line; a gap names the pages file."""
+    _tiny_corpus(tmp_path)
+    path = tmp_path / "train" / "pages.jsonl"
+    first, second = path.read_bytes().splitlines()
+    path.write_bytes(first + b"\n"
+                     + _set_field("page_index", second_index)(second) + b"\n")
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == f"{path}{message}"
 
 
 BAD_MANIFESTS = {

@@ -1,12 +1,16 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crf_reference
 from conftest import check_grads
+from pageseq import cli
 from pageseq import crf as C
+from pageseq.checkpoint import load_checkpoint
 from pageseq.iob import IOB_TAGS
+from pageseq.model_base import ModelBase
 from pageseq.optim import Adam
 
 
@@ -154,13 +158,42 @@ def test_crf_model_decode_matches_brute_force_iob_width():
     assert s == pytest.approx(bs)
 
 
+def test_crf_model_is_a_model_base_with_flat_names():
+    model = C.CrfModel(n_tags=3, n_features=2)
+    assert isinstance(model, ModelBase)
+    names = ["transitions", "start", "stop", "emit_w", "emit_b"]
+    assert list(model.state_dict()) == list(model.named_grads()) == names
+    for name, value in model.state_dict().items():
+        assert value is model.params[name]  # live arrays, not copies
+    state = model.snapshot()
+    model.params["emit_w"] += 1.0
+    model.load_state(state)
+    assert not model.params["emit_w"].any()
+
+
+def test_checkpoint_of_the_parent_crf_model_loads():
+    """``data/crf_parent.ckpt`` was written by pageseq at 8849e5f, when
+    ``CrfModel`` kept its parameters outside ``ModelBase`` and
+    ``train --model crf`` wrote a meta of its own, from that model with
+    every entry perturbed.  Its meta holds the Viterbi paths and scores
+    that model gave on four inputs; restored through the CLI, the model
+    decodes them bit for bit."""
+    path = Path(__file__).parent / "data" / "crf_parent.ckpt"
+    params, meta = load_checkpoint(path)
+    assert sorted(params) == sorted(C.CrfModel(12, 6).params)
+    model = cli._restore(path, params, meta, cli.FAMILIES[meta["model"]])
+    assert isinstance(model, C.CrfModel)
+    for x, want, score in zip(meta["inputs"], meta["paths"], meta["scores"]):
+        assert model.decode(np.array(x)) == (want, score)
+
+
 def test_train_crf_learns_transition_structure():
     """Sequences alternate tags deterministically; features are useless,
     so any fit must come from the transition parameters."""
     seqs = [(np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1]))] * 4
-    model, history = C.train_crf(seqs, n_tags=2, n_features=2, epochs=60,
-                                 lr=0.1)
-    assert history[-1] < history[0]
+    model, log = C.train_crf(seqs, n_tags=2, n_features=2, epochs=60,
+                             lr=0.1)
+    assert log.rows[-1].train_loss < log.rows[0].train_loss
     path, _ = model.decode(np.zeros((6, 2)))
     assert path == [0, 1, 0, 1, 0, 1]
 
@@ -274,30 +307,39 @@ def test_packed_lengths_must_cover_the_rows():
         C.forward_backward(em, z3, z, z, [5, 0])
 
 
-def test_train_crf_history_matches_per_sequence_training():
-    """Five epochs of packed training against the per-lawsuit sum."""
+def test_train_crf_matches_per_sequence_training():
+    """Five epochs of packed training through ``training.fit`` against a
+    hand loop of Adam on the per-lawsuit sums: the parameters agree
+    within 1e-12, and so do the per-epoch losses, at a constant rate."""
     rng = np.random.default_rng(13)
     seqs = [(rng.standard_normal((t, 4)), rng.integers(0, 5, t))
             for t in (9, 1, 30, 4, 17)]
-    _, history = C.train_crf(seqs, n_tags=5, n_features=4, epochs=5,
+    model, log = C.train_crf(seqs, n_tags=5, n_features=4, epochs=5,
                              lr=0.05, l2=1e-3)
-    model = C.CrfModel(5, 4)
-    opt = Adam(model.params)
+    hand = C.CrfModel(5, 4)
+    opt = Adam(dict(hand.params))
     want = []
     for _ in range(5):
         total = 0.0
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        grads = {k: np.zeros_like(v) for k, v in hand.params.items()}
         for feats, tags in seqs:
-            nll, g = model.nll_and_grad(feats, tags)
+            nll, g = hand.nll_and_grad(feats, tags)
             total += nll
             for name in grads:
                 grads[name] += g[name]
         for name in grads:
-            grads[name] += 2e-3 * model.params[name]
-            total += 1e-3 * float((model.params[name] ** 2).sum())
+            grads[name] += 2e-3 * hand.params[name]
+            total += 1e-3 * float((hand.params[name] ** 2).sum())
         opt.step(grads, 0.05)
         want.append(total)
-    np.testing.assert_allclose(history, want, rtol=1e-9, atol=0)
+    np.testing.assert_allclose([r.train_loss for r in log.rows], want,
+                               rtol=1e-12, atol=0)
+    assert [r.lr for r in log.rows] == [0.05] * 5
+    assert list(model.params) == list(hand.params)
+    for name, value in hand.params.items():
+        np.testing.assert_allclose(model.params[name], value, rtol=0,
+                                   atol=1e-12, err_msg=name)
+        assert np.abs(value).max() > 0.1, name  # five steps moved it
 
 
 # lengths 1 and 190 in one batch: most grid rows of the short sequences

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from pageseq.iob import CLASSES
-from pageseq.metrics import (collapse_tag, score, score_by_first_page,
-                             score_collapsed)
+from pageseq.iob import CLASSES, iob_collapse
+from pageseq.metrics import score, score_by_first_page, score_collapsed
 
 
 def test_perfect_prediction():
@@ -94,12 +93,6 @@ def test_length_mismatch_rejected():
         score(["a"], ["a", "a"], ["a"])
 
 
-def test_collapse_tag():
-    assert collapse_tag("B-RE") == "RE"
-    assert collapse_tag("I-Sentença") == "Sentença"
-    assert collapse_tag("Others") == "Others"
-
-
 def test_score_collapsed_b_vs_i_counted_correct():
     rep = score_collapsed(["I-ARE"], ["B-ARE"], CLASSES)
     assert rep.per_class["ARE"].f1 == 1.0
@@ -109,8 +102,7 @@ def test_score_collapsed_equals_score_of_collapsed():
     gold = ["B-RE", "I-RE", "B-ARE"]
     pred = ["I-RE", "I-RE", "B-RE"]
     rep = score_collapsed(gold, pred, CLASSES)
-    rep2 = score([collapse_tag(t) for t in gold],
-                 [collapse_tag(t) for t in pred], CLASSES)
+    rep2 = score(iob_collapse(gold), iob_collapse(pred), CLASSES)
     assert rep.to_dict() == rep2.to_dict()
 
 

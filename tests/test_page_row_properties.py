@@ -93,9 +93,9 @@ def test_row_off_the_schema_exits_2_naming_the_line(tiny_root, row):
 
 @given(row=VALUE_FAULTS)
 def test_row_with_a_bad_value_exits_2(tiny_root, row):
-    code, err, _ = _audit_with_first_row(
+    code, err, path = _audit_with_first_row(
         tiny_root, json.dumps(row).encode("utf-8"))
-    assert code == 2 and err.startswith("data error: "), err
+    assert code == 2 and err.startswith(f"data error: {path}"), err
     assert "Traceback" not in err
 
 

@@ -110,7 +110,10 @@ def test_fit_logs_one_row_per_epoch_with_its_last_steps_lr():
 def test_fit_without_evaluate_keeps_the_last_step():
     model, x, y = _mlp_problem()
     log = _fit(model, x, y)
-    assert log.rows == []
+    # each epoch still logs its rate and mean loss, with no validation
+    assert [(r.epoch, r.val_macro_f1, r.val_weighted_f1, r.saved)
+            for r in log.rows] == [(e, None, None, False) for e in range(4)]
+    assert all(np.isfinite(r.train_loss) and r.lr > 0 for r in log.rows)
     # a run whose last epoch scores best restores exactly that state
     other, _, _ = _mlp_problem()
     _fit(other, x, y, evaluate=_scripted([0.1, 0.9, 0.8, 0.7]))
