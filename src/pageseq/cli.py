@@ -290,17 +290,25 @@ def _load_vocab(args) -> Vocab:
 
 # -------------------------------------------------------------------- train
 
-def _train_settings(args, family):
-    cfg = load_config(args.config) if args.config else {}
+def _seed_and_batch(args, cfg, default_batch):
+    """``--seed`` and ``--batch-size``: the flag, else the ``train.*`` key
+    of the config, else 0 and ``default_batch``; a bad value names its
+    source."""
     seed = args.seed if args.seed is not None else \
         section_value(cfg, "train.seed", 0)
-    epochs = args.epochs if args.epochs is not None else \
-        section_value(cfg, "train.epochs", 20)
     batch = args.batch_size if args.batch_size is not None else \
-        section_value(cfg, "train.batch_size", family.batch)
+        section_value(cfg, "train.batch_size", default_batch)
     _check_min(batch, 2, "--batch-size" if args.batch_size is not None
                else "train.batch_size")
     _check_min(seed, 0, "--seed" if args.seed is not None else "train.seed")
+    return seed, batch
+
+
+def _train_settings(args, family):
+    cfg = load_config(args.config) if args.config else {}
+    seed, batch = _seed_and_batch(args, cfg, family.batch)
+    epochs = args.epochs if args.epochs is not None else \
+        section_value(cfg, "train.epochs", 20)
     lr = args.max_lr if args.max_lr is not None else \
         section_value(cfg, "train.lr", family.lr)
     return cfg, seed, epochs, batch, lr
@@ -389,18 +397,17 @@ def cmd_range_test(args):
     if args.lr_min >= args.lr_max:
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
-    _check_min(args.batch_size, 2, "--batch-size")
-    _check_min(args.seed, 0, "--seed")
     cfg = load_config(args.config) if args.config else {}
+    seed, batch = _seed_and_batch(args, cfg, 64)
     corpus = _load_corpus_checked(args.corpus)
     config = _model_config(args.model, corpus, None, cfg)
     model, n, loss_fn = FAMILIES[args.model].setup(args.model, corpus,
-                                                   config, args.seed)
-    rng = RngState(args.seed).consumer("range-test-shuffle")
+                                                   config, seed)
+    rng = RngState(seed).consumer("range-test-shuffle")
 
     def batches():
         while True:
-            yield from iterate_minibatches(n, args.batch_size, rng)
+            yield from iterate_minibatches(n, batch, rng)
 
     result = lr_range_test(train_step(model, loss_fn), batches(),
                            args.lr_min, args.lr_max, args.steps)
@@ -480,8 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-min", type=float, required=True)
     p.add_argument("--lr-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=int, help="pages per step "
+                   "(default train.batch_size, else 64)")
+    p.add_argument("--seed", type=int,
+                   help="default train.seed, else 0")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_range_test)

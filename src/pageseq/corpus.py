@@ -25,9 +25,11 @@ In memory, a loaded corpus holds each distinct token once:
 each page's ``text_tokens`` is its own list of those strings.  Each
 ``.emb`` payload is read once into one writable float32 block per split
 and modality, and a page's ``text_embedding`` or ``image_embedding`` is
-a row view of that block, so writing a row changes only its page.  A
-page's embedding keeps its whole block alive: a caller that keeps a few
-pages of a large split should copy their rows.
+a row view of that block, so writing a row changes only its page.  The
+index is read a line at a time and each row is attached as its line is
+read, so loading holds little beside the payload.  A page's embedding
+keeps its whole block alive: a caller that keeps a few pages of a large
+split should copy their rows.
 """
 
 from __future__ import annotations
@@ -117,11 +119,12 @@ def _write_emb(path, idx_path, rows, index):
 
 
 def _read_emb(path, idx_path):
-    """Rows (count, dim) of an embedding file and its index rows
-    (lawsuit_id, page_index, row).  The payload is read straight into
-    one writable array; no other copy of it is made.  A truncated or
-    inconsistent file or a malformed index row raises ``CorpusError``
-    naming the file, and so does an index that names a row twice."""
+    """Rows (count, dim) of an embedding file, and an iterator over its
+    index rows (lawsuit_id, page_index, row) that reads the index one
+    line at a time.  The payload is read straight into one writable
+    array; no other copy of it is made.  A truncated or inconsistent
+    file or a malformed index row raises ``CorpusError`` naming the
+    file, and so does an index that names a row twice."""
     with open(path, "rb") as fh:
         head = fh.read(9)
         if head[:8] != EMB_MAGIC:
@@ -139,35 +142,42 @@ def _read_emb(path, idx_path):
         rows = np.empty((count, dim), dtype="<f4")
         if fh.readinto(rows) != payload:
             raise CorpusError(f"{path}: file changed while it was read")
+    return rows, _read_index(idx_path, count)
+
+
+def _read_index(idx_path, count):
+    """The index rows (lawsuit_id, page_index, row), each checked and
+    yielded as its line is read."""
+    taken = np.zeros(count, dtype=bool)  # two pages would share one row view
+    lineno = 0
     try:
         with open(idx_path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            for lineno, line in enumerate(fh, 1):
+                line = line.removesuffix("\n")
+                try:
+                    rec = json.loads(line)
+                    lid, page_index, row = (rec["lawsuit_id"],
+                                            rec["page_index"], rec["row"])
+                except (ValueError, TypeError, KeyError):
+                    raise CorpusError(f"{idx_path}:{lineno}: not an index "
+                                      "row with lawsuit_id, page_index and "
+                                      "row") from None
+                if not (isinstance(lid, str) and type(page_index) is int
+                        and type(row) is int and 0 <= row < count):
+                    raise CorpusError(f"{idx_path}:{lineno}: bad index row "
+                                      f"{line!r} for {count} embedding rows")
+                if taken[row]:
+                    raise CorpusError(f"{idx_path}:{lineno}: row {row} is "
+                                      "named twice")
+                taken[row] = True
+                yield lid, page_index, row
     except FileNotFoundError:
         raise CorpusError(f"missing index file: {idx_path}") from None
     except UnicodeDecodeError:
         raise CorpusError(f"{idx_path}: not UTF-8 text") from None
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last row
-    index, taken = [], set()
-    for lineno, line in enumerate(lines, 1):
-        try:
-            rec = json.loads(line)
-            lid, page_index, row = rec["lawsuit_id"], rec["page_index"], rec["row"]
-        except (ValueError, TypeError, KeyError):
-            raise CorpusError(f"{idx_path}:{lineno}: not an index row "
-                              "with lawsuit_id, page_index and row") from None
-        if not (isinstance(lid, str) and type(page_index) is int
-                and type(row) is int and 0 <= row < count):
-            raise CorpusError(f"{idx_path}:{lineno}: bad index row {line!r} "
-                              f"for {count} embedding rows")
-        if row in taken:  # two pages would share one row view
-            raise CorpusError(f"{idx_path}:{lineno}: row {row} is named twice")
-        taken.add(row)
-        index.append((lid, page_index, row))
-    if len(index) != count:
-        raise CorpusError(f"{idx_path}: index has {len(index)} rows, "
+    if lineno != count:
+        raise CorpusError(f"{idx_path}: index has {lineno} rows, "
                           f"embedding file has {count}")
-    return rows, index
 
 
 def save_corpus(corpus: Corpus, root):

@@ -189,6 +189,13 @@ class Conv1d(Layer):
     position) and its columns in (tap, in_ch) order, and each call
     assembles the (kmax * in_ch, banks * out_ch) weight from the banks,
     with zero rows for the taps a bank lacks.
+
+    ``forward`` caches its input and the assembled weight, not the im2col
+    matrix, which is kmax times the input's size; ``backward`` rebuilds
+    the matrix for the weight gradient and drops it before forming the
+    input gradient (recomputation for memory, Chen et al. 2016,
+    arXiv:1604.06174).  As for ``Linear``, the input must not be modified
+    between ``forward`` and ``backward``.
     """
 
     def __init__(self, in_ch, out_ch, kernel_sizes, rng, dtype=DEFAULT_DTYPE):
@@ -214,35 +221,41 @@ class Conv1d(Layer):
             self._add_param(f"conv{k}.bias", np.zeros(out_ch, dtype=dtype))
         self._cache = None
 
+    def _im2col(self, x):
+        """The (batch * length, taps * in_ch) matrix of ``x``'s windows."""
+        b, length, c = x.shape
+        xp = np.zeros((b, length + self.taps - 1, c), dtype=x.dtype)
+        xp[:, self.lead : self.lead + length] = x
+        # windows (b, length, c, taps) -> one copy in (tap, c) column order
+        return np.lib.stride_tricks.sliding_window_view(xp, self.taps, axis=1) \
+            .transpose(0, 1, 3, 2).reshape(b * length, self.taps * c)
+
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[2] != self.in_ch:
             raise ShapeError(f"Conv1d expects (batch, L, {self.in_ch}), got {x.shape}")
         b, length, c = x.shape
         if length < 1:
             raise ShapeError("Conv1d input length must be >= 1")
-        taps, lead = self.taps, self.lead
-        xp = np.zeros((b, length + taps - 1, c), dtype=x.dtype)
-        xp[:, lead : lead + length] = x
-        # windows (b, length, c, taps) -> one copy in (tap, c) column order
-        cols = np.lib.stride_tricks.sliding_window_view(xp, taps, axis=1) \
-            .transpose(0, 1, 3, 2).reshape(b * length, taps * c)
+        taps = self.taps
         weight = np.zeros((taps, c, len(self.kernel_sizes) * self.out_ch),
                           dtype=self.dtype)
         for k, t0, cs in self._banks:
             weight[t0 : t0 + k, :, cs] = \
                 self.params[f"conv{k}.weight"].reshape(c, k, -1).transpose(1, 0, 2)
         weight = weight.reshape(taps * c, -1)
-        out = cols @ weight
+        out = self._im2col(x) @ weight
         out += np.concatenate([self.params[f"conv{k}.bias"]
                                for k in self.kernel_sizes])
-        self._cache = (cols, weight, x.shape)
+        self._cache = (x, weight)
         return out.reshape(b, length, -1)
 
     def backward(self, grad):
-        cols, weight, (b, length, c) = self._cache
-        taps, lead = self.taps, self.lead
+        if self._cache is None:
+            raise RuntimeError("Conv1d.backward needs forward first")
+        x, weight = self._cache
+        (b, length, c), taps, lead = x.shape, self.taps, self.lead
         gmat = grad.reshape(b * length, -1)
-        dweight = (cols.T @ gmat).reshape(taps, c, -1)
+        dweight = (self._im2col(x).T @ gmat).reshape(taps, c, -1)
         dbias = gmat.sum(axis=0)
         for k, t0, cs in self._banks:
             dw = self.grads[f"conv{k}.weight"].reshape(c, k, -1)

@@ -314,7 +314,7 @@ def test_train_crf_batches_lawsuits(workspace, monkeypatch, flag, per_step):
 
 @pytest.mark.parametrize("command, option", [
     ("gen-synth", "--seed"), ("train", "--seed"), ("train", "train.seed"),
-    ("range-test", "--seed")])
+    ("range-test", "--seed"), ("range-test", "train.seed")])
 def test_negative_seed_is_config_error(workspace, tmp_path, capsys, command,
                                        option):
     """Rejected before anything is written, naming the flag or key."""
@@ -506,6 +506,34 @@ def test_range_test_fusion_applies_config(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert run("bad", "model.banana=1\n") == 1
     assert "model.banana" in capsys.readouterr().err
+
+
+def test_range_test_takes_seed_and_batch_size_from_config(workspace, tmp_path,
+                                                          capsys):
+    """train.seed and train.batch_size apply when the flag is absent."""
+    def run(name, *extra):
+        assert main(["range-test", "--model", "fusion",
+                     "--corpus", str(workspace / "corpus"), "--lr-min", "1e-4",
+                     "--lr-max", "1.0", "--steps", "6",
+                     "--out", str(tmp_path / name), *extra]) == 0
+        return (tmp_path / name / "range_test.csv").read_text()
+
+    (tmp_path / "train.cfg").write_text("train.seed=5\ntrain.batch_size=16\n")
+    by_config = run("config", "--config", str(tmp_path / "train.cfg"))
+    assert by_config == run("flags", "--seed", "5", "--batch-size", "16")
+    plain = run("plain")
+    assert by_config != plain
+    # a flag wins over its key
+    assert run("both", "--config", str(tmp_path / "train.cfg"),
+               "--seed", "0", "--batch-size", "64") == plain
+    capsys.readouterr()
+    (tmp_path / "one.cfg").write_text("train.batch_size=1\n")
+    assert main(["range-test", "--model", "fusion", "--corpus",
+                 str(workspace / "corpus"), "--lr-min", "1e-4", "--lr-max",
+                 "1.0", "--config", str(tmp_path / "one.cfg"),
+                 "--out", str(tmp_path / "one")]) == 1
+    assert "train.batch_size must be at least 2, got 1" in \
+        capsys.readouterr().err
 
 
 def test_range_test_without_usable_pages_exits_3(tmp_path, capsys):

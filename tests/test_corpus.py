@@ -1,5 +1,6 @@
 import gc
 import json
+import pathlib
 import tracemalloc
 from collections import Counter
 
@@ -83,13 +84,23 @@ def test_loaded_embeddings_are_rows_of_one_block(tmp_path):
                    for i, a in enumerate(blocks) for b in blocks[i + 1:])
 
 
+def _traced_bytes():
+    # pathlib interns every path part it parses, and any such call may be
+    # the one after which the interpreter rebuilds its table of interned
+    # strings (one 1.9 MB block in a whole test run); that table is not
+    # what the call made
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, pathlib.__file__)])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
 def _traced_size(make):
     """What ``make()`` returns, and the traced bytes that stay allocated."""
     gc.collect()
-    before = tracemalloc.get_traced_memory()[0]
+    before = _traced_bytes()
     made = make()
     gc.collect()
-    return made, tracemalloc.get_traced_memory()[0] - before
+    return made, _traced_bytes() - before
 
 
 def test_loaded_corpus_is_about_as_small_as_generated(tmp_path):
@@ -109,6 +120,39 @@ def test_loaded_corpus_is_about_as_small_as_generated(tmp_path):
         if started:
             tracemalloc.stop()
     assert loaded <= 1.3 * generated, (loaded, generated)
+
+
+def test_reading_an_embedding_file_keeps_only_its_payload(tmp_path):
+    # The index is read a line at a time, so no list of its lines or rows
+    # is held beside the payload (holding both peaked at 1.6x the payload).
+    count, dim = 12_000, 128  # the shape of a predict-long image split
+    index = [(f"suit-{i // 190:05d}", i % 190, i) for i in range(count)]
+    path, idx_path = tmp_path / "image.emb", tmp_path / "image.idx.jsonl"
+    corpus_io._write_emb(path, idx_path, np.ones((count, dim), np.float32),
+                         index)
+    del index
+
+    def read():
+        rows, index = corpus_io._read_emb(path, idx_path)
+        for _ in index:
+            pass
+        return rows
+
+    read()  # first-call allocations are not the file's
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rows = read()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert rows.nbytes == 4 * count * dim
+    assert peak <= 1.05 * rows.nbytes, (peak, rows.nbytes)
 
 
 def test_save_twice_is_byte_identical(tmp_path):
@@ -408,7 +452,9 @@ def _small_emb(tmp_path):
 def _read_or_fail_cleanly(path, idx_path):
     """The rows read, or None after a CorpusError that names a file."""
     try:
-        return corpus_io._read_emb(path, idx_path)[0]
+        rows, index = corpus_io._read_emb(path, idx_path)
+        list(index)  # the index is read as it is iterated
+        return rows
     except CorpusError as exc:
         assert str(path) in str(exc) or str(idx_path) in str(exc), exc
         return None
@@ -423,7 +469,7 @@ def test_emb_truncation_at_every_offset_fails_cleanly(tmp_path):
     path.write_bytes(blob)
     got, got_index = corpus_io._read_emb(path, idx_path)
     np.testing.assert_array_equal(got, rows)
-    assert got_index == index
+    assert list(got_index) == index
 
 
 def test_emb_byte_flip_at_every_offset_fails_cleanly(tmp_path):

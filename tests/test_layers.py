@@ -184,6 +184,34 @@ def test_fused_conv1d_gradients(rng, length):
     check_grads(fn, x, dx, rng)
 
 
+def test_conv1d_backward_needs_forward():
+    conv = Conv1d(3, 2, (3,), _rng(), np.float64)
+    with pytest.raises(RuntimeError, match="forward"):
+        conv.backward(np.zeros((1, 4, 2)))
+
+
+def _kept_bytes(layer):
+    """Bytes of the arrays a layer holds besides its params and grads."""
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+    return sum(a.nbytes for name, value in vars(layer).items()
+               if name not in ("params", "grads") for a in arrays(value))
+
+
+def test_conv1d_caches_its_input_not_im2col(rng):
+    """The im2col matrix is taps times the input; only the input and the
+    assembled weight may outlive forward."""
+    conv = Conv1d(3, 2, (3, 4, 5), _rng(), np.float64)
+    x = rng.standard_normal((4, 11, 3))
+    conv.forward(x, train=True)
+    weight_bytes = conv.taps * conv.in_ch * 3 * conv.out_ch * x.itemsize
+    assert _kept_bytes(conv) <= x.nbytes + weight_bytes
+
+
 def test_conv1d_rejects_repeated_kernel_sizes():
     with pytest.raises(ValueError):
         Conv1d(2, 3, (3, 3), _rng())
