@@ -12,13 +12,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 from .iob import CLASSES, IOB_TAGS, iob_collapse, iob_encode
 from .metrics import score, score_by_first_page, score_collapsed
 from .synth import SynthConfig, generate_synthetic
-from .tensor import RngState, log_sum_exp, softmax
+from .tensor import RngState, softmax
 
 __all__ = [
     "CLASSES", "IOB_TAGS", "iob_collapse", "iob_encode",
     "score", "score_by_first_page", "score_collapsed",
     "SynthConfig", "generate_synthetic",
-    "RngState", "log_sum_exp", "softmax",
+    "RngState", "softmax",
 ]
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ File layout (all integers little-endian):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -127,6 +128,17 @@ def load_checkpoint(path):
         raise CheckpointIOError(f"{path}: {len(blob) - off} unexpected bytes "
                                 "after the last parameter")
     return params, meta
+
+
+def params_digest(params: dict) -> str:
+    """SHA-256 hex digest of named arrays: each name, dtype, shape and
+    value, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        value = np.ascontiguousarray(params[name])
+        h.update(f"{name}:{value.dtype.str}:{value.shape}".encode("utf-8"))
+        h.update(value.tobytes())
+    return h.hexdigest()
 
 
 class BestCheckpointKeeper:

@@ -12,6 +12,7 @@ error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,26 +24,26 @@ from typing import Callable
 
 from . import __version__
 from . import crf as crf_ops
-from .checkpoint import CheckpointIOError, load_checkpoint
+from .checkpoint import CheckpointIOError, load_checkpoint, params_digest
 from .corpus import (SPLITS, CorpusError, audit_splits, iter_pages,
                      load_corpus, save_corpus)
 from .experiments import fm_probability_sequences, seq_dataset, train_fm_crf
-from .fusion import (FusionConfig, FusionModule, corpus_embedding_dims,
-                     embedding_arrays, fusion_grid, fusion_setup,
-                     predict_fusion, train_fusion)
-from .iob import CLASSES, IOB_TAGS, iob_collapse, iob_encode
+from .fusion import (EmbeddingWidthError, FusionConfig, FusionModule,
+                     corpus_embedding_dims, embedding_arrays, fusion_grid,
+                     fusion_setup, train_fusion)
+from .iob import CLASSES, iob_collapse, iob_encode
 from .metrics import score, score_by_first_page
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
 from .schedule import lr_range_test
 from .seqmodels import (BATCH_LAWSUITS, VARIANTS, SeqModel, SeqModelConfig,
-                        predict_tags, train_seq)
+                        label_lawsuits, train_seq)
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .text import Vocab
-from .textcnn import (TextCnn, TextCnnConfig, encode_pages, predict_text_cnn,
-                      text_cnn_setup, train_text_cnn)
-from .training import iterate_minibatches, train_step
+from .textcnn import (TextCnn, TextCnnConfig, encode_pages, text_cnn_setup,
+                      train_text_cnn)
+from .training import iterate_minibatches, label_pages, train_step
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,9 +144,11 @@ def _saved_log(run, log):
     return max(r.val_macro_f1 for r in log.rows)
 
 
-def _page_tags(pages, preds):
-    """The IOB tags of page labels, from the pages' first-page flags."""
-    return iob_encode(preds, [p.is_first_page for p in pages])
+def _page_tags(corpus, split, labels):
+    """A page family's IOB tags of the split: ``labels(pages)``, with B-
+    from the pages' first-page flags."""
+    pages = list(iter_pages(corpus, split))
+    return iob_encode(labels(pages), [p.is_first_page for p in pages])
 
 
 def _fusion_grid(run):
@@ -180,7 +183,7 @@ class Family:
     config: Callable  # (name, corpus, fm) -> model config, or None
     train: Callable  # (TrainRun) -> best validation macro-F1
     model: Callable  # (meta config, seed, vocab or fm) -> model to restore
-    predict: Callable  # (model, vocab or fm, corpus, split, pages) -> tags
+    predict: Callable  # (model, vocab or fm, corpus, split) -> IOB tags
     lr: float  # --max-lr default
     batch: int = 64  # --batch-size default
     needs_fm: bool = False  # reads --fm-checkpoint
@@ -197,9 +200,9 @@ TEXT_CNN = Family(
         batch_size=run.batch, **_fit_kw(run))[-1]),
     model=lambda c, seed, vocab: TextCnn(len(vocab), TextCnnConfig(**c),
                                          seed=seed),
-    predict=lambda model, vocab, corpus, split, pages: _page_tags(
-        pages, predict_text_cnn(model, encode_pages(
-            pages, vocab, model.config.max_tokens), batch_size=64)),
+    predict=lambda model, vocab, corpus, split: _page_tags(
+        corpus, split, lambda pages: label_pages(model, [encode_pages(
+            pages, vocab, model.config.max_tokens)])),
     setup=lambda name, corpus, config, seed: text_cnn_setup(
         corpus, config, name.endswith("-w"), seed)[:3],
     lr=2e-3, vocab=True)
@@ -210,9 +213,9 @@ FUSION = Family(
     train=lambda run: _saved_log(run, train_fusion(
         run.corpus, run.config, batch_size=run.batch, **_fit_kw(run))[-1]),
     model=lambda c, seed, _: FusionModule(FusionConfig(**c), seed=seed),
-    predict=lambda model, _, corpus, split, pages: _page_tags(
-        pages, predict_fusion(model, embedding_arrays(
-            pages, model.config.text_dim, model.config.image_dim))),
+    predict=lambda model, _, corpus, split: _page_tags(
+        corpus, split, lambda pages: label_pages(model, embedding_arrays(
+            pages, model.config.text_dim, model.config.image_dim)[:4])),
     setup=lambda name, corpus, config, seed: fusion_setup(corpus, config,
                                                           seed),
     lr=5e-3, grid=_fusion_grid)
@@ -223,20 +226,19 @@ FM_CRF = Family(
         run.corpus, run.fm, batch_lawsuits=run.batch,
         fm_checkpoint=run.fm_checkpoint, **_fit_kw(run))[-1]),
     model=lambda c, seed, _: crf_ops.CrfModel(**c),
-    predict=lambda model, fm, corpus, split, pages: [
-        IOB_TAGS[i] for feats, _ in fm_probability_sequences(corpus, fm, split)
-        for i in model.decode(feats)[0]],
+    predict=lambda model, fm, corpus, split: label_lawsuits(
+        model.decode, fm_probability_sequences(corpus, fm, split)),
     lr=0.05, needs_fm=True)
 SEQ = Family(
     config=_seq_config,
     train=lambda run: _saved_log(run, train_seq(
         _seq_data(run.corpus, run.fm, run.config), run.config,
         batch_lawsuits=run.batch, fm_checkpoint=run.fm_checkpoint,
-        **_fit_kw(run))[-1]),
+        fm_digest=params_digest(run.fm.state_dict()), **_fit_kw(run))[-1]),
     model=lambda c, seed, _: SeqModel(SeqModelConfig(**c), seed=seed),
-    predict=lambda model, fm, corpus, split, pages: [
-        t for x, _ in _seq_data({split: corpus[split]}, fm, model.config)[split]
-        for t in predict_tags(model, x)],
+    predict=lambda model, fm, corpus, split: label_lawsuits(
+        model.decode,
+        _seq_data({split: corpus[split]}, fm, model.config)[split]),
     lr=2e-3, batch=BATCH_LAWSUITS, needs_fm=True)
 FAMILIES = {"textcnn": TEXT_CNN, "textcnn-w": TEXT_CNN, "fusion": FUSION,
             "fusion-zero": FUSION, "crf": FM_CRF,
@@ -267,8 +269,10 @@ def _restore(path, params, meta, family, aux=None):
     return model
 
 
-def _upstream_fm(args, name, action):
-    """The --fm-checkpoint fusion module, for a family that reads one."""
+def _upstream_fm(args, name, action, digest=None):
+    """The --fm-checkpoint fusion module, for a family that reads one; a
+    ``digest`` (of the FM a checkpoint was trained over) that is not its
+    ``params_digest`` raises ``CheckpointIOError`` naming both files."""
     if not FAMILIES[name].needs_fm:
         return None
     if not args.fm_checkpoint:
@@ -277,7 +281,23 @@ def _upstream_fm(args, name, action):
     if meta.get("model") not in ("fusion", "fusion-zero"):
         raise CheckpointIOError(f"{args.fm_checkpoint}: not a fusion "
                                 f"checkpoint (model={meta.get('model')!r})")
-    return _restore(args.fm_checkpoint, params, meta, FUSION)
+    fm = _restore(args.fm_checkpoint, params, meta, FUSION)
+    if digest is not None and digest != params_digest(fm.state_dict()):
+        raise CheckpointIOError(
+            f"{args.model_checkpoint} was trained over another fusion "
+            f"checkpoint than {args.fm_checkpoint}: their parameter "
+            "digests differ")
+    return fm
+
+
+@contextlib.contextmanager
+def _widths_named(path):
+    """Names ``path``, the checkpoint (or corpus) that set the embedding
+    widths, in an ``EmbeddingWidthError``."""
+    try:
+        yield
+    except EmbeddingWidthError as exc:
+        raise CheckpointIOError(f"{path}: {exc}") from None
 
 
 def _load_vocab(args) -> Vocab:
@@ -333,7 +353,8 @@ def cmd_train(args):
                    _model_config(args.model, corpus, fm, cfg), fm,
                    args.fm_checkpoint, seed, epochs, batch, lr, out,
                    args.verbose)
-    best = (family.grid if args.grid else family.train)(run)
+    with _widths_named(args.fm_checkpoint or args.corpus):
+        best = (family.grid if args.grid else family.train)(run)
     _write_run_files(out, {**cfg, "train.model": args.model,
                            "train.seed": seed, "train.epochs": epochs,
                            "train.batch_size": batch,
@@ -345,7 +366,7 @@ def cmd_train(args):
 # --------------------------------------------------------------------- eval
 
 def _predictions(args, corpus, split):
-    """Per-page gold labels, predicted labels, predicted IOB tags, flags."""
+    """The split's pages and their predicted IOB tags."""
     params, meta = load_checkpoint(args.model_checkpoint)
     name = meta.get("model")
     family = FAMILIES.get(name) if isinstance(name, str) else None
@@ -353,21 +374,23 @@ def _predictions(args, corpus, split):
         raise CheckpointIOError(f"unknown model family {name!r} in "
                                 f"{args.model_checkpoint}")
     aux = _load_vocab(args) if family.vocab else \
-        _upstream_fm(args, name, "evaluation")
+        _upstream_fm(args, name, "evaluation", meta.get("fm_digest"))
     model = _restore(args.model_checkpoint, params, meta, family, aux)
-    pages = list(iter_pages(corpus, split))
-    tags = family.predict(model, aux, corpus, split, pages)
-    return ([p.label for p in pages], iob_collapse(tags), tags,
-            [p.is_first_page for p in pages])
+    with _widths_named(args.fm_checkpoint if family.needs_fm
+                       else args.model_checkpoint):
+        tags = family.predict(model, aux, corpus, split)
+    return list(iter_pages(corpus, split)), tags
 
 
 def cmd_eval(args):
     corpus = _load_corpus_checked(args.corpus)
-    gold, preds, _, flags = _predictions(args, corpus, args.split)
+    pages, tags = _predictions(args, corpus, args.split)
+    gold, preds = [p.label for p in pages], iob_collapse(tags)
     report = score(gold, preds, CLASSES)
     out = {"split": args.split, "report": report.to_dict()}
     if args.by_first_page:
-        first, interior = score_by_first_page(gold, preds, flags, CLASSES)
+        first, interior = score_by_first_page(
+            gold, preds, [p.is_first_page for p in pages], CLASSES)
         out["first_page"] = first.to_dict()
         out["interior"] = interior.to_dict()
     print(json.dumps(out, ensure_ascii=False, indent=2))
@@ -379,14 +402,13 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     corpus = _load_corpus_checked(args.corpus)
-    pages = list(iter_pages(corpus, args.split))
-    gold, preds, tags, _ = _predictions(args, corpus, args.split)
+    pages, tags = _predictions(args, corpus, args.split)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for page, g, p, t in zip(pages, gold, preds, tags):
+        for page, p, t in zip(pages, iob_collapse(tags), tags):
             fh.write(json.dumps({"lawsuit_id": page.lawsuit_id,
                                  "page_index": page.page_index,
-                                 "gold": g, "pred": p, "pred_tag": t},
-                                ensure_ascii=False) + "\n")
+                                 "gold": page.label, "pred": p,
+                                 "pred_tag": t}, ensure_ascii=False) + "\n")
     print(f"wrote {len(pages)} predictions to {args.out}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crf as crf_ops
-from .checkpoint import BestCheckpointKeeper
+from .checkpoint import BestCheckpointKeeper, params_digest
 from .corpus import iter_pages
 from .fusion import (FusionConfig, FusionModule, MajorityBaseline,
                      MlpClassifier, corpus_embedding_dims, embedding_arrays,
@@ -27,7 +27,7 @@ from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .textcnn import (TextCnnConfig, encode_pages, evaluate_text_cnn,
                       train_text_cnn)
-from .training import classifier_loss, fit
+from .training import classifier_loss, fit, label_pages
 
 # desk-scale hyperparameters used by the synthetic experiments
 SMALL_TEXT_CNN = TextCnnConfig(max_tokens=60, embed_dim=32, filters_per_size=32,
@@ -79,17 +79,18 @@ def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
     the constant rate ``max_lr`` on ``batch_lawsuits`` train lawsuits per
     step (all of them when None).  Only with ``out_path`` is each epoch
     validated and the best kept, there (its meta naming
-    ``fm_checkpoint``) and in the model.  Returns (model, log).
+    ``fm_checkpoint`` and the digest of ``fm``'s state) and in the
+    model.  Returns (model, log).
     """
     validation = {}
     if out_path is not None:
         val_seqs = fm_probability_sequences(corpus, fm, "validation")
         meta = {"model": "crf", "seed": seed, "fm_checkpoint": fm_checkpoint,
+                "fm_digest": params_digest(fm.state_dict()),
                 "config": {"n_tags": len(IOB_TAGS),
                            "n_features": len(CLASSES)}}
         validation = {"keeper": BestCheckpointKeeper(out_path, meta),
-                      "evaluate": lambda m: evaluate_seq(
-                          lambda x: m.decode(x)[0], val_seqs)}
+                      "evaluate": lambda m: evaluate_seq(m.decode, val_seqs)}
     return crf_ops.train_crf(
         fm_probability_sequences(corpus, fm, "train"), n_tags=len(IOB_TAGS),
         n_features=len(CLASSES), epochs=epochs, lr=max_lr, l2=l2,
@@ -116,17 +117,12 @@ def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
 def evaluate_unimodal_mlp(model, corpus, modality, split="test",
                           fallback=None) -> MetricsReport:
     """Pages without the modality fall back to a constant class."""
-    attr = f"{modality}_embedding"
     pages = list(iter_pages(corpus, split))
+    embs = [getattr(p, f"{modality}_embedding") for p in pages]
+    labels = iter(label_pages(model, [np.array(
+        [e for e in embs if e is not None], dtype=np.float32)]))
     fallback = fallback or CLASSES[3]  # majority class by construction
-    preds = []
-    for page in pages:
-        emb = getattr(page, attr)
-        if emb is None:
-            preds.append(fallback)
-        else:
-            probs = model.predict_probs(emb[None, :].astype(np.float32))
-            preds.append(CLASSES[int(probs.argmax())])
+    preds = [fallback if e is None else next(labels) for e in embs]
     return score([p.label for p in pages], preds, CLASSES)
 
 
@@ -155,9 +151,8 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
     test_gold = [p.label for p in test_pages]
 
     majority = MajorityBaseline([p.label for p in iter_pages(corpus, "train")])
-    result.add("majority", score(test_gold,
-                                 [majority.predict_page(p) for p in test_pages],
-                                 CLASSES))
+    result.add("majority", score(
+        test_gold, [majority.majority_class] * len(test_pages), CLASSES))
 
     cnn, vocab, _, _ = train_text_cnn(corpus, SMALL_TEXT_CNN, weighted=False,
                                       seed=train_seed, epochs=text_epochs,
@@ -173,7 +168,8 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
     fm, _, _ = train_fusion(corpus, fm_config, seed=train_seed,
                             epochs=fm_epochs, verbose=verbose)
     test_data = embedding_arrays(test_pages, text_dim, image_dim)
-    result.add("fm", evaluate_fusion(fm, test_data, test_gold))
+    fm_preds = label_pages(fm, test_data[:4])
+    result.add("fm", score(test_gold, fm_preds, CLASSES))
     # the w/o-img-acts ablation needs text, so it (and its FM reference)
     # are scored on the text-present subset of the test split
     text_pages = [p for p in test_pages if p.text_embedding is not None]
@@ -192,9 +188,8 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
         result.add("fm_zero", evaluate_fusion(fm_zero, test_data, test_gold))
 
     crf_model, _ = train_fm_crf(corpus, fm)
-    result.add("fm_crf", evaluate_seq(lambda x: crf_model.decode(x)[0],
-                                      fm_probability_sequences(corpus, fm,
-                                                               "test")))
+    result.add("fm_crf", evaluate_seq(
+        crf_model.decode, fm_probability_sequences(corpus, fm, "test")))
 
     seq_data = seq_dataset(corpus, fm, "concat")
     seq_config = SeqModelConfig(variant="bilstm-f",
@@ -204,8 +199,7 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
     result.add("bilstm_f", evaluate_seq(seq_model.decode, seq_data["test"]))
 
     if with_first_page:
-        probs = fm.predict_probs(*test_data[:4])
-        preds = [CLASSES[i] for i in probs.argmax(axis=1)]
         flags = [p.is_first_page for p in test_pages]
-        result.first_page = score_by_first_page(test_gold, preds, flags, CLASSES)
+        result.first_page = score_by_first_page(test_gold, fm_preds, flags,
+                                                CLASSES)
     return result

@@ -21,7 +21,7 @@ from .layers import BatchNorm1d, Dropout, Linear
 from .metrics import score
 from .model_base import ModelBase
 from .tensor import DEFAULT_DTYPE, RngState, softmax
-from .training import classifier_loss, fit
+from .training import classifier_loss, fit, label_pages
 
 
 @dataclass
@@ -196,12 +196,20 @@ class MajorityBaseline:
         self.majority_class = max(CLASSES, key=lambda c: (counts.get(c, 0),
                                                           -CLASSES.index(c)))
 
-    def predict_page(self, page) -> str:
-        return self.majority_class
+
+class EmbeddingWidthError(ValueError):
+    """A page's embedding is not as wide as the model's input."""
+
+
+def _width_error(page, modality, dim, emb):
+    return EmbeddingWidthError(
+        f"the model takes {modality} embeddings of width {dim}, but page "
+        f"{page.lawsuit_id}:{page.page_index} has one of width {len(emb)}")
 
 
 def embedding_arrays(pages, text_dim, image_dim):
-    """Dense (text, image, text_mask, image_mask, target) arrays for pages."""
+    """Dense (text, image, text_mask, image_mask, target) arrays for pages;
+    an embedding of another width raises ``EmbeddingWidthError``."""
     n = len(pages)
     text = np.zeros((n, text_dim), dtype=np.float32)
     image = np.zeros((n, image_dim), dtype=np.float32)
@@ -212,8 +220,12 @@ def embedding_arrays(pages, text_dim, image_dim):
             raise ValueError(f"{page.lawsuit_id}:{page.page_index}: "
                              "no embedding on either modality")
         if t is not None:
+            if len(t) != text_dim:
+                raise _width_error(page, "text", text_dim, t)
             text[i] = t
         if im is not None:
+            if len(im) != image_dim:
+                raise _width_error(page, "image", image_dim, im)
             image[i] = im
         tmask.append(t is not None)
         imask.append(im is not None)
@@ -266,23 +278,9 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
     return model, keeper, log
 
 
-def predict_fusion(model, data, batch_size=512, force_missing_image=False):
-    """Predicted class names of ``embedding_arrays`` rows, ``batch_size``
-    at a time."""
-    text, image, tmask, imask, _ = data
-    preds = []
-    for start in range(0, len(text), batch_size):
-        sl = slice(start, start + batch_size)
-        probs = model.predict_probs(text[sl], image[sl], tmask[sl], imask[sl],
-                                    force_missing_image=force_missing_image)
-        preds.extend(CLASSES[i] for i in probs.argmax(axis=1))
-    return preds
-
-
-def evaluate_fusion(model, data, gold_labels, batch_size=512,
-                    force_missing_image=False):
-    return score(gold_labels, predict_fusion(model, data, batch_size,
-                                             force_missing_image), CLASSES)
+def evaluate_fusion(model, data, gold_labels, force_missing_image=False):
+    return score(gold_labels, label_pages(
+        model, data[:4], force_missing_image=force_missing_image), CLASSES)
 
 
 GRID = [(512, "learned"), (512, "zero"), (128, "learned"), (128, "zero")]

@@ -6,7 +6,8 @@ through an extra BN/dropout/FC(512) stem.  All tag over the 12 IOB tags;
 evaluation always collapses to the 6 base classes.  Training packs the
 lawsuits of a mini-batch into one pass: BatchNorm and dropout see all
 their pages at once, and the BiLSTM runs them side by side over a
-padded grid.  Labelling runs one lawsuit per call in eval mode, so a
+padded grid.  :func:`label_lawsuits`, the one labeller of these models
+and of FM+CRF, makes one ``decode`` call per lawsuit in eval mode, so a
 lawsuit's predictions never depend on any other lawsuit.
 """
 
@@ -158,14 +159,15 @@ def lawsuit_tag_ids(lawsuit):
 
 def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
               batch_lawsuits=BATCH_LAWSUITS, max_lr=2e-3, out_path=None,
-              fm_checkpoint=None, verbose=False):
+              fm_checkpoint=None, fm_digest=None, verbose=False):
     """Trains on whole lawsuits grouped into mini-batches, each packed
     into one forward and backward pass.
 
     ``lawsuit_inputs`` maps split name to a list of
-    (features (T, input_dim), gold IOB tag ids) pairs.  ``fm_checkpoint``,
-    the fusion checkpoint the features came from, is recorded in the meta
-    of the checkpoints written to ``out_path``.
+    (features (T, input_dim), gold IOB tag ids) pairs.  ``fm_checkpoint``
+    and ``fm_digest``, the path and the ``params_digest`` of the fusion
+    checkpoint the features came from, are recorded in the meta of the
+    checkpoints written to ``out_path``.
     Returns (model, keeper, log).
     """
     train_set = lawsuit_inputs["train"]
@@ -191,7 +193,8 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
 
     keeper = BestCheckpointKeeper(out_path, {
         "model": config.variant, "seed": seed, "fm_checkpoint": fm_checkpoint,
-        "config": asdict(config)}) if out_path else None
+        "fm_digest": fm_digest, "config": asdict(config)}) \
+        if out_path else None
     log = fit(model, len(train_set), loss_fn,
               RngState(seed).consumer("seq-shuffle"), epochs, batch_lawsuits,
               max_lr, evaluate=lambda m: evaluate_seq(m.decode, val_set),
@@ -199,15 +202,20 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
     return model, keeper, log
 
 
-def predict_tags(model, x):
-    return [IOB_TAGS[i] for i in model.decode(np.asarray(x))]
+def label_lawsuits(decode, lawsuit_set):
+    """The sequence families' labeller: the IOB tags of every page of a
+    list of (features, gold tag ids) lawsuits, in order.  Each lawsuit is
+    one ``decode(features)`` call, which gives its tag ids, or (tag ids,
+    score) as ``CrfModel.decode`` does."""
+    tags = []
+    for x, _ in lawsuit_set:
+        path = decode(x)
+        tags.extend(IOB_TAGS[i] for i in
+                    (path[0] if isinstance(path, tuple) else path))
+    return tags
 
 
 def evaluate_seq(decode, lawsuit_set):
-    """Collapsed-class report over a list of (features, gold tag ids) of
-    the tag ids ``decode(features)`` gives."""
-    gold, pred = [], []
-    for x, tags in lawsuit_set:
-        gold.extend(IOB_TAGS[i] for i in tags)
-        pred.extend(IOB_TAGS[i] for i in decode(x))
-    return score_collapsed(gold, pred, CLASSES)
+    """Collapsed-class report of :func:`label_lawsuits`."""
+    gold = [IOB_TAGS[i] for _, tags in lawsuit_set for i in tags]
+    return score_collapsed(gold, label_lawsuits(decode, lawsuit_set), CLASSES)

@@ -23,20 +23,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def log_sum_exp(x, axis=-1):
-    """log(sum(exp(x))) with max-subtraction stabilization.
-
-    Works on the given axis; a 1-d input with the default axis returns a
-    scalar.  Empty inputs are a domain error.
-    """
-    x = np.asarray(x)
-    if x.size == 0:
-        raise ValueError("log_sum_exp of empty input")
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
 def softmax(x, axis=-1):
     """Stable softmax along `axis`; rows sum to 1, argmax preserved."""
     x = np.asarray(x)

@@ -29,7 +29,7 @@ from .model_base import ModelBase
 from .metrics import score
 from .tensor import DEFAULT_DTYPE, RngState, softmax
 from .text import Vocab, encode
-from .training import classifier_loss, fit
+from .training import classifier_loss, fit, label_pages
 
 
 @dataclass
@@ -204,14 +204,5 @@ def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
     return model, vocab, keeper, log
 
 
-def predict_text_cnn(model, ids, batch_size=256):
-    """Predicted class names of the id rows, ``batch_size`` at a time."""
-    preds = []
-    for start in range(0, len(ids), batch_size):
-        probs = model.predict_probs(ids[start : start + batch_size])
-        preds.extend(CLASSES[i] for i in probs.argmax(axis=1))
-    return preds
-
-
-def evaluate_text_cnn(model, ids, gold_labels, batch_size=256):
-    return score(gold_labels, predict_text_cnn(model, ids, batch_size), CLASSES)
+def evaluate_text_cnn(model, ids, gold_labels):
+    return score(gold_labels, label_pages(model, [ids]), CLASSES)

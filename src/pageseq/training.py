@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .iob import CLASSES
 from .losses import cross_entropy
 from .optim import Adam
 from .schedule import OneCycleSchedule
@@ -46,6 +47,18 @@ def classifier_loss(model, inputs, targets, weights=None):
         model.backward(dlogits)
         return loss
     return loss_fn
+
+
+def label_pages(model, inputs, batch_size=256, **options):
+    """The page families' labeller: the class name of each row's argmax
+    of ``model.predict_probs(*(a[rows] for a in inputs), **options)``,
+    ``batch_size`` rows per call."""
+    labels = []
+    for start in range(0, len(inputs[0]), batch_size):
+        rows = slice(start, start + batch_size)
+        probs = model.predict_probs(*(a[rows] for a in inputs), **options)
+        labels.extend(CLASSES[i] for i in probs.argmax(axis=1))
+    return labels
 
 
 def train_step(model, loss_fn):

@@ -11,6 +11,7 @@ cube per step and direction, and the expected transition counts from a
 (P, K, K) cube of pair log-scores.  That code is kept here, unchanged,
 as an oracle for the scaled recursion in probability space.  It has no
 dynamic-range limit, so it also shows where the scaled one must agree.
+``log_sum_exp``, which only these oracles use, is kept here with them.
 """
 
 import itertools
@@ -18,7 +19,21 @@ import itertools
 import numpy as np
 
 from pageseq.crf import sequence_score
-from pageseq.tensor import log_sum_exp, packing, softmax
+from pageseq.tensor import packing, softmax
+
+
+def log_sum_exp(x, axis=-1):
+    """log(sum(exp(x))) with max-subtraction stabilization.
+
+    Works on the given axis; a 1-d input with the default axis returns a
+    scalar.  Empty inputs are a domain error.
+    """
+    x = np.asarray(x)
+    if x.size == 0:
+        raise ValueError("log_sum_exp of empty input")
+    m = np.max(x, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 def forward_backward(emissions, transitions, start, stop, lengths=None):

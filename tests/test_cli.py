@@ -580,3 +580,106 @@ def test_range_test_batch_size_below_two_is_config_error(tmp_path, capsys,
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "--batch-size" in capsys.readouterr().err
+
+
+def _trained(workspace, family):
+    """A checkpoint of ``family`` trained on the workspace corpus (over
+    the workspace FM for crf and the bilstm families), trained once."""
+    out = workspace / f"labels_{family}"
+    if not (out / "model.ckpt").exists():
+        extra = {"textcnn": ["--config", str(workspace / "cnn.cfg")],
+                 "fusion": []}.get(
+            family, ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")])
+        assert main(["train", "--model", family,
+                     "--corpus", str(workspace / "corpus"), "--out", str(out),
+                     "--epochs", "2", *extra]) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("family", ["textcnn", "fusion", "crf", "bilstm",
+                                    "bilstm-crf"])
+def test_predict_labels_every_page_of_every_family(workspace, capsys,
+                                                   family):
+    """One line per page in split order, whose class is its collapsed
+    tag; a page family's B-/I- are the gold first-page flags."""
+    from pageseq.corpus import iter_pages, load_corpus
+    from pageseq.iob import iob_collapse
+    ckpt = _trained(workspace, family)
+    out = workspace / f"labels_{family}.jsonl"
+    assert main(["predict", "--model-checkpoint", str(ckpt),
+                 "--corpus", str(workspace / "corpus"), "--split", "test",
+                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt"),
+                 "--out", str(out)]) == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    pages = list(iter_pages(load_corpus(workspace / "corpus"), "test"))
+    assert [(l["lawsuit_id"], l["page_index"], l["gold"]) for l in lines] == \
+        [(p.lawsuit_id, p.page_index, p.label) for p in pages]
+    tags = [l["pred_tag"] for l in lines]
+    assert [l["pred"] for l in lines] == iob_collapse(tags)
+    if family in ("textcnn", "fusion"):
+        assert [t.startswith("B-") for t in tags] == \
+            [p.is_first_page for p in pages]
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(workspace):
+    """The workspace corpus's generator at text embedding width 20, not
+    16."""
+    (workspace / "wide.cfg").write_text(
+        TINY_SYNTH.replace("synth.text_dim=16", "synth.text_dim=20"))
+    assert main(["gen-synth", "--config", str(workspace / "wide.cfg"),
+                 "--out", str(workspace / "wide_corpus")]) == 0
+    return workspace / "wide_corpus"
+
+
+@pytest.mark.parametrize("command, family", [
+    *((command, family) for command in ("eval", "predict")
+      for family in ("fusion", "crf", "bilstm")),
+    ("train", "crf"), ("train", "bilstm")])
+def test_embedding_width_mismatch_exits_3_naming_the_checkpoint(
+        workspace, wide_corpus, tmp_path, capsys, command, family):
+    """The message names the checkpoint that fixes the widths (the FM's
+    for crf and bilstm) and both widths."""
+    fm = workspace / "fm" / "model.ckpt"
+    if command == "train":
+        argv = ["--model", family, "--epochs", "1",
+                "--out", str(tmp_path / "run")]
+    else:
+        ckpt = fm if family == "fusion" else _trained(workspace, family)
+        argv = ["--model-checkpoint", str(ckpt)]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "p.jsonl")]
+    capsys.readouterr()
+    assert main([command, *argv, "--corpus", str(wide_corpus),
+                 "--fm-checkpoint", str(fm)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fm}: the model takes text embeddings of "
+                          "width 16, but page "), err
+    assert err.rstrip().endswith("has one of width 20"), err
+
+
+@pytest.mark.parametrize("family", ["crf", "bilstm"])
+def test_sequence_checkpoint_refuses_another_fm(workspace, tmp_path, capsys,
+                                                family):
+    """A crf or bilstm checkpoint records the digest of the FM it was
+    trained over; another FM of the same shape exits 3 naming both
+    files.  A checkpoint without the digest evaluates as before."""
+    ckpt = _trained(workspace, family)
+    other_fm = workspace / "labels_fm_seed1"
+    if not (other_fm / "model.ckpt").exists():
+        assert main(["train", "--model", "fusion", "--corpus",
+                     str(workspace / "corpus"), "--out", str(other_fm),
+                     "--epochs", "2", "--seed", "1"]) == 0
+    other_fm = other_fm / "model.ckpt"
+    argv = ["eval", "--corpus", str(workspace / "corpus"),
+            "--fm-checkpoint", str(other_fm)]
+    capsys.readouterr()
+    assert main([*argv, "--model-checkpoint", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and str(other_fm) in err, err
+    assert "digest" in err and "Traceback" not in err
+    params, meta = load_checkpoint(ckpt)
+    del meta["fm_digest"]
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, params, meta)
+    assert main([*argv, "--model-checkpoint", str(legacy)]) == 0

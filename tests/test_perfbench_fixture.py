@@ -1,17 +1,21 @@
 """The benchmark saves and restores its predict-long models through the
 surface of ``FusionModule``, ``CrfModel`` and ``SeqModel`` (``params``,
 ``n_tags``, ``n_features``, ``state_dict``, ``decode``); a change to that
-surface must fail here, not only in the benchmark."""
+surface must fail here, not only in the benchmark.  Its request loop
+labels lawsuits through those calls, and must give the labels of the
+families' labellers, which ``eval`` and ``predict`` use."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from pageseq import crf, fusion, seqmodels
-from pageseq.iob import CLASSES, IOB_TAGS
+from pageseq import cli, crf, fusion, seqmodels, textcnn
+from pageseq.iob import CLASSES, IOB_TAGS, iob_collapse
 from pageseq.synth import SynthConfig, generate_synthetic
+from pageseq.text import Vocab
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -35,9 +39,8 @@ def _perturb(state, gen):
         value[...] = draw
 
 
-def test_fixture_round_trips_and_labels_alike(tmp_path, monkeypatch):
-    workloads = _workloads(monkeypatch)
-    corpus = generate_synthetic(SynthConfig(n_lawsuits=3, seed=2))
+def _sequence_models(corpus):
+    """Tiny FM, FM+CRF and BiLSTM-F with random parameters."""
     text_dim, image_dim = fusion.corpus_embedding_dims(corpus)
     fm = fusion.FusionModule(fusion.FusionConfig(
         text_dim=text_dim, image_dim=image_dim, hidden=8), seed=1)
@@ -48,7 +51,13 @@ def test_fixture_round_trips_and_labels_alike(tmp_path, monkeypatch):
     gen = np.random.default_rng(3)
     for model in (fm, crf_model, seq_model):
         _perturb(model.state_dict(), gen)
-    models = (fm, crf_model, seq_model)
+    return fm, crf_model, seq_model
+
+
+def test_fixture_round_trips_and_labels_alike(tmp_path, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    corpus = generate_synthetic(SynthConfig(n_lawsuits=3, seed=2))
+    models = _sequence_models(corpus)
     workloads.save_fixture(models, tmp_path)
     loaded = workloads.load_sequence_models(tmp_path)
     assert workloads.sequence_digest(loaded) == \
@@ -57,3 +66,37 @@ def test_fixture_round_trips_and_labels_alike(tmp_path, monkeypatch):
     labels = workloads.label_sequence(loaded, lawsuit)
     assert labels == workloads.label_sequence(models, lawsuit)
     assert len(labels["crf"]) == len(lawsuit.pages)
+
+
+def test_benchmark_labels_are_the_family_labellers(monkeypatch):
+    """``label_sequence`` and ``label_text`` give each page the label that
+    the CLI's family labellers give it."""
+    workloads = _workloads(monkeypatch)
+    corpus = generate_synthetic(SynthConfig(n_lawsuits=4, seed=2))
+    fm, crf_model, seq_model = models = _sequence_models(corpus)
+    lawsuits = [lawsuit for split in corpus.values() for lawsuit in split]
+    vocab = Vocab.build([p.text_tokens for lawsuit in lawsuits
+                         for p in lawsuit.pages if p.text_tokens])
+    cnn = textcnn.TextCnn(len(vocab), dataclasses.replace(
+        workloads.TEXT_CNN, embed_dim=4, filters_per_size=2, fc_hidden=4),
+        seed=1)
+    _perturb(cnn.state_dict(), np.random.default_rng(4))
+    labelled = set()
+    for lawsuit in lawsuits:
+        one = {"request": [lawsuit]}
+
+        def family(name, model, aux):
+            return cli.FAMILIES[name].predict(model, aux, one, "request")
+
+        bench = workloads.label_sequence(models, lawsuit)
+        bench.update(workloads.label_text((cnn, vocab), lawsuit))
+        assert [CLASSES[i] for i in bench["fusion"]] == \
+            iob_collapse(family("fusion", fm, None))
+        assert [CLASSES[i] for i in bench["textcnn"]] == \
+            iob_collapse(family("textcnn", cnn, vocab))
+        assert [IOB_TAGS[i] for i in bench["crf"]] == \
+            family("crf", crf_model, fm)
+        assert [IOB_TAGS[i] for i in bench["seqmodels"]] == \
+            family("bilstm-f", seq_model, fm)
+        labelled.update(bench["fusion"])
+    assert len(labelled) > 1

@@ -8,7 +8,7 @@ from conftest import check_grads
 from pageseq import cli, crf
 from pageseq.checkpoint import load_checkpoint
 from pageseq.iob import IOB_TAGS
-from pageseq.seqmodels import (SeqModel, SeqModelConfig, predict_tags,
+from pageseq.seqmodels import (SeqModel, SeqModelConfig, label_lawsuits,
                                train_seq)
 from pageseq.training import minibatch_count
 
@@ -158,7 +158,7 @@ def test_crf_head_takes_one_packed_call_per_step(monkeypatch):
 def test_predict_tags_are_iob():
     model = _model("bilstm")
     x = np.random.default_rng(5).standard_normal((4, 6))
-    tags = predict_tags(model, x)
+    tags = label_lawsuits(model.decode, [(x, None)])
     assert len(tags) == 4
     assert all(t in IOB_TAGS for t in tags)
 

