@@ -9,6 +9,17 @@ a shared filler vocabulary.  Modalities are dropped independently at the
 configured rates, never both on the same page.  Everything is driven by
 one seeded, sequential PRNG, so a (seed, config) pair regenerates a
 bit-identical corpus.
+
+Each token takes one to four scalar draws: a keyword test, a confusion
+test, a class and a pool index.  :func:`_draw_tokens` makes them from
+the PCG64 stream's raw 64-bit words (``random_raw``) in plain Python,
+mapping each word exactly as numpy's ``Generator.random`` (its top 53
+bits) and ``Generator.integers`` (Lemire's bounded method on 32-bit
+halves, the high half held for the next draw) do, and rewinds the words
+it did not use.  The embedding, Poisson, class-choice and drop draws
+are numpy's own.  So a (seed, config) pair still regenerates, byte for
+byte, the corpus that one ``Generator`` call per draw gave;
+``tests/synth_reference.py`` keeps that loop as the oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +34,9 @@ import numpy as np
 from .corpus import Lawsuit, Page
 from .iob import CLASSES
 from .tensor import RngState
+
+_LOW = 0xFFFFFFFF  # the low 32-bit half of a raw word
+_CHUNK = 4096  # most raw words drawn at once
 
 
 @dataclass
@@ -68,9 +82,12 @@ class SynthConfig:
 
         k = len(CLASSES)
         need("seed", self.seed >= 0, "at least 0")
-        for name in ("n_lawsuits", "max_doc_len", "text_dim", "image_dim",
-                     "keywords_per_class", "filler_vocab"):
+        for name in ("n_lawsuits", "max_doc_len", "text_dim", "image_dim"):
             need(name, getattr(self, name) >= 1, "at least 1")
+        # _draw_tokens models numpy's 32-bit bounded draw only
+        for name in ("keywords_per_class", "filler_vocab"):
+            need(name, 1 <= getattr(self, name) <= 2**32,
+                 "in [1, 2**32]")
         for name in ("markov_structure", "missing_text_rate",
                      "missing_image_rate", "keyword_rate_first",
                      "keyword_rate_interior", "keyword_confusion"):
@@ -131,6 +148,87 @@ def _strengths(config: SynthConfig, first: bool):
     return text, image
 
 
+def _bounded(bitgen, words, i, carry, n):
+    """``Generator.integers(n)`` from raw words: (value, words, i, carry).
+
+    Lemire's (2019) method on 32-bit halves, as numpy draws an ``n`` of
+    at most 2**32: the low half of a fresh word first, its high half
+    held in ``carry`` (or None) for the next draw, as PCG64's
+    ``next_uint32`` does; ``n == 1`` draws nothing.  Keeps at least two
+    unread words after ``i``.
+    """
+    if n == 1:
+        return 0, words, i, carry
+    low = 2**32 % n  # reject while the low half of half-word * n is below
+    while True:
+        if len(words) - i < 3:
+            words = words[i:] + bitgen.random_raw(_CHUNK).tolist()
+            i = 0
+        if carry is None:
+            m = (words[i] & _LOW) * n
+            carry = words[i] >> 32
+            i += 1
+        else:
+            m, carry = carry * n, None
+        if m & _LOW >= low:
+            return m >> 32, words, i, carry
+
+
+def _draw_tokens(bitgen, carry, n_tok, kw_rate, confusion, own, pools,
+                 filler):
+    """A page's tokens, drawn as ``Generator.random``/``.integers`` would.
+
+    Per token: ``random() < kw_rate`` picks a keyword; then ``random() <
+    confusion`` takes its pool from ``pools[integers(len(pools))]``
+    instead of ``own``; the token is ``pool[integers(len(pool))]``.  A
+    ``random()`` reads one raw word; bounded draws are :func:`_bounded`'s,
+    its first try inlined.  Words are drawn in chunks of at most
+    ``_CHUNK``, and the unused ones are rewound.  Returns (tokens, carry).
+    """
+    # random() < rate  <=>  (word >> 11) / 2**53 < rate  <=>  word < cut
+    kw_cut = math.ceil(kw_rate * 2**53) << 11
+    conf_cut = math.ceil(confusion * 2**53) << 11
+    n_kw, n_fill, n_pools = len(own), len(filler), len(pools)
+    kw_low, fill_low = 2**32 % n_kw, 2**32 % n_fill
+    chunk = min(2 * n_tok + 4, _CHUNK)  # default pages read ~1.7 a token
+    words = bitgen.random_raw(chunk).tolist()
+    i, end = 0, len(words) - 3  # a token reads at most 3 words
+    tokens = []
+    for _ in range(n_tok):
+        if i > end:
+            words = words[i:] + bitgen.random_raw(chunk).tolist()
+            i, end = 0, len(words) - 3
+        if words[i] < kw_cut:
+            pool, n, low = own, n_kw, kw_low
+            i += 2
+            if words[i - 1] < conf_cut:
+                c, words, i, carry = _bounded(bitgen, words, i, carry,
+                                              n_pools)
+                pool = pools[c]
+                end = len(words) - 3
+        else:
+            pool, n, low = filler, n_fill, fill_low
+            i += 1
+        if n == 1:
+            tokens.append(pool[0])
+            continue
+        if carry is None:
+            w = words[i]
+            m, carry = (w & _LOW) * n, w >> 32
+            i += 1
+        else:
+            m, carry = carry * n, None
+        if m & _LOW < low:  # rejected: draw again
+            j, words, i, carry = _bounded(bitgen, words, i, carry, n)
+            end = len(words) - 3
+        else:
+            j = m >> 32
+        tokens.append(pool[j])
+    if i < len(words):  # steps back by the unused words, mod the period
+        bitgen.advance(2**128 - (len(words) - i))
+    return tokens, carry
+
+
 def generate_synthetic(config: SynthConfig) -> dict:
     """Builds a full train/validation/test corpus; see module docstring."""
     rngs = RngState(config.seed)
@@ -145,6 +243,16 @@ def generate_synthetic(config: SynthConfig) -> dict:
     start_dist = doc_type_distribution(config)
     trans = markov_matrix(config)
 
+    # per first-page flag: each class's embedding means, and keyword rate
+    by_first = {}
+    for first in (False, True):
+        t_str, i_str = _strengths(config, first)
+        kw_rate = (config.keyword_rate_first
+                   if first and config.first_page_boost != 0.0
+                   else config.keyword_rate_interior)
+        by_first[first] = (t_str * text_proto, i_str * image_proto, kw_rate)
+    text_root, image_root = np.sqrt(config.text_dim), np.sqrt(config.image_dim)
+    bitgen, carry = rng.bit_generator, None
     lawsuits = []
     for li in range(config.n_lawsuits):
         lawsuit_id = f"suit-{li:05d}"
@@ -162,29 +270,19 @@ def generate_synthetic(config: SynthConfig) -> dict:
                          config.max_doc_len)
             for j in range(length):
                 first = j == 0
-                t_str, i_str = _strengths(config, first)
-                text_emb = (t_str * text_proto[ci]
+                text_mean, image_mean, kw_rate = by_first[first]
+                text_emb = (text_mean[ci]
                             + config.text_noise
                             * rng.standard_normal(config.text_dim)
-                            / np.sqrt(config.text_dim)).astype(np.float32)
-                image_emb = (i_str * image_proto[ci]
+                            / text_root).astype(np.float32)
+                image_emb = (image_mean[ci]
                              + config.image_noise
                              * rng.standard_normal(config.image_dim)
-                             / np.sqrt(config.image_dim)).astype(np.float32)
-                kw_rate = (config.keyword_rate_first if first
-                           else config.keyword_rate_interior)
-                if config.first_page_boost == 0.0:
-                    kw_rate = config.keyword_rate_interior
+                             / image_root).astype(np.float32)
                 n_tok = max(1, int(rng.poisson(config.tokens_per_page)))
-                tokens = []
-                for _ in range(n_tok):
-                    if rng.random() < kw_rate:
-                        src = ci
-                        if rng.random() < config.keyword_confusion:
-                            src = int(rng.integers(k))
-                        tokens.append(keywords[src][rng.integers(len(keywords[src]))])
-                    else:
-                        tokens.append(filler[rng.integers(len(filler))])
+                tokens, carry = _draw_tokens(
+                    bitgen, carry, n_tok, kw_rate, config.keyword_confusion,
+                    keywords[ci], keywords, filler)
                 drop_text = rng.random() < config.missing_text_rate
                 drop_image = (not drop_text
                               and rng.random() < config.missing_image_rate)
@@ -199,6 +297,10 @@ def generate_synthetic(config: SynthConfig) -> dict:
                 ))
         lawsuits.append(Lawsuit(lawsuit_id, pages))
 
+    # permutation reads 32-bit halves: hand it the held one
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = carry is not None, carry or 0
+    bitgen.state = state
     order = rng.permutation(config.n_lawsuits)
     n_train = int(round(config.split_fractions[0] * config.n_lawsuits))
     n_val = int(round(config.split_fractions[1] * config.n_lawsuits))

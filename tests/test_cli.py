@@ -64,6 +64,7 @@ def test_gen_synth_unknown_key(tmp_path, capsys):
     ("max_doc_len", "0"),
     ("class_freq", "0.5,0.5"),
     ("doc_len_mean", "0,0,0,0,0,0"),
+    ("filler_vocab", str(2**32 + 1)),
 ])
 def test_gen_synth_out_of_range_value_names_the_key(tmp_path, capsys, key,
                                                     value):
