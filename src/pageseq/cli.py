@@ -329,15 +329,24 @@ def _train_settings(args, family):
     seed, batch = _seed_and_batch(args, cfg, family.batch)
     epochs = args.epochs if args.epochs is not None else \
         section_value(cfg, "train.epochs", 20)
+    _check_min(epochs, 1, "--epochs" if args.epochs is not None
+               else "train.epochs")
     lr = args.max_lr if args.max_lr is not None else \
         section_value(cfg, "train.lr", family.lr)
+    _check_lr(lr, "--max-lr" if args.max_lr is not None else "train.lr")
     return cfg, seed, epochs, batch, lr
 
 
 def _check_min(value, low, option):
-    # numpy seeds are >= 0; a one-item step gives BatchNorm a single row
+    # numpy seeds are >= 0; a one-item step gives BatchNorm a single row;
+    # a run needs an epoch, a range test two rates
     if value < low:
         raise ConfigError(f"{option} must be at least {low}, got {value}")
+
+
+def _check_lr(value, option):
+    if not 0 < value < float("inf"):  # NaN too
+        raise ConfigError(f"{option} must be finite and above 0, got {value}")
 
 
 def cmd_train(args):
@@ -416,6 +425,9 @@ def cmd_predict(args):
 # --------------------------------------------------------------- range-test
 
 def cmd_range_test(args):
+    _check_lr(args.lr_min, "--lr-min")
+    _check_lr(args.lr_max, "--lr-max")
+    _check_min(args.steps, 2, "--steps")
     if args.lr_min >= args.lr_max:
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer
 from .model_base import ModelBase
 from .tensor import RngState, grid_positions, packing
 from .training import fit
@@ -184,7 +183,7 @@ def viterbi_decode(emissions, transitions, start, stop):
     return path.tolist(), float(final.max())
 
 
-class CrfHead(Layer):
+class CrfHead(ModelBase):
     """A linear-chain CRF's transition, start and stop scores (float64)
     as a layer."""
 
@@ -211,26 +210,20 @@ class CrfHead(Layer):
 class CrfModel(ModelBase):
     """A :class:`CrfHead` over a per-tag linear emission map of features.
 
-    Its parameters have flat names: the head's ``transitions``,
-    ``start`` and ``stop``, then ``emit_w`` (F, K) and ``emit_b`` (K).
+    It registers the head's arrays as its own, not as a child's, so its
+    parameters have flat names: the head's ``transitions``, ``start``
+    and ``stop``, then ``emit_w`` (F, K) and ``emit_b`` (K).
     """
 
     def __init__(self, n_tags, n_features):
+        super().__init__()
         self.n_tags = n_tags
         self.n_features = n_features
         self.head = CrfHead(n_tags)
-        self.params = {**self.head.params,
-                       "emit_w": np.zeros((n_features, n_tags)),
-                       "emit_b": np.zeros(n_tags)}
-        self.grads = {**self.head.grads,
-                      "emit_w": np.zeros((n_features, n_tags)),
-                      "emit_b": np.zeros(n_tags)}
-
-    def _extra_params(self):
-        return self.params
-
-    def _extra_grads(self):
-        return self.grads
+        for name, value in self.head.params.items():
+            self._add_param(name, value, self.head.grads[name])
+        self._add_param("emit_w", np.zeros((n_features, n_tags)))
+        self._add_param("emit_b", np.zeros(n_tags))
 
     def emissions(self, features):
         features = np.asarray(features, dtype=np.float64)

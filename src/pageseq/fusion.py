@@ -54,6 +54,7 @@ class MlpClassifier(ModelBase):
 
     def __init__(self, input_dim, hidden, classes=6, dropout=0.5, seed=0,
                  dtype=DEFAULT_DTYPE):
+        super().__init__()
         rngs = RngState(seed)
         init = rngs.consumer(f"{self.stream}-init")
         self.bn0 = BatchNorm1d(input_dim, dtype=dtype)
@@ -91,19 +92,9 @@ class FusionModule(MlpClassifier):
         super().__init__(c.concat_dim, c.hidden, c.classes, c.dropout, seed,
                          dtype)
         # zero init: learned and zero variants start from the same point
-        self.missing_text = np.zeros(c.text_dim, dtype=dtype)
-        self.missing_image = np.zeros(c.image_dim, dtype=dtype)
-        self.g_missing_text = np.zeros_like(self.missing_text)
-        self.g_missing_image = np.zeros_like(self.missing_image)
+        self._add_param("missing_text", np.zeros(c.text_dim, dtype=dtype))
+        self._add_param("missing_image", np.zeros(c.image_dim, dtype=dtype))
         self._masks = None
-
-    def _extra_params(self):
-        return {"missing_text": self.missing_text,
-                "missing_image": self.missing_image}
-
-    def _extra_grads(self):
-        return {"missing_text": self.g_missing_text,
-                "missing_image": self.g_missing_image}
 
     def concat(self, text, image, text_present, image_present,
                force_missing_image=False):
@@ -120,10 +111,11 @@ class FusionModule(MlpClassifier):
                                  "every sample")
         if np.any(~text_present & ~image_present):
             raise ValueError("sample with both modalities missing")
+        missing_text, missing_image = (self.params["missing_text"],
+                                       self.params["missing_image"])
         parts = []
-        for emb, present, missing in ((text, text_present, self.missing_text),
-                                      (image, image_present,
-                                       self.missing_image)):
+        for emb, present, missing in ((text, text_present, missing_text),
+                                      (image, image_present, missing_image)):
             shape = (len(present), len(missing))
             if emb is None:
                 emb = np.zeros(shape, dtype=missing.dtype)
@@ -132,9 +124,9 @@ class FusionModule(MlpClassifier):
             parts.append(emb)
         # one copy, then only the absent rows are overwritten
         x = np.concatenate(parts, axis=1,
-                           dtype=np.result_type(*parts, self.missing_text))
-        x[~text_present, :self.config.text_dim] = self.missing_text
-        x[~image_present, self.config.text_dim:] = self.missing_image
+                           dtype=np.result_type(*parts, missing_text))
+        x[~text_present, :self.config.text_dim] = missing_text
+        x[~image_present, self.config.text_dim:] = missing_image
         return x
 
     def forward(self, text, image, text_present, image_present, train=False,
@@ -154,9 +146,9 @@ class FusionModule(MlpClassifier):
             text_present, image_present = self._masks
             d = self.config.text_dim
             if np.any(~text_present):
-                self.g_missing_text += g[~text_present, :d].sum(axis=0)
+                self.grads["missing_text"] += g[~text_present, :d].sum(axis=0)
             if np.any(~image_present):
-                self.g_missing_image += g[~image_present, d:].sum(axis=0)
+                self.grads["missing_image"] += g[~image_present, d:].sum(axis=0)
         return g
 
     def hidden(self, text, image, text_present, image_present):

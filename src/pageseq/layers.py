@@ -1,9 +1,10 @@
 """Differentiable layers with hand-derived backward passes.
 
-Every layer owns named parameters and matching gradient buffers.
-``forward(x, train)`` caches whatever the backward pass needs;
-``backward(grad)`` returns the gradient w.r.t. the layer input and
-accumulates parameter gradients (call ``zero_grads`` between steps).
+A layer is a :class:`model_base.ModelBase`, as every model is, and
+registers its parameters and buffers there.  ``forward(x, train)``
+caches whatever the backward pass needs; ``backward(grad)`` returns the
+gradient w.r.t. the layer input and accumulates parameter gradients
+(call ``zero_grads`` between steps).
 A layer instance is single-threaded during forward/backward because of
 those caches; distinct instances are independent.
 
@@ -18,21 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model_base import ModelBase
 from .tensor import DEFAULT_DTYPE, ShapeError
-
-
-class Layer:
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-
-    def _add_param(self, name, value):
-        self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0
 
 
 def glorot_uniform(rng, fan_in, fan_out, shape, dtype):
@@ -40,7 +28,7 @@ def glorot_uniform(rng, fan_in, fan_out, shape, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class Linear(Layer):
+class Linear(ModelBase):
     """y = x W + b over a batch of row vectors."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=DEFAULT_DTYPE, w_scale=None):
@@ -69,7 +57,7 @@ class Linear(Layer):
         return grad @ self.params["weight"].T
 
 
-class BatchNorm1d(Layer):
+class BatchNorm1d(ModelBase):
     """Batch normalisation over the first axis of a (batch, dim) input."""
 
     def __init__(self, dim, dtype=DEFAULT_DTYPE, momentum=0.1, eps=1e-5):
@@ -79,8 +67,10 @@ class BatchNorm1d(Layer):
         self.eps = eps
         self._add_param("gamma", np.ones(dim, dtype=dtype))
         self._add_param("beta", np.zeros(dim, dtype=dtype))
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
+        self.running_mean = self._add_buffer("running_mean",
+                                             np.zeros(dim, dtype=dtype))
+        self.running_var = self._add_buffer("running_var",
+                                            np.ones(dim, dtype=dtype))
         self._cache = None
 
     def forward(self, x, train=False):
@@ -128,7 +118,7 @@ class BatchNorm1d(Layer):
         return dx
 
 
-class Dropout(Layer):
+class Dropout(ModelBase):
     """Inverted dropout: kept activations are scaled by 1/(1-p)."""
 
     def __init__(self, p, rng):
@@ -153,7 +143,7 @@ class Dropout(Layer):
         return grad * self._mask
 
 
-class Embedding(Layer):
+class Embedding(ModelBase):
     """Row-lookup table for token ids; grads scatter into used rows only."""
 
     def __init__(self, vocab_size, dim, rng, dtype=DEFAULT_DTYPE, scale=0.05):
@@ -177,7 +167,7 @@ class Embedding(Layer):
         return None  # ids are not differentiable
 
 
-class Conv1d(Layer):
+class Conv1d(ModelBase):
     """Parallel 1-d cross-correlations with same-padding over (batch,
     length, ch): one bank of ``out_ch`` filters per kernel size, the
     banks' outputs concatenated along ch in ``kernel_sizes`` order.
@@ -306,7 +296,7 @@ def _route_max(grad, beats, dst_taps):
     np.bitwise_and(g, ~taken, out=_bits(dst_taps[0]))
 
 
-class MaxPool1d(Layer):
+class MaxPool1d(ModelBase):
     """Non-overlapping max pooling over (batch, length, ch) with floor
     semantics (ragged tail dropped); ties go to the first position."""
 
@@ -335,7 +325,7 @@ class MaxPool1d(Layer):
         return dx
 
 
-class AdaptiveMaxPool1d(Layer):
+class AdaptiveMaxPool1d(ModelBase):
     """Max pooling of (batch, length, ch) to a fixed output length over
     near-equal windows; ties go to the first position."""
 
@@ -368,7 +358,7 @@ class AdaptiveMaxPool1d(Layer):
         return dx
 
 
-class ReLU(Layer):
+class ReLU(ModelBase):
     def __init__(self):
         super().__init__()
         self._mask = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer
+from .model_base import ModelBase
 from .tensor import DEFAULT_DTYPE, grid_positions
 
 
@@ -29,7 +29,7 @@ def _sigmoid_inplace(a):
     np.divide(1.0, a, out=a)
 
 
-class LstmCell(Layer):
+class LstmCell(ModelBase):
     """Single-direction LSTM; gate order i, f, g, o.
 
     The parameters ``w_x``, ``w_h`` and ``bias`` are views into stacked
@@ -59,8 +59,8 @@ class LstmCell(Layer):
                 shape = self.stacked[name].shape[1:]
                 self.stacked[name][d] = rng.uniform(-bound, bound, shape)
             for name, value in self.stacked.items():
-                self.params[prefix + name] = value[d]
-                self.grads[prefix + name] = stacked_grads[name][d]
+                self._add_param(prefix + name, value[d],
+                                stacked_grads[name][d])
         self._stacked_grads = stacked_grads
         self._cache = None
 

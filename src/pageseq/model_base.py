@@ -1,54 +1,59 @@
-"""Shared bookkeeping for models built from named child layers.
+"""The one module type: every layer and model is a :class:`ModelBase`.
 
-Trainable parameters and non-trained buffers (batch-norm running stats)
-are kept separate: the optimizer sees only parameters, checkpoints store
-both under a flat name space (buffers prefixed ``buf.``).
+A module registers each array it owns once.  ``_add_param`` registers a
+trained array and its gradient buffer, ``_add_buffer`` an array that is
+saved but not trained (batch-norm running statistics).  A model names
+its submodules in ``_children()``, and one walk over them gives every
+parameter, gradient and buffer a flat name, "child.name".  The
+optimizer sees only parameters; checkpoints store parameters and
+buffers under one name space, buffers prefixed ``buf.``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import BatchNorm1d
-
 
 class ModelBase:
+    def __init__(self):
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def _add_param(self, name, value, grad=None):
+        """Registers ``value`` as trained, with the gradient buffer
+        ``grad`` (zeros of its shape when omitted)."""
+        self.params[name] = value
+        self.grads[name] = np.zeros_like(value) if grad is None else grad
+
+    def _add_buffer(self, name, value):
+        """Registers ``value`` as saved but not trained; returns it."""
+        self.buffers[name] = value
+        return value
+
     def _children(self) -> dict:
         return {}
 
-    def _extra_params(self) -> dict:
-        return {}
-
-    def _extra_grads(self) -> dict:
-        return {}
-
-    def named_params(self):
-        return self._named(self._extra_params(), "params")
-
-    def named_grads(self):
-        return self._named(self._extra_grads(), "grads")
-
-    def _named(self, out, attr):
-        """``out`` plus each child's ``attr`` dict, as "child.name"."""
-        out = dict(out)
+    def _named(self, attr):
+        """This module's ``attr`` dict, then each child's, as "child.name"."""
+        out = dict(getattr(self, attr))
         for cn, child in self._children().items():
-            for name, value in getattr(child, attr).items():
+            for name, value in child._named(attr).items():
                 out[f"{cn}.{name}"] = value
         return out
 
+    def named_params(self):
+        return self._named("params")
+
+    def named_grads(self):
+        return self._named("grads")
+
     def named_buffers(self):
-        out = {}
-        for cn, child in self._children().items():
-            if isinstance(child, BatchNorm1d):
-                out[f"{cn}.running_mean"] = child.running_mean
-                out[f"{cn}.running_var"] = child.running_var
-        return out
+        return self._named("buffers")
 
     def zero_grads(self):
-        for g in self._extra_grads().values():
+        for g in self.named_grads().values():
             g[...] = 0
-        for child in self._children().values():
-            child.zero_grads()
 
     def state_dict(self):
         out = dict(self.named_params())

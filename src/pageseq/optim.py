@@ -30,7 +30,7 @@ class Adam:
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict, lr: float):
-        if lr <= 0:
+        if not lr > 0:  # also NaN
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t

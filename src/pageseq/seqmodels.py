@@ -56,6 +56,7 @@ class SeqModelConfig:
 
 class SeqModel(ModelBase):
     def __init__(self, config: SeqModelConfig, seed=0, dtype=DEFAULT_DTYPE):
+        super().__init__()
         self.config = config
         rngs = RngState(seed)
         init = rngs.consumer("seq-init")

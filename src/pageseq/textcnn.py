@@ -81,6 +81,7 @@ class TextCnn(ModelBase):
 
     def __init__(self, vocab_size, config: TextCnnConfig, seed=0,
                  dtype=DEFAULT_DTYPE):
+        super().__init__()
         self.config = config
         rngs = RngState(seed)
         init = rngs.consumer("textcnn-init")

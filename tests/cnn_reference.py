@@ -16,8 +16,8 @@ gradient buffers of the production layer it checks, and overrides only
 
 import numpy as np
 
-from pageseq.layers import (AdaptiveMaxPool1d, BatchNorm1d, Layer,
-                            MaxPool1d)
+from pageseq.layers import AdaptiveMaxPool1d, BatchNorm1d, MaxPool1d
+from pageseq.model_base import ModelBase
 from pageseq.tensor import ShapeError
 from pageseq.textcnn import ConvBlock, TextCnn
 
@@ -66,7 +66,7 @@ class OldBatchNorm1d(BatchNorm1d):
         return dx
 
 
-class RefConv1d(Layer):
+class RefConv1d(ModelBase):
     """The kernel-``kernel`` bank of a fused Conv1d as a convolution of
     its own, reading and accumulating into that bank's parameters."""
 

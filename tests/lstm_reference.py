@@ -13,7 +13,7 @@ the same buffers.
 
 import numpy as np
 
-from pageseq.layers import Layer
+from pageseq.model_base import ModelBase
 from pageseq.losses import cross_entropy
 from pageseq import crf as crf_ops
 from pageseq.tensor import RngState
@@ -23,7 +23,7 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-class RefLstmCell(Layer):
+class RefLstmCell(ModelBase):
     """Single-direction LSTM over one sequence; gate order i, f, g, o."""
 
     def __init__(self, params, grads):
@@ -80,7 +80,7 @@ class RefLstmCell(Layer):
         return (da @ self.params["w_x"].T).astype(x.dtype, copy=False)
 
 
-class RefBiLstm(Layer):
+class RefBiLstm(ModelBase):
     """Forward and reverse cell over one sequence, on a production
     ``BiLstm``'s parameters and gradient buffers."""
 

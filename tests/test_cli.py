@@ -335,6 +335,38 @@ def test_negative_seed_is_config_error(workspace, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, model, option, value, rule", [
+    ("train", "fusion", "--max-lr", "nan", "must be finite and above 0"),
+    ("train", "fusion", "train.lr", "-0.1", "must be finite and above 0"),
+    ("train", "crf", "--max-lr", "inf", "must be finite and above 0"),
+    ("train", "fusion", "--epochs", "0", "must be at least 1"),
+    ("train", "crf", "--epochs", "0", "must be at least 1"),
+    ("train", "bilstm", "train.epochs", "0", "must be at least 1"),
+    ("range-test", "fusion", "--lr-min", "-1", "must be finite and above 0"),
+    ("range-test", "textcnn", "--lr-max", "nan", "must be finite and above 0"),
+    ("range-test", "fusion", "--steps", "1", "must be at least 2")])
+def test_bad_rate_or_count_is_config_error(workspace, tmp_path, capsys,
+                                           command, model, option, value,
+                                           rule):
+    """Rejected before anything is written, naming the flag or key."""
+    out = tmp_path / "out"
+    argv = [command, "--model", model, "--corpus", str(workspace / "corpus"),
+            "--out", str(out)]
+    if command == "train":
+        argv += ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]
+    else:
+        argv += ["--lr-min", "1e-4", "--lr-max", "1.0", "--steps", "3"]
+    if option.startswith("train."):
+        (tmp_path / "train.cfg").write_text(f"{option}={value}\n")
+        argv += ["--config", str(tmp_path / "train.cfg")]
+    else:
+        argv += [option, value]
+    assert main(argv) == 1
+    assert f"config error: {option} {rule}, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_line_count_equals_split_pages(workspace, capsys):
     out = workspace / "preds.jsonl"
     assert main(["predict", "--model-checkpoint",

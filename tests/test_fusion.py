@@ -31,7 +31,7 @@ def _batch(rng, n, tmiss=(), imiss=()):
 
 def test_forward_shape_and_missing_substitution(rng):
     model = FusionModule(CFG, seed=0)
-    model.missing_text += 1.0
+    model.params["missing_text"] += 1.0
     text, image, tmask, imask = _batch(rng, 4, tmiss=[1])
     out = model.forward(text, image, tmask, imask, train=False)
     assert out.shape == (4, 6)
@@ -56,8 +56,8 @@ def test_learned_missing_vector_gets_gradient(rng):
     _, d = cross_entropy(logits, np.zeros(6, dtype=int))
     model.zero_grads()
     model.backward(d)
-    assert np.abs(model.g_missing_text).sum() > 0
-    assert np.abs(model.g_missing_image).sum() == 0  # no image was missing
+    assert np.abs(model.grads["missing_text"]).sum() > 0
+    assert np.abs(model.grads["missing_image"]).sum() == 0  # no image was missing
 
 
 def test_zero_variant_missing_vector_never_trains(rng):
@@ -69,9 +69,9 @@ def test_zero_variant_missing_vector_never_trains(rng):
     _, d = cross_entropy(logits, np.zeros(6, dtype=int))
     model.zero_grads()
     model.backward(d)
-    np.testing.assert_array_equal(model.g_missing_text, 0.0)
-    np.testing.assert_array_equal(model.g_missing_image, 0.0)
-    np.testing.assert_array_equal(model.missing_text, 0.0)
+    np.testing.assert_array_equal(model.grads["missing_text"], 0.0)
+    np.testing.assert_array_equal(model.grads["missing_image"], 0.0)
+    np.testing.assert_array_equal(model.params["missing_text"], 0.0)
 
 
 def test_force_missing_image_ignores_images(rng):
@@ -143,15 +143,15 @@ def test_embedding_arrays_masks():
     pages.append(Page("s", 2, "RE", False,
                       text_embedding=np.full(4, 3.0, dtype=np.float32)))
     fm = FusionModule(FusionConfig(text_dim=4, image_dim=3, hidden=5))
-    fm.missing_text[...] = [-1, -2, -3, -4]
-    fm.missing_image[...] = [-5, -6, -7]
+    fm.params["missing_text"][...] = [-1, -2, -3, -4]
+    fm.params["missing_image"][...] = [-5, -6, -7]
     x = concat_features(pages, fm)
     assert x.dtype == np.float32
     for row, page in zip(x, pages):
         for got, emb, missing in ((row[:4], page.text_embedding,
-                                   fm.missing_text),
+                                   fm.params["missing_text"]),
                                   (row[4:], page.image_embedding,
-                                   fm.missing_image)):
+                                   fm.params["missing_image"])):
             np.testing.assert_array_equal(
                 got, missing if emb is None else emb)
 

@@ -28,6 +28,8 @@ def test_adam_rejects_nonpositive_lr():
     opt = Adam({"w": np.zeros(1)})
     with pytest.raises(ValueError):
         opt.step({"w": np.zeros(1)}, lr=0.0)
+    with pytest.raises(ValueError):  # NaN compares false with 0 as well
+        opt.step({"w": np.zeros(1)}, lr=math.nan)
 
 
 def test_adam_state_per_parameter():
