@@ -146,7 +146,8 @@ class BestCheckpointKeeper:
 
     Each file's meta is ``meta`` (what ``pageseq eval`` needs to rebuild
     the model), updated with the meta of the :meth:`update` call and the
-    score as ``val_macro_f1``.
+    score as ``val_macro_f1``.  A parameter set with a non-finite entry
+    is never saved: :meth:`update` raises ``ValueError`` instead.
     """
 
     def __init__(self, path, meta: dict | None = None):
@@ -159,6 +160,11 @@ class BestCheckpointKeeper:
             raise ValueError(f"validation metric must be finite, got {score}")
         if score <= self.best_score:
             return False
+        bad = [name for name, value in params.items()
+               if not np.isfinite(value).all()]
+        if bad:
+            raise ValueError(f"{self.path}: not saved, {len(bad)} parameters "
+                             f"are not finite, {bad[0]!r} first")
         meta = {**self.meta, **(meta or {}), "val_macro_f1": score}
         save_checkpoint(self.path, params, meta)
         self.best_score = score

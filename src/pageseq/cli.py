@@ -43,7 +43,8 @@ from .tensor import RngState
 from .text import Vocab
 from .textcnn import (TextCnn, TextCnnConfig, encode_pages, text_cnn_setup,
                       train_text_cnn)
-from .training import iterate_minibatches, label_pages, train_step
+from .training import (TrainingDiverged, iterate_minibatches, label_pages,
+                       train_step)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -333,8 +334,20 @@ def _train_settings(args, family):
                else "train.epochs")
     lr = args.max_lr if args.max_lr is not None else \
         section_value(cfg, "train.lr", family.lr)
-    _check_lr(lr, "--max-lr" if args.max_lr is not None else "train.lr")
-    return cfg, seed, epochs, batch, lr
+    lr_source = "--max-lr" if args.max_lr is not None else \
+        "train.lr" if "train.lr" in cfg else "the default of --max-lr"
+    _check_lr(lr, lr_source)
+    return cfg, seed, epochs, batch, lr, lr_source
+
+
+def _file_id(path):
+    """Tells one write of ``path`` from another (a save replaces the
+    file), or None if there is no file."""
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns
 
 
 def _check_min(value, low, option):
@@ -353,17 +366,27 @@ def cmd_train(args):
     family = FAMILIES[args.model]
     if args.grid and family.grid is None:
         raise ConfigError(f"--grid needs a fusion model, not {args.model}")
-    cfg, seed, epochs, batch, lr = _train_settings(args, family)
+    cfg, seed, epochs, batch, lr, lr_source = _train_settings(args, family)
     corpus = _load_corpus_checked(args.corpus)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fm = _upstream_fm(args, args.model, "training")
     run = TrainRun(args.model, corpus,
                    _model_config(args.model, corpus, fm, cfg), fm,
                    args.fm_checkpoint, seed, epochs, batch, lr, out,
                    args.verbose)
-    with _widths_named(args.fm_checkpoint or args.corpus):
-        best = (family.grid if args.grid else family.train)(run)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt = out / "model.ckpt"
+    before = _file_id(ckpt)
+    try:
+        with _widths_named(args.fm_checkpoint or args.corpus):
+            best = (family.grid if args.grid else family.train)(run)
+    except TrainingDiverged as exc:
+        # an epoch before the divergence may have saved a checkpoint;
+        # with no log or config beside it, it would describe nothing
+        if _file_id(ckpt) != before:
+            ckpt.unlink()
+        raise ValueError(f"{exc}; the learning rate {lr:g} set by "
+                         f"{lr_source} is too high") from None
     _write_run_files(out, {**cfg, "train.model": args.model,
                            "train.seed": seed, "train.epochs": epochs,
                            "train.batch_size": batch,

@@ -20,6 +20,7 @@ from .iob import CLASS_TO_ID, CLASSES
 from .layers import BatchNorm1d, Dropout, Linear
 from .metrics import score
 from .model_base import ModelBase
+from .runconfig import need
 from .tensor import DEFAULT_DTYPE, RngState, softmax
 from .training import classifier_loss, fit, label_pages
 
@@ -34,8 +35,14 @@ class FusionConfig:
     missing_mode: str = "learned"  # or "zero"
 
     def __post_init__(self):
-        if self.missing_mode not in ("learned", "zero"):
-            raise ValueError(f"unknown missing_mode {self.missing_mode!r}")
+        """Raises ``ValueError`` naming the first field out of range."""
+        for name in ("text_dim", "image_dim", "hidden"):
+            need(self, name, getattr(self, name) >= 1, "at least 1")
+        need(self, "classes", self.classes == len(CLASSES),
+             f"{len(CLASSES)}, the number of page classes")
+        need(self, "dropout", 0 <= self.dropout < 1, "in [0, 1)")
+        need(self, "missing_mode", self.missing_mode in ("learned", "zero"),
+             "'learned' or 'zero'")
 
     @property
     def concat_dim(self) -> int:
@@ -137,7 +144,7 @@ class FusionModule(MlpClassifier):
         # the rows that took a missing vector, for backward
         self._masks = (np.asarray(text_present, dtype=bool),
                        np.asarray(image_present, dtype=bool)
-                       & (not force_missing_image))
+                       & (not force_missing_image)) if train else None
         return super().forward(x, train=train)
 
     def backward(self, dlogits):

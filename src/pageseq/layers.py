@@ -2,11 +2,14 @@
 
 A layer is a :class:`model_base.ModelBase`, as every model is, and
 registers its parameters and buffers there.  ``forward(x, train)``
-caches whatever the backward pass needs; ``backward(grad)`` returns the
-gradient w.r.t. the layer input and accumulates parameter gradients
-(call ``zero_grads`` between steps).
-A layer instance is single-threaded during forward/backward because of
-those caches; distinct instances are independent.
+caches what the backward pass needs only when ``train=True``; eval keeps
+nothing, as ``torch.no_grad`` keeps no autograd graph, so a model holds
+no activations between eval calls.  ``backward(grad)`` after an eval
+forward raises ``RuntimeError`` (``Dropout``, the identity in eval, is
+the exception).  ``backward`` returns the gradient w.r.t. the layer
+input and accumulates parameter gradients (call ``zero_grads`` between
+steps).  A layer instance is single-threaded during forward/backward
+because of those caches; distinct instances are independent.
 
 Sequence activations are channels-last, (batch, length, ch): Embedding
 produces that layout and Conv1d, MaxPool1d and AdaptiveMaxPool1d take
@@ -21,6 +24,15 @@ import numpy as np
 
 from .model_base import ModelBase
 from .tensor import DEFAULT_DTYPE, ShapeError
+
+
+def _cached(layer, cache):
+    """``cache``, or ``RuntimeError`` naming ``layer`` if no train-mode
+    forward filled it."""
+    if cache is None:
+        raise RuntimeError(f"{type(layer).__name__}.backward needs "
+                           "forward(train=True) first")
+    return cache
 
 
 def glorot_uniform(rng, fan_in, fan_out, shape, dtype):
@@ -48,11 +60,11 @@ class Linear(ModelBase):
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"Linear({self.in_dim}) got input shape {x.shape}")
-        self._x = x
+        self._x = x if train else None
         return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, grad):
-        self.grads["weight"] += self._x.T @ grad
+        self.grads["weight"] += _cached(self, self._x).T @ grad
         self.grads["bias"] += grad.sum(axis=0)
         return grad @ self.params["weight"].T
 
@@ -73,48 +85,54 @@ class BatchNorm1d(ModelBase):
                                             np.ones(dim, dtype=dtype))
         self._cache = None
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, overwrite_input=False):
+        """Normalised ``x``.  In eval mode ``overwrite_input`` writes the
+        result into ``x``, which must have the layer's dtype, instead of a
+        new array.  Only the owner of ``x`` may pass it, a conv block for
+        its conv output; a caller holding a view of its own caller's rows
+        never may.  Train mode ignores it."""
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"BatchNorm1d({self.dim}) got input shape {x.shape}")
-        if train:
-            if x.shape[0] < 2:
-                raise ValueError("BatchNorm1d needs batch size >= 2 in train mode")
-            mean = x.mean(axis=0)
-            xhat = x - mean
-            out = np.square(xhat)
-            var = out.mean(axis=0)  # x.var(axis=0), bit for bit
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-        else:
-            xhat = x - self.running_mean
-            var = self.running_var
-            out = np.empty_like(xhat)
+        if not train:
+            # the train path's ops in its order, on one array
+            self._cache = None
+            out = np.subtract(x, self.running_mean,
+                              out=x if overwrite_input else None)
+            out *= 1.0 / np.sqrt(self.running_var + self.eps)
+            out *= self.params["gamma"]
+            out += self.params["beta"]
+            return out
+        if x.shape[0] < 2:
+            raise ValueError("BatchNorm1d needs batch size >= 2 in train mode")
+        mean = x.mean(axis=0)
+        xhat = x - mean
+        out = np.square(xhat)
+        var = out.mean(axis=0)  # x.var(axis=0), bit for bit
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
-        self._cache = (xhat, inv_std, train, x.shape[0])
+        self._cache = (xhat, inv_std, x.shape[0])
         np.multiply(xhat, self.params["gamma"], out=out)
         out += self.params["beta"]
         return out
 
     def backward(self, grad):
-        xhat, inv_std, train, n = self._cache
+        # batch statistics depend on x, so the full jacobian applies:
+        # dx = (inv_std / n) * (n * g - sum(g) - xhat * sum(g * xhat))
+        xhat, inv_std, n = _cached(self, self._cache)
         tmp = grad * xhat
         self.grads["gamma"] += tmp.sum(axis=0)
         self.grads["beta"] += grad.sum(axis=0)
         dx = grad * self.params["gamma"]
-        if train:
-            # batch statistics depend on x, so the full jacobian applies:
-            # dx = (inv_std / n) * (n * g - sum(g) - xhat * sum(g * xhat))
-            np.multiply(dx, xhat, out=tmp)
-            proj = tmp.sum(axis=0)
-            g_sum = dx.sum(axis=0)
-            dx *= n
-            dx -= g_sum
-            np.multiply(xhat, proj, out=tmp)
-            dx -= tmp
-            dx *= inv_std / n
-        else:
-            dx *= inv_std
+        np.multiply(dx, xhat, out=tmp)
+        proj = tmp.sum(axis=0)
+        g_sum = dx.sum(axis=0)
+        dx *= n
+        dx -= g_sum
+        np.multiply(xhat, proj, out=tmp)
+        dx -= tmp
+        dx *= inv_std / n
         return dx
 
 
@@ -159,11 +177,11 @@ class Embedding(ModelBase):
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise IndexError("token id out of vocabulary range")
-        self._ids = ids
+        self._ids = ids if train else None
         return self.params["weight"][ids]
 
     def backward(self, grad):
-        np.add.at(self.grads["weight"], self._ids, grad)
+        np.add.at(self.grads["weight"], _cached(self, self._ids), grad)
         return None  # ids are not differentiable
 
 
@@ -180,12 +198,12 @@ class Conv1d(ModelBase):
     assembles the (kmax * in_ch, banks * out_ch) weight from the banks,
     with zero rows for the taps a bank lacks.
 
-    ``forward`` caches its input and the assembled weight, not the im2col
-    matrix, which is kmax times the input's size; ``backward`` rebuilds
-    the matrix for the weight gradient and drops it before forming the
-    input gradient (recomputation for memory, Chen et al. 2016,
-    arXiv:1604.06174).  As for ``Linear``, the input must not be modified
-    between ``forward`` and ``backward``.
+    A train-mode ``forward`` caches its input and the assembled weight,
+    not the im2col matrix, which is kmax times the input's size;
+    ``backward`` rebuilds the matrix for the weight gradient and drops it
+    before forming the input gradient (recomputation for memory, Chen et
+    al. 2016, arXiv:1604.06174).  As for ``Linear``, the input must not
+    be modified between ``forward`` and ``backward``.
     """
 
     def __init__(self, in_ch, out_ch, kernel_sizes, rng, dtype=DEFAULT_DTYPE):
@@ -236,13 +254,11 @@ class Conv1d(ModelBase):
         out = self._im2col(x) @ weight
         out += np.concatenate([self.params[f"conv{k}.bias"]
                                for k in self.kernel_sizes])
-        self._cache = (x, weight)
+        self._cache = (x, weight) if train else None
         return out.reshape(b, length, -1)
 
     def backward(self, grad):
-        if self._cache is None:
-            raise RuntimeError("Conv1d.backward needs forward first")
-        x, weight = self._cache
+        x, weight = _cached(self, self._cache)
         (b, length, c), taps, lead = x.shape, self.taps, self.lead
         gmat = grad.reshape(b * length, -1)
         dweight = (self._im2col(x).T @ gmat).reshape(taps, c, -1)
@@ -263,26 +279,28 @@ def _bits(a):
     return a.view(f"i{a.dtype.itemsize}")
 
 
-def _first_max(taps):
+def _first_max(taps, beats=None):
     """Elementwise max over equal-shape taps; a tie keeps the earlier tap,
     and a NaN after the first tap never wins.
 
     Selection works on the float bits, so the result is some tap's value
     bit for bit (-0.0 and 0.0 included).  ``np.where`` and masked
     ``np.copyto`` would do the same but branch per element, which costs
-    about ten times more on the random masks a pool sees.  Also returns,
-    for each tap after the first, a word per element that is all ones
-    where that tap beat every tap before it and zero elsewhere.
+    about ten times more on the random masks a pool sees.  For each tap
+    after the first, a word per element selects it: all ones where that
+    tap beat every tap before it and zero elsewhere.  Given a list
+    ``beats`` (train mode), the words are appended to it for
+    :func:`_route_max`; otherwise each is dropped once used.
     """
     out = taps[0].copy()
     bits = _bits(out)
-    beats = []
     for tap in taps[1:]:
         word = (tap > out).astype(bits.dtype)
         np.negative(word, out=word)
         bits ^= (bits ^ _bits(tap)) & word
-        beats.append(word)
-    return out, beats
+        if beats is not None:
+            beats.append(word)
+    return out
 
 
 def _route_max(grad, beats, dst_taps):
@@ -311,13 +329,14 @@ class MaxPool1d(ModelBase):
             raise ShapeError(f"pool size {self.size} larger than input "
                              f"length {x.shape[1]}")
         end = n * self.size
-        out, beats = _first_max([x[:, j : end : self.size]
-                                 for j in range(self.size)])
-        self._cache = (beats, x.shape)
+        beats = [] if train else None
+        out = _first_max([x[:, j : end : self.size] for j in range(self.size)],
+                         beats)
+        self._cache = (beats, x.shape) if train else None
         return out
 
     def backward(self, grad):
-        beats, shape = self._cache
+        beats, shape = _cached(self, self._cache)
         end = grad.shape[1] * self.size
         dx = np.zeros(shape, dtype=grad.dtype)
         _route_max(grad, beats, [dx[:, j : end : self.size]
@@ -343,15 +362,15 @@ class AdaptiveMaxPool1d(ModelBase):
         if self.out_len > length:
             raise ShapeError(f"adaptive pool out_len {self.out_len} > length {length}")
         out = np.empty((b, self.out_len, c), dtype=x.dtype)
-        beats = []
+        beats = [[] for _ in range(self.out_len)] if train else None
         for i, (lo, hi) in enumerate(self._bounds(length)):
-            out[:, i], window_beats = _first_max([x[:, t] for t in range(lo, hi)])
-            beats.append(window_beats)
-        self._cache = (beats, x.shape)
+            out[:, i] = _first_max([x[:, t] for t in range(lo, hi)],
+                                   beats[i] if train else None)
+        self._cache = (beats, x.shape) if train else None
         return out
 
     def backward(self, grad):
-        beats, shape = self._cache
+        beats, shape = _cached(self, self._cache)
         dx = np.zeros(shape, dtype=grad.dtype)
         for i, (lo, hi) in enumerate(self._bounds(shape[1])):
             _route_max(grad[:, i], beats[i], [dx[:, t] for t in range(lo, hi)])
@@ -364,9 +383,10 @@ class ReLU(ModelBase):
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if train else None
+        return x * mask
 
     def backward(self, grad):
-        return grad * self._mask
+        return grad * _cached(self, self._mask)
 

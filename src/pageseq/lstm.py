@@ -104,7 +104,8 @@ class LstmCell(ModelBase):
     def backward(self, dh_rows):
         """BPTT; only the recurrence runs per step, the weight GEMMs after."""
         if self._cache is None:
-            raise RuntimeError("LstmCell.backward needs forward(train=True) first")
+            raise RuntimeError(f"{type(self).__name__}.backward needs "
+                               "forward(train=True) first")
         x, pos, gates, g, cs, tcs, hs = self._cache
         n_rows, n_dir, h_dim = x.shape[0], self.directions, self.hidden
         t_max, _, n_seq, _ = gates.shape

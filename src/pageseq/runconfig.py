@@ -17,6 +17,16 @@ class ConfigError(ValueError):
     """Raised on malformed config files or unknown keys."""
 
 
+def need(config, name, ok, want):
+    """Raises ``ValueError`` unless ``ok``, naming field ``name`` of the
+    dataclass ``config``: "<name> must be <want>, got <value>".  A
+    ``__post_init__`` range check uses it, and :func:`apply_section`
+    turns its message into one naming the config key."""
+    if not ok:
+        raise ValueError(f"{name} must be {want}, got "
+                         f"{getattr(config, name)!r}")
+
+
 def parse_config_text(text: str) -> dict:
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -25,6 +25,7 @@ from .losses import cross_entropy
 from .lstm import BiLstm
 from .metrics import score_collapsed
 from .model_base import ModelBase
+from .runconfig import need
 from .tensor import DEFAULT_DTYPE, RngState, packing, softmax
 from .training import fit
 
@@ -42,8 +43,14 @@ class SeqModelConfig:
     n_tags: int = len(IOB_TAGS)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        """Raises ``ValueError`` naming the first field out of range."""
+        need(self, "variant", self.variant in VARIANTS,
+             f"one of {', '.join(VARIANTS)}")
+        for name in ("input_dim", "lstm_hidden", "pre_fc"):
+            need(self, name, getattr(self, name) >= 1, "at least 1")
+        need(self, "dropout", 0 <= self.dropout < 1, "in [0, 1)")
+        need(self, "n_tags", self.n_tags == len(IOB_TAGS),
+             f"{len(IOB_TAGS)}, the number of IOB tags")
 
     @property
     def fusion_input(self) -> bool:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .corpus import Lawsuit, Page
 from .iob import CLASSES
+from .runconfig import need
 from .tensor import RngState
 
 _LOW = 0xFFFFFFFF  # the low 32-bit half of a raw word
@@ -71,41 +72,36 @@ class SynthConfig:
 
     def __post_init__(self):
         """Raises ``ValueError`` naming the first field out of range."""
-        def need(name, ok, want):
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got "
-                                 f"{getattr(self, name)!r}")
-
         def shares(values, n):
             return len(values) == n and all(0 <= v <= 1 for v in values) \
                 and abs(sum(values) - 1.0) <= 1e-9
 
         k = len(CLASSES)
-        need("seed", self.seed >= 0, "at least 0")
+        need(self, "seed", self.seed >= 0, "at least 0")
         for name in ("n_lawsuits", "max_doc_len", "text_dim", "image_dim"):
-            need(name, getattr(self, name) >= 1, "at least 1")
+            need(self, name, getattr(self, name) >= 1, "at least 1")
         # _draw_tokens models numpy's 32-bit bounded draw only
         for name in ("keywords_per_class", "filler_vocab"):
-            need(name, 1 <= getattr(self, name) <= 2**32,
+            need(self, name, 1 <= getattr(self, name) <= 2**32,
                  "in [1, 2**32]")
         for name in ("markov_structure", "missing_text_rate",
                      "missing_image_rate", "keyword_rate_first",
                      "keyword_rate_interior", "keyword_confusion"):
-            need(name, 0 <= getattr(self, name) <= 1, "in [0, 1]")
+            need(self, name, 0 <= getattr(self, name) <= 1, "in [0, 1]")
         for name in ("docs_per_lawsuit_mean", "text_noise", "image_noise",
                      "tokens_per_page"):
-            need(name, 0 <= getattr(self, name) < math.inf,
+            need(self, name, 0 <= getattr(self, name) < math.inf,
                  "finite and at least 0")
         for name in ("text_strength_first", "text_strength_interior",
                      "image_strength_first", "image_strength_interior",
                      "first_page_boost"):
-            need(name, math.isfinite(getattr(self, name)), "finite")
-        need("class_freq", shares(self.class_freq, k),
+            need(self, name, math.isfinite(getattr(self, name)), "finite")
+        need(self, "class_freq", shares(self.class_freq, k),
              f"{k} page shares in [0, 1] that sum to 1")
-        need("doc_len_mean", len(self.doc_len_mean) == k and all(
+        need(self, "doc_len_mean", len(self.doc_len_mean) == k and all(
             1 <= m < math.inf for m in self.doc_len_mean),
             f"{k} finite mean lengths of at least 1")
-        need("split_fractions", shares(self.split_fractions, 3),
+        need(self, "split_fractions", shares(self.split_fractions, 3),
              "3 fractions in [0, 1] that sum to 1")
 
     def config_hash(self) -> str:

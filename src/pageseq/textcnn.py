@@ -27,6 +27,7 @@ from .layers import (AdaptiveMaxPool1d, BatchNorm1d, Conv1d, Dropout,
 from .losses import class_weights
 from .model_base import ModelBase
 from .metrics import score
+from .runconfig import need
 from .tensor import DEFAULT_DTYPE, RngState, softmax
 from .text import Vocab, encode
 from .training import classifier_loss, fit, label_pages
@@ -45,6 +46,28 @@ class TextCnnConfig:
     dropout: float = 0.5
     classes: int = 6
 
+    def __post_init__(self):
+        """Raises ``ValueError`` naming the first field out of range."""
+        for name in ("max_tokens", "embed_dim", "filters_per_size", "blocks",
+                     "pool_size", "final_pool_out_len", "fc_hidden"):
+            need(self, name, getattr(self, name) >= 1, "at least 1")
+        ks = self.kernel_sizes
+        need(self, "kernel_sizes", len(ks) >= 1 and len(set(ks)) == len(ks)
+             and all(isinstance(k, int) and k >= 1 for k in ks),
+             "distinct integers of at least 1")
+        need(self, "dropout", 0 <= self.dropout < 1, "in [0, 1)")
+        need(self, "classes", self.classes == len(CLASSES),
+             f"{len(CLASSES)}, the number of page classes")
+        # each block's pool floors the length, and the adaptive pool
+        # needs final_pool_out_len positions left; a pool of 2 or more
+        # leaves none after as many blocks as max_tokens has bits, which
+        # bounds the power for any blocks value
+        blocks = min(self.blocks, int(self.max_tokens).bit_length())
+        need(self, "max_tokens", self.max_tokens // self.pool_size ** blocks
+             >= self.final_pool_out_len,
+             f"at least final_pool_out_len * pool_size**blocks "
+             f"({self.final_pool_out_len} * {self.pool_size}**{self.blocks})")
+
     @property
     def block_channels(self) -> int:
         return len(self.kernel_sizes) * self.filters_per_size
@@ -56,7 +79,10 @@ class TextCnnConfig:
 
 class ConvBlock:
     """Parallel convolutions (one filter bank per kernel size,
-    concatenated along ch) -> BN -> pool, over (batch, length, ch)."""
+    concatenated along ch) -> BN -> pool, over (batch, length, ch).
+
+    The block owns its conv output, so eval-mode BN normalises it in
+    place."""
 
     def __init__(self, in_ch, filters, kernel_sizes, pool_size, rng, dtype):
         self.conv = Conv1d(in_ch, filters, kernel_sizes, rng, dtype)
@@ -66,7 +92,8 @@ class ConvBlock:
     def forward(self, x, train=False):
         y = self.conv.forward(x, train=train)
         b, length, c = y.shape
-        y = self.bn.forward(y.reshape(b * length, c), train=train)
+        y = self.bn.forward(y.reshape(b * length, c), train=train,
+                            overwrite_input=True)
         return self.pool.forward(y.reshape(b, length, c), train=train)
 
     def backward(self, grad):
@@ -120,7 +147,7 @@ class TextCnn(ModelBase):
         for block in self.blocks:
             x = block.forward(x, train=train)
         x = self.final_pool.forward(x, train=train)
-        self._flat_shape = x.shape
+        self._flat_shape = x.shape if train else None
         # flatten in (ch, position) order, the order fc1 and saved
         # checkpoints were trained with
         return x.transpose(0, 2, 1).reshape(x.shape[0], -1)

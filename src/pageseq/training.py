@@ -14,6 +14,10 @@ from .optim import Adam
 from .schedule import OneCycleSchedule
 
 
+class TrainingDiverged(ValueError):
+    """A training step's loss was not finite."""
+
+
 def _batch_starts(n, batch_size):
     starts = list(range(0, n, batch_size))
     if batch_size > 1 and len(starts) > 1 and n - starts[-1] == 1:
@@ -84,7 +88,9 @@ def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
     whose macro-F1 updates ``keeper`` (a ``BestCheckpointKeeper``); the
     first best epoch is restored at the end.  Without ``evaluate`` the
     last step's parameters stay, and the log rows have no validation
-    scores.  Returns the ``TrainLog``.
+    scores.  Returns the ``TrainLog``.  The first step whose loss is not
+    finite raises ``TrainingDiverged``; the model then keeps that step's
+    parameters.
     """
     step = train_step(model, loss_fn)
     total_steps = epochs * minibatch_count(n, batch_size)
@@ -97,6 +103,9 @@ def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
         for idx in iterate_minibatches(n, batch_size, rng):
             lr = sched.lr(t) if sched else max_lr
             losses.append(step(idx, lr))
+            if not np.isfinite(losses[-1]):
+                raise TrainingDiverged(f"training diverged: loss {losses[-1]} "
+                                       f"at epoch {epoch}, step {t}")
             t += 1
         row = EpochLogRow(epoch, lr, float(np.mean(losses)))
         if evaluate is not None:

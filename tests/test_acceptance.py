@@ -141,7 +141,7 @@ def test_criterion_2_gradient_correctness(capsys):
     emb = Embedding(60, 10, init, np.float64)
     ids = rng.integers(0, 60, size=(8, 12))
     c = rng.standard_normal((8, 12, 10))
-    emb.forward(ids); emb.zero_grads(); emb.backward(c.copy())
+    emb.forward(ids, train=True); emb.zero_grads(); emb.backward(c.copy())
     fn = lambda: float((emb.forward(ids) * c).sum())
     n = _check(fn, emb.params["weight"], emb.grads["weight"], rng, 500)
     totals["embedding"] = n
@@ -163,12 +163,12 @@ def test_criterion_2_gradient_correctness(capsys):
     pool = MaxPool1d(2)
     x = rng.standard_normal((4, 20, 8))
     c = rng.standard_normal((4, 10, 8))
-    pool.forward(x); dx = pool.backward(c.copy())
+    pool.forward(x, train=True); dx = pool.backward(c.copy())
     n = _check(obj(pool, x, c), x, dx, rng, 300)
     apool = AdaptiveMaxPool1d(5)
     x = rng.standard_normal((4, 17, 8))
     c = rng.standard_normal((4, 5, 8))
-    apool.forward(x); dx = apool.backward(c.copy())
+    apool.forward(x, train=True); dx = apool.backward(c.copy())
     n += _check(obj(apool, x, c), x, dx, rng, 200)
     totals["pooling"] = n
 

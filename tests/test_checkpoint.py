@@ -62,6 +62,18 @@ def test_keeper_rejects_non_finite(tmp_path):
         keeper.update(float("nan"), {"w": np.zeros(1)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_keeper_refuses_non_finite_parameters(tmp_path, bad):
+    path = tmp_path / "best.ckpt"
+    keeper = BestCheckpointKeeper(path)
+    assert keeper.update(0.5, {"w": np.zeros(2)}, {"epoch": 0})
+    params = {"w": np.zeros(2), "b": np.array([1.0, bad], dtype=np.float32)}
+    with pytest.raises(ValueError, match="not finite, 'b' first"):
+        keeper.update(0.6, params, {"epoch": 1})
+    _, meta = load_checkpoint(path)  # the last finite one stays
+    assert meta["epoch"] == 0 and keeper.best_score == 0.5
+
+
 def _small_checkpoint(tmp_path):
     rng = np.random.default_rng(7)
     params = {

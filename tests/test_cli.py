@@ -10,6 +10,7 @@ import pytest
 
 import pageseq
 from pageseq.checkpoint import load_checkpoint, save_checkpoint
+from pageseq import training
 from pageseq.cli import main
 from test_corpus import BAD_MANIFESTS, BAD_PAGE_ROWS, edit_first_line
 
@@ -365,6 +366,84 @@ def test_bad_rate_or_count_is_config_error(workspace, tmp_path, capsys,
     assert f"config error: {option} {rule}, got {value}" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, key, value, rule", [
+    ("textcnn", "pool_size", "0", "at least 1"),
+    ("bilstm-f", "lstm_hidden", "0", "at least 1"),
+    ("textcnn", "final_pool_out_len", "0", "at least 1"),
+    ("fusion", "hidden", "0", "at least 1"),
+    ("bilstm-f", "pre_fc", "0", "at least 1"),
+    ("textcnn", "blocks", "0", "at least 1"),
+    ("textcnn", "max_tokens", "0", "at least 1"),
+    ("textcnn", "embed_dim", "-3", "at least 1"),
+    ("textcnn", "max_tokens", "39",
+     "at least final_pool_out_len * pool_size**blocks (5 * 2**3)")])
+def test_out_of_range_model_key_is_config_error(workspace, tmp_path, capsys,
+                                                model, key, value, rule):
+    """Rejected before anything is written, naming the key."""
+    out = tmp_path / "out"
+    (tmp_path / "model.cfg").write_text(f"model.{key}={value}\n")
+    code = main(["train", "--model", model, "--corpus",
+                 str(workspace / "corpus"), "--fm-checkpoint",
+                 str(workspace / "fm" / "model.ckpt"), "--epochs", "1",
+                 "--config", str(tmp_path / "model.cfg"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"config error: model.{key} must be {rule}, "
+                          f"got {value}"), err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+@pytest.mark.parametrize("option", ["--max-lr", "train.lr"])
+def test_diverged_training_exits_3_naming_the_rate(workspace, tmp_path,
+                                                   capsys, option):
+    """A finite rate that diverges stops at the first non-finite loss,
+    names the epoch and the flag or key, and writes no checkpoint."""
+    out = tmp_path / "out"
+    argv = ["train", "--model", "fusion", "--corpus", str(workspace / "corpus"),
+            "--epochs", "3", "--out", str(out)]
+    if option == "train.lr":
+        (tmp_path / "train.cfg").write_text("train.lr=1e30\n")
+        argv += ["--config", str(tmp_path / "train.cfg")]
+    else:
+        argv += ["--max-lr", "1e30"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: training diverged: loss nan at epoch 0" in err
+    assert f"the learning rate 1e+30 set by {option} is too high" in err
+    assert not (out / "model.ckpt").exists()
+
+
+def test_diverging_after_a_saved_epoch_leaves_no_checkpoint(
+        workspace, tmp_path, capsys, monkeypatch):
+    """The loss turns NaN once epoch 0 has saved its checkpoint: the run
+    exits 3 naming epoch 1 and removes that checkpoint, which has no log
+    or config beside it.  A checkpoint that a diverged run never
+    replaced, an earlier run's, stays."""
+    out = tmp_path / "out"
+    real = training.train_step
+
+    def late(model, loss_fn):
+        step = real(model, loss_fn)
+        return lambda idx, lr: (float("nan") if (out / "model.ckpt").exists()
+                                else step(idx, lr))
+
+    monkeypatch.setattr(training, "train_step", late)
+    argv = ["train", "--model", "fusion", "--corpus",
+            str(workspace / "corpus"), "--epochs", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert "error: training diverged: loss nan at epoch 1" in \
+        capsys.readouterr().err
+    assert sorted(out.iterdir()) == []
+    monkeypatch.undo()
+    shutil.copy(workspace / "fm" / "model.ckpt", out / "model.ckpt")
+    earlier = (out / "model.ckpt").read_bytes()
+    with pytest.warns(RuntimeWarning):  # numpy's overflow
+        assert main(argv + ["--max-lr", "1e30"]) == 3
+    assert "loss nan at epoch 0" in capsys.readouterr().err
+    assert (out / "model.ckpt").read_bytes() == earlier
 
 
 def test_predict_line_count_equals_split_pages(workspace, capsys):

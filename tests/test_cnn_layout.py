@@ -85,6 +85,10 @@ def _check_block(in_ch, length, dtype, tol):
         want = ref.forward(x.copy(), train=train)
         assert_close(out, _cl(want), tol=tol)
         grad = rng.standard_normal(want.shape).astype(dtype)
+        if not train:  # eval mode keeps nothing to back-propagate
+            with pytest.raises(RuntimeError, match="forward\\(train=True\\)"):
+                block.backward(_cl(grad).copy())
+            continue
         for layer in (block.conv, block.bn, ref.conv, ref.bn):
             layer.zero_grads()
         dx = block.backward(_cl(grad).copy())
@@ -92,8 +96,7 @@ def _check_block(in_ch, length, dtype, tol):
         assert_close(dx, _cl(want_dx), tol=tol)
         for name in block.conv.grads:
             assert_close(block.conv.grads[name], ref.conv.grads[name],
-                         _bias_scale(ref.conv.grads, name) if train else None,
-                         tol=tol)
+                         _bias_scale(ref.conv.grads, name), tol=tol)
         for name in block.bn.grads:
             assert_close(block.bn.grads[name], ref.bn.grads[name], tol=tol)
     assert_close(block.bn.running_mean, ref.bn.running_mean, tol=tol)
@@ -145,6 +148,10 @@ def test_batchnorm_matches_old_formulas(dtype, shape):
     for train in (True, False, True, False):
         assert_bits_equal(bn.forward(x, train=train), old.forward(x, train=train))
         grad = rng.standard_normal(x.shape).astype(dtype)
+        if not train:  # eval mode keeps nothing to back-propagate
+            with pytest.raises(RuntimeError, match="BatchNorm1d"):
+                bn.backward(grad)
+            continue
         assert_bits_equal(bn.backward(grad), old.backward(grad))
         for name in bn.grads:
             assert_bits_equal(bn.grads[name], old.grads[name])
@@ -186,9 +193,11 @@ def test_pools_match_reference_on_ties_and_signed_zeros(make):
     rng = np.random.default_rng(5)
     for x in (_tied(rng, (BATCH, 6, length)),
               rng.standard_normal((BATCH, 6, length)).astype(np.float32)):
-        out = pool.forward(_cl(x).copy())
+        out = pool.forward(_cl(x).copy(), train=True)
         want = ref.forward(x)
         assert_bits_equal(out, _cl(want))
+        assert_bits_equal(pool.forward(_cl(x).copy()), out)
+        pool.forward(_cl(x).copy(), train=True)  # eval dropped the cache
         grad = rng.standard_normal(want.shape).astype(np.float32)
         assert_bits_equal(pool.backward(_cl(grad).copy()),
                           _cl(ref.backward(grad)))

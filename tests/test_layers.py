@@ -126,7 +126,7 @@ def test_embedding_lookup_and_grad():
     rng = _rng()
     emb = Embedding(9, 4, rng, np.float64)
     ids = np.array([[0, 3, 3], [8, 1, 0]])
-    out = emb.forward(ids)
+    out = emb.forward(ids, train=True)
     np.testing.assert_allclose(out[0, 1], emb.params["weight"][3])
     emb.zero_grads()
     c = rng.standard_normal(out.shape)
@@ -227,7 +227,7 @@ def test_maxpool_floor_semantics():
 def test_maxpool_backward_routes_to_first_max():
     pool = MaxPool1d(2)
     x = np.array([2.0, 2.0, 1.0, 5.0])[None, :, None]
-    pool.forward(x)
+    pool.forward(x, train=True)
     g = pool.backward(np.array([1.0, 1.0])[None, :, None])
     np.testing.assert_array_equal(g[0, :, 0], [1.0, 0.0, 0.0, 1.0])
 
@@ -250,7 +250,7 @@ def test_adaptive_maxpool_covers_input():
 def test_adaptive_maxpool_backward_is_sparse():
     pool = AdaptiveMaxPool1d(2)
     x = np.random.default_rng(0).standard_normal((2, 9, 3))
-    out = pool.forward(x)
+    out = pool.forward(x, train=True)
     g = pool.backward(np.ones_like(out))
     assert g.shape == x.shape
     assert g.sum() == pytest.approx(out.size)

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -116,3 +117,8 @@ def test_checkpoint_with_one_conv_per_kernel_size_loads():
     logits = model.forward(np.array(meta["ids"]), train=False)
     np.testing.assert_allclose(logits, np.float32(meta["logits"]),
                                rtol=0, atol=1e-6)
+    # and, bit for bit, the logits of d77219d, whose eval forward still
+    # filled every layer's cache and normalised out of place (x86-64,
+    # one BLAS thread)
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == \
+        "19d297a6b35081cc098bf42be6203a7c914efc904cd24c816b724128df2d494c"

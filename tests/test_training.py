@@ -6,8 +6,8 @@ import pytest
 from pageseq.checkpoint import BestCheckpointKeeper, load_checkpoint
 from pageseq.fusion import MlpClassifier
 from pageseq.schedule import OneCycleSchedule
-from pageseq.training import (classifier_loss, fit, iterate_minibatches,
-                              minibatch_count)
+from pageseq.training import (TrainingDiverged, classifier_loss, fit,
+                              iterate_minibatches, minibatch_count)
 
 
 def _sizes(n, batch_size):
@@ -133,3 +133,21 @@ def test_fit_step_count(n, batch, epochs):
         np.random.default_rng(0), epochs, batch, 1e-2)
     assert len(calls) == epochs * minibatch_count(n, batch)
     assert sum(calls) == epochs * n
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_stops_at_the_first_non_finite_loss(bad):
+    model, x, y = _mlp_problem(n=10)
+    loss_fn = classifier_loss(model, [x], y)
+    calls = []
+
+    def diverging(idx):
+        calls.append(len(idx))
+        return loss_fn(idx) if len(calls) < 5 else bad
+
+    evaluated = []
+    with pytest.raises(TrainingDiverged, match="at epoch 1, step 4"):
+        fit(model, 10, diverging, np.random.default_rng(0), 3, 4, 1e-2,
+            evaluate=lambda m: evaluated.append(1) or
+            SimpleNamespace(macro_f1=0.1, weighted_f1=0.0))
+    assert len(calls) == 5 and len(evaluated) == 1
