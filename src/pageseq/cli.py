@@ -22,6 +22,8 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from . import crf as crf_ops
 from .checkpoint import CheckpointIOError, load_checkpoint, params_digest
@@ -43,8 +45,8 @@ from .tensor import RngState
 from .text import Vocab
 from .textcnn import (TextCnn, TextCnnConfig, encode_pages, text_cnn_setup,
                       train_text_cnn)
-from .training import (TrainingDiverged, iterate_minibatches, label_pages,
-                       train_step)
+from .training import (BATCH, TrainingDiverged, iterate_minibatches,
+                       label_pages, train_step)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,7 +188,7 @@ class Family:
     model: Callable  # (meta config, seed, vocab or fm) -> model to restore
     predict: Callable  # (model, vocab or fm, corpus, split) -> IOB tags
     lr: float  # --max-lr default
-    batch: int = 64  # --batch-size default
+    batch: int = BATCH  # --batch-size default
     needs_fm: bool = False  # reads --fm-checkpoint
     vocab: bool = False  # reads vocab.txt
     # range-test: (name, corpus, config, seed) -> (model, n, loss_fn)
@@ -378,7 +380,10 @@ def cmd_train(args):
     ckpt = out / "model.ckpt"
     before = _file_id(ckpt)
     try:
-        with _widths_named(args.fm_checkpoint or args.corpus):
+        # numpy's overflow warnings would print before the error below;
+        # fit's loss check and the keeper's parameter check stop the run
+        with _widths_named(args.fm_checkpoint or args.corpus), \
+                np.errstate(over="ignore", invalid="ignore"):
             best = (family.grid if args.grid else family.train)(run)
     except TrainingDiverged as exc:
         # an epoch before the divergence may have saved a checkpoint;
@@ -455,7 +460,7 @@ def cmd_range_test(args):
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
     cfg = load_config(args.config) if args.config else {}
-    seed, batch = _seed_and_batch(args, cfg, 64)
+    seed, batch = _seed_and_batch(args, cfg, BATCH)
     corpus = _load_corpus_checked(args.corpus)
     config = _model_config(args.model, corpus, None, cfg)
     model, n, loss_fn = FAMILIES[args.model].setup(args.model, corpus,
@@ -510,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int,
                    help="pages per step, or lawsuits for crf and the "
-                        "bilstm families (default 64, or 8 lawsuits for "
-                        "bilstm)")
+                        f"bilstm families (default {BATCH}, or "
+                        f"{BATCH_LAWSUITS} lawsuits for bilstm)")
     p.add_argument("--max-lr", type=float)
     p.add_argument("--grid", action="store_true",
                    help="fusion only: run the four-config sweep")
@@ -545,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--batch-size", type=int, help="pages per step "
-                   "(default train.batch_size, else 64)")
+                   f"(default train.batch_size, else {BATCH})")
     p.add_argument("--seed", type=int,
                    help="default train.seed, else 0")
     p.add_argument("--config")

@@ -27,7 +27,7 @@ from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .textcnn import (TextCnnConfig, encode_pages, evaluate_text_cnn,
                       train_text_cnn)
-from .training import classifier_loss, fit, label_pages
+from .training import BATCH, classifier_loss, fit, label_pages
 
 # desk-scale hyperparameters used by the synthetic experiments
 SMALL_TEXT_CNN = TextCnnConfig(max_tokens=60, embed_dim=32, filters_per_size=32,
@@ -98,7 +98,7 @@ def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
 
 
 def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
-                       batch_size=64, max_lr=5e-3):
+                       batch_size=BATCH, max_lr=5e-3):
     """Embedding-only classifier on one modality, skipping absent pages."""
     attr = f"{modality}_embedding"
     train_pages = [p for p in iter_pages(corpus, "train")

@@ -22,7 +22,7 @@ from .metrics import score
 from .model_base import ModelBase
 from .runconfig import need
 from .tensor import DEFAULT_DTYPE, RngState, softmax
-from .training import classifier_loss, fit, label_pages
+from .training import BATCH, classifier_loss, fit, label_pages
 
 
 @dataclass
@@ -255,7 +255,7 @@ def fusion_setup(corpus, config: FusionConfig, seed=0):
 
 
 def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
-                 batch_size=64, max_lr=5e-3, out_path=None, verbose=False):
+                 batch_size=BATCH, max_lr=5e-3, out_path=None, verbose=False):
     """One-cycle Adam training; checkpoints on best validation macro-F1.
 
     Returns (model, keeper, log).

@@ -30,7 +30,7 @@ from .metrics import score
 from .runconfig import need
 from .tensor import DEFAULT_DTYPE, RngState, softmax
 from .text import Vocab, encode
-from .training import classifier_loss, fit, label_pages
+from .training import BATCH, classifier_loss, fit, label_pages
 
 
 @dataclass
@@ -204,7 +204,7 @@ def text_cnn_setup(corpus, config: TextCnnConfig, weighted: bool, seed=0):
 
 
 def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
-                   epochs=20, batch_size=64, max_lr=2e-3, out_path=None,
+                   epochs=20, batch_size=BATCH, max_lr=2e-3, out_path=None,
                    verbose=False):
     """Trains on the train split, checkpointing on best validation
     macro-F1 to ``out_path``, with the vocabulary beside it as

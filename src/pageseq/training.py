@@ -14,6 +14,11 @@ from .optim import Adam
 from .schedule import OneCycleSchedule
 
 
+# pages per training step of the page families, and per labelling call:
+# labelling then never holds more than a training step of the same model
+BATCH = 64
+
+
 class TrainingDiverged(ValueError):
     """A training step's loss was not finite."""
 
@@ -53,10 +58,12 @@ def classifier_loss(model, inputs, targets, weights=None):
     return loss_fn
 
 
-def label_pages(model, inputs, batch_size=256, **options):
+def label_pages(model, inputs, batch_size=BATCH, **options):
     """The page families' labeller: the class name of each row's argmax
     of ``model.predict_probs(*(a[rows] for a in inputs), **options)``,
-    ``batch_size`` rows per call."""
+    ``batch_size`` rows per call.  Rows are independent in eval, so the
+    labels do not depend on ``batch_size``; its default, the training
+    batch, keeps a call's activations to a training step's."""
     labels = []
     for start in range(0, len(inputs[0]), batch_size):
         rows = slice(start, start + batch_size)

@@ -3,6 +3,8 @@
 lawsuit for the sequence families.  The labellers batch pages and the
 CLI builds their inputs, so both must give the reference's labels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from pageseq.seqmodels import (VARIANTS, SeqModel, SeqModelConfig,
 from pageseq.synth import SynthConfig, generate_synthetic
 from pageseq.text import Vocab
 from pageseq.textcnn import TextCnn, TextCnnConfig, encode_pages
-from pageseq.training import label_pages
+from pageseq.training import BATCH, label_pages
 
 TINY_CNN = TextCnnConfig(max_tokens=16, embed_dim=4, filters_per_size=2,
                          kernel_sizes=(3,), blocks=1, pool_size=2,
@@ -118,3 +120,29 @@ def test_bilstm_labeller_matches_one_decode_per_lawsuit(corpus, fm, variant):
     gold = [IOB_TAGS[i] for _, ids in lawsuits for i in ids]
     assert evaluate_seq(model.decode, lawsuits).to_dict() == \
         score_collapsed(gold, tags, CLASSES).to_dict()
+
+
+def test_paper_shape_labelling_peaks_at_one_training_batch():
+    """80 pages through the paper's text CNN go in two calls, 64 rows and
+    16, so the peak of live arrays is that of a 64-row call (340 MiB
+    measured; one 80-row call peaks at 422), and nothing stays after."""
+    config = TextCnnConfig()
+    model = TextCnn(5000, config)
+    ids = np.random.default_rng(0).integers(0, 5000, (80, config.max_tokens))
+    rows, predict_probs = [], model.predict_probs
+
+    def counted(x):
+        rows.append(len(x))
+        return predict_probs(x)
+
+    model.predict_probs = counted
+    tracemalloc.start()
+    try:
+        labels = label_pages(model, [ids])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == [BATCH, 80 - BATCH]
+    assert len(labels) == 80
+    assert peak <= 360 * 2 ** 20, peak / 2 ** 20
+    assert held < 2 ** 20, held / 2 ** 20

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pageseq.lstm import BiLstm
-from pageseq.optim import Adam
+from pageseq.optim import _BLOCK, Adam
 from pageseq.schedule import OneCycleSchedule, lr_range_test
 
 
@@ -56,20 +56,26 @@ def _formula_adam_steps(params, grads, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def test_adam_matches_the_formula_bit_for_bit():
-    """Five steps at varying lr on float32 and float64 parameters, and on
-    views into a BiLstm's stacked weights, equal the written-out update
-    byte for byte; the shared scratch leaks nothing between parameters."""
+    """Five steps at varying lr on float32 and float64 parameters, on
+    views into a BiLstm's stacked weights, and on parameters of 2.5
+    blocks and of one block and one element, equal the written-out
+    update byte for byte; the shared scratch leaks nothing between
+    parameters or blocks, and is at most one block."""
     rng = np.random.default_rng(0)
     lstm = BiLstm(6, 3, np.random.default_rng(1))
     params = dict(lstm.params)  # views into lstm.stacked
     params.update(w32=rng.standard_normal((7, 5)).astype(np.float32),
                   w64=rng.standard_normal((4, 9)),
-                  b32=rng.standard_normal(3).astype(np.float32))
+                  b32=rng.standard_normal(3).astype(np.float32),
+                  big32=rng.standard_normal((5, _BLOCK // 2))
+                  .astype(np.float32),
+                  big64=rng.standard_normal(_BLOCK + 1))
     ref = {k: v.copy() for k, v in params.items()}
     grads = [{k: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3))
               .astype(p.dtype) for k, p in ref.items()} for _ in range(5)]
     lrs = [1e-3, 5e-2, 3e-4, 0.2, 7e-3]
     opt = Adam(params)
+    assert opt._scratch[0].size <= _BLOCK
     for g, lr in zip(grads, lrs):
         opt.step(g, lr)
     _formula_adam_steps(ref, grads, lrs)
@@ -77,6 +83,13 @@ def test_adam_matches_the_formula_bit_for_bit():
         assert p.dtype == ref[name].dtype
         assert p.tobytes() == ref[name].tobytes(), name
     assert lstm.stacked["w_h"][1].tobytes() == ref["bwd.w_h"].tobytes()
+
+
+def test_adam_rejects_a_non_contiguous_parameter():
+    """A flat view of a strided array is a copy, so a step would update
+    the copy and lose it: the optimizer refuses such a parameter."""
+    with pytest.raises(ValueError, match="w_t"):
+        Adam({"w": np.zeros((3, 4)), "w_t": np.zeros((4, 3)).T})
 
 
 def test_one_cycle_anchor_points():
