@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -38,15 +39,15 @@ from .metrics import score, score_by_first_page
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
 from .schedule import lr_range_test
-from .seqmodels import (BATCH_LAWSUITS, VARIANTS, SeqModel, SeqModelConfig,
-                        label_lawsuits, train_seq)
+from .seqmodels import (VARIANTS, SeqModel, SeqModelConfig, label_lawsuits,
+                        train_seq)
 from .synth import SynthConfig, generate_synthetic
 from .tensor import RngState
 from .text import Vocab
 from .textcnn import (TextCnn, TextCnnConfig, encode_pages, text_cnn_setup,
                       train_text_cnn)
-from .training import (BATCH, TrainingDiverged, iterate_minibatches,
-                       label_pages, train_step)
+from .training import (TrainingDiverged, iterate_minibatches, label_pages,
+                       train_step)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,21 +131,17 @@ def cmd_audit(args):
 
 # ------------------------------------------------------------ the families
 
-# What a family's train function gets: the --model name, the corpus, the
-# model config, the --fm-checkpoint model and path, and the settings.
-TrainRun = namedtuple("TrainRun", "name corpus config fm fm_checkpoint seed "
-                                  "epochs batch lr out verbose")
+# What a family trains from: the --model name, corpus, model config,
+# --fm-checkpoint model and path, SETTINGS by keyword, --out and --verbose.
+TrainRun = namedtuple("TrainRun", "name corpus config fm fm_checkpoint "
+                                  "settings out verbose")
 
-
-def _fit_kw(run):
-    return {"seed": run.seed, "epochs": run.epochs, "max_lr": run.lr,
-            "out_path": run.out / "model.ckpt", "verbose": run.verbose}
-
-
-def _saved_log(run, log):
-    """Writes the epoch log; returns the best validation macro-F1."""
-    log.save(run.out / "train_log.jsonl")
-    return max(r.val_macro_f1 for r in log.rows)
+# A training setting's trainer keyword (the dest of its flag): its flag,
+# its config key and its least value (None for a rate).
+SETTINGS = {"seed": ("--seed", "train.seed", 0),
+            "epochs": ("--epochs", "train.epochs", 1),
+            "batch_size": ("--batch-size", "train.batch_size", 2),
+            "max_lr": ("--max-lr", "train.lr", None)}
 
 
 def _page_tags(corpus, split, labels):
@@ -155,10 +152,7 @@ def _page_tags(corpus, split, labels):
 
 
 def _fusion_grid(run):
-    results = fusion_grid(run.corpus, run.config.text_dim,
-                          run.config.image_dim, seed=run.seed,
-                          epochs=run.epochs, batch_size=run.batch,
-                          max_lr=run.lr)
+    results = fusion_grid(run.corpus, run.config, **run.settings)
     (run.out / "grid_results.json").write_text(
         json.dumps(results, indent=2), encoding="utf-8")
     for name, val in results.items():
@@ -181,26 +175,39 @@ def _seq_data(corpus, fm, config):
 @dataclasses.dataclass(frozen=True)
 class Family:
     """How the CLI builds, trains, restores and applies one kind of
-    model; FAMILIES maps each --model name to one."""
+    model; FAMILIES maps each --model name to one.  The trainer's
+    keyword defaults are the defaults of the SETTINGS."""
 
     config: Callable  # (name, corpus, fm) -> model config, or None
-    train: Callable  # (TrainRun) -> best validation macro-F1
+    trainer: Callable  # (**inputs, **settings, out_path, verbose) -> ..., log
+    inputs: Callable  # (TrainRun) -> the trainer's other keywords
     model: Callable  # (meta config, seed, vocab or fm) -> model to restore
     predict: Callable  # (model, vocab or fm, corpus, split) -> IOB tags
-    lr: float  # --max-lr default
-    batch: int = BATCH  # --batch-size default
     needs_fm: bool = False  # reads --fm-checkpoint
     vocab: bool = False  # reads vocab.txt
     # range-test: (name, corpus, config, seed) -> (model, n, loss_fn)
     setup: Callable | None = None
-    grid: Callable | None = None  # train --grid, as train
+    grid: Callable | None = None  # train --grid: (TrainRun) -> as train
+
+    def default(self, setting):
+        """The trainer's default of the keyword ``setting``."""
+        return inspect.signature(self.trainer).parameters[setting].default
+
+    def train(self, run):
+        """Trains the run's model and writes its epoch log; returns the
+        best validation macro-F1."""
+        log = self.trainer(**self.inputs(run), **run.settings,
+                           out_path=run.out / "model.ckpt",
+                           verbose=run.verbose)[-1]
+        log.save(run.out / "train_log.jsonl")
+        return max(r.val_macro_f1 for r in log.rows)
 
 
 TEXT_CNN = Family(
     config=lambda name, corpus, fm: TextCnnConfig(),
-    train=lambda run: _saved_log(run, train_text_cnn(
-        run.corpus, run.config, run.name.endswith("-w"),
-        batch_size=run.batch, **_fit_kw(run))[-1]),
+    trainer=train_text_cnn,
+    inputs=lambda run: dict(corpus=run.corpus, config=run.config,
+                            weighted=run.name.endswith("-w")),
     model=lambda c, seed, vocab: TextCnn(len(vocab), TextCnnConfig(**c),
                                          seed=seed),
     predict=lambda model, vocab, corpus, split: _page_tags(
@@ -208,41 +215,42 @@ TEXT_CNN = Family(
             pages, vocab, model.config.max_tokens)])),
     setup=lambda name, corpus, config, seed: text_cnn_setup(
         corpus, config, name.endswith("-w"), seed)[:3],
-    lr=2e-3, vocab=True)
+    vocab=True)
 FUSION = Family(
     config=lambda name, corpus, fm: FusionConfig(
         *corpus_embedding_dims(corpus),
         missing_mode="zero" if name.endswith("-zero") else "learned"),
-    train=lambda run: _saved_log(run, train_fusion(
-        run.corpus, run.config, batch_size=run.batch, **_fit_kw(run))[-1]),
+    trainer=train_fusion,
+    inputs=lambda run: dict(corpus=run.corpus, config=run.config),
     model=lambda c, seed, _: FusionModule(FusionConfig(**c), seed=seed),
     predict=lambda model, _, corpus, split: _page_tags(
         corpus, split, lambda pages: label_pages(model, embedding_arrays(
             pages, model.config.text_dim, model.config.image_dim)[:4])),
     setup=lambda name, corpus, config, seed: fusion_setup(corpus, config,
                                                           seed),
-    lr=5e-3, grid=_fusion_grid)
+    grid=_fusion_grid)
 # crf and the bilstm families batch lawsuits, the others pages
 FM_CRF = Family(
     config=lambda name, corpus, fm: None,
-    train=lambda run: _saved_log(run, train_fm_crf(
-        run.corpus, run.fm, batch_lawsuits=run.batch,
-        fm_checkpoint=run.fm_checkpoint, **_fit_kw(run))[-1]),
+    trainer=train_fm_crf,
+    inputs=lambda run: dict(corpus=run.corpus, fm=run.fm,
+                            fm_checkpoint=run.fm_checkpoint),
     model=lambda c, seed, _: crf_ops.CrfModel(**c),
     predict=lambda model, fm, corpus, split: label_lawsuits(
         model.decode, fm_probability_sequences(corpus, fm, split)),
-    lr=0.05, needs_fm=True)
+    needs_fm=True)
 SEQ = Family(
     config=_seq_config,
-    train=lambda run: _saved_log(run, train_seq(
-        _seq_data(run.corpus, run.fm, run.config), run.config,
-        batch_lawsuits=run.batch, fm_checkpoint=run.fm_checkpoint,
-        fm_digest=params_digest(run.fm.state_dict()), **_fit_kw(run))[-1]),
+    trainer=train_seq,
+    inputs=lambda run: dict(
+        lawsuit_inputs=_seq_data(run.corpus, run.fm, run.config),
+        config=run.config, fm_checkpoint=run.fm_checkpoint,
+        fm_digest=params_digest(run.fm.state_dict())),
     model=lambda c, seed, _: SeqModel(SeqModelConfig(**c), seed=seed),
     predict=lambda model, fm, corpus, split: label_lawsuits(
         model.decode,
         _seq_data({split: corpus[split]}, fm, model.config)[split]),
-    lr=2e-3, batch=BATCH_LAWSUITS, needs_fm=True)
+    needs_fm=True)
 FAMILIES = {"textcnn": TEXT_CNN, "textcnn-w": TEXT_CNN, "fusion": FUSION,
             "fusion-zero": FUSION, "crf": FM_CRF,
             **{variant: SEQ for variant in VARIANTS}}
@@ -313,33 +321,24 @@ def _load_vocab(args) -> Vocab:
 
 # -------------------------------------------------------------------- train
 
-def _seed_and_batch(args, cfg, default_batch):
-    """``--seed`` and ``--batch-size``: the flag, else the ``train.*`` key
-    of the config, else 0 and ``default_batch``; a bad value names its
-    source."""
-    seed = args.seed if args.seed is not None else \
-        section_value(cfg, "train.seed", 0)
-    batch = args.batch_size if args.batch_size is not None else \
-        section_value(cfg, "train.batch_size", default_batch)
-    _check_min(batch, 2, "--batch-size" if args.batch_size is not None
-               else "train.batch_size")
-    _check_min(seed, 0, "--seed" if args.seed is not None else "train.seed")
-    return seed, batch
-
-
-def _train_settings(args, family):
-    cfg = load_config(args.config) if args.config else {}
-    seed, batch = _seed_and_batch(args, cfg, family.batch)
-    epochs = args.epochs if args.epochs is not None else \
-        section_value(cfg, "train.epochs", 20)
-    _check_min(epochs, 1, "--epochs" if args.epochs is not None
-               else "train.epochs")
-    lr = args.max_lr if args.max_lr is not None else \
-        section_value(cfg, "train.lr", family.lr)
-    lr_source = "--max-lr" if args.max_lr is not None else \
-        "train.lr" if "train.lr" in cfg else "the default of --max-lr"
-    _check_lr(lr, lr_source)
-    return cfg, seed, epochs, batch, lr, lr_source
+def _settings(args, cfg, family):
+    """The SETTINGS ``args`` has flags for: the flag, else the config's
+    ``train.*`` key, else the trainer's default.  A bad value names its
+    source.  Returns ({keyword: value}, {keyword: source})."""
+    settings, sources = {}, {}
+    for keyword, (flag, key, low) in SETTINGS.items():
+        if not hasattr(args, keyword):
+            continue  # range-test has no --epochs or --max-lr
+        value, source = getattr(args, keyword), flag
+        if value is None:
+            value = section_value(cfg, key, family.default(keyword))
+            source = key if key in cfg else f"the default of {flag}"
+        if low is None:
+            _check_lr(value, source)
+        else:
+            _check_min(value, low, source)
+        settings[keyword], sources[keyword] = value, source
+    return settings, sources
 
 
 def _file_id(path):
@@ -368,14 +367,18 @@ def cmd_train(args):
     family = FAMILIES[args.model]
     if args.grid and family.grid is None:
         raise ConfigError(f"--grid needs a fusion model, not {args.model}")
-    cfg, seed, epochs, batch, lr, lr_source = _train_settings(args, family)
+    cfg = load_config(args.config) if args.config else {}
+    for key in ("model.hidden", "model.missing_mode"):
+        if args.grid and key in cfg:
+            raise ConfigError(f"--grid sets {key}; drop it from "
+                              f"{args.config}")
+    settings, sources = _settings(args, cfg, family)
     corpus = _load_corpus_checked(args.corpus)
     out = Path(args.out)
     fm = _upstream_fm(args, args.model, "training")
     run = TrainRun(args.model, corpus,
                    _model_config(args.model, corpus, fm, cfg), fm,
-                   args.fm_checkpoint, seed, epochs, batch, lr, out,
-                   args.verbose)
+                   args.fm_checkpoint, settings, out, args.verbose)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.ckpt"
     before = _file_id(ckpt)
@@ -384,18 +387,18 @@ def cmd_train(args):
         # fit's loss check and the keeper's parameter check stop the run
         with _widths_named(args.fm_checkpoint or args.corpus), \
                 np.errstate(over="ignore", invalid="ignore"):
-            best = (family.grid if args.grid else family.train)(run)
+            best = family.grid(run) if args.grid else family.train(run)
     except TrainingDiverged as exc:
         # an epoch before the divergence may have saved a checkpoint;
         # with no log or config beside it, it would describe nothing
         if _file_id(ckpt) != before:
             ckpt.unlink()
-        raise ValueError(f"{exc}; the learning rate {lr:g} set by "
-                         f"{lr_source} is too high") from None
+        raise ValueError(f"{exc}; the learning rate {settings['max_lr']:g} "
+                         f"set by {sources['max_lr']} is too high") from None
     _write_run_files(out, {**cfg, "train.model": args.model,
-                           "train.seed": seed, "train.epochs": epochs,
-                           "train.batch_size": batch,
-                           "train.corpus": str(args.corpus), "train.lr": lr})
+                           "train.corpus": str(args.corpus),
+                           **{key: settings[keyword]
+                              for keyword, (_, key, _) in SETTINGS.items()}})
     print(f"best validation macro-F1 {100 * best:.2f}")
     return EXIT_OK
 
@@ -459,17 +462,18 @@ def cmd_range_test(args):
     if args.lr_min >= args.lr_max:
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
+    family = FAMILIES[args.model]
     cfg = load_config(args.config) if args.config else {}
-    seed, batch = _seed_and_batch(args, cfg, BATCH)
+    settings, _ = _settings(args, cfg, family)
     corpus = _load_corpus_checked(args.corpus)
     config = _model_config(args.model, corpus, None, cfg)
-    model, n, loss_fn = FAMILIES[args.model].setup(args.model, corpus,
-                                                   config, seed)
-    rng = RngState(seed).consumer("range-test-shuffle")
+    model, n, loss_fn = family.setup(args.model, corpus, config,
+                                     settings["seed"])
+    rng = RngState(settings["seed"]).consumer("range-test-shuffle")
 
     def batches():
         while True:
-            yield from iterate_minibatches(n, batch, rng)
+            yield from iterate_minibatches(n, settings["batch_size"], rng)
 
     result = lr_range_test(train_step(model, loss_fn), batches(),
                            args.lr_min, args.lr_max, args.steps)
@@ -488,6 +492,19 @@ def cmd_range_test(args):
 
 
 # --------------------------------------------------------------------- main
+
+def _default_help(setting, models):
+    """``setting``'s defaults for --help: the config key, else the
+    trainer's default that most of ``models`` share, then the others."""
+    groups = {}
+    for name in models:
+        groups.setdefault(FAMILIES[name].default(setting), []).append(name)
+    common = max(groups, key=lambda value: len(groups[value]))
+    others = "; ".join(f"{value:g} for {', '.join(names)}"
+                       for value, names in groups.items() if value != common)
+    return f"default {SETTINGS[setting][1]}, else {common:g}" + (
+        f" ({others})" if others else "")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pageseq",
@@ -511,13 +528,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int,
+                   help=_default_help("seed", TRAIN_MODELS))
+    p.add_argument("--epochs", type=int,
+                   help=_default_help("epochs", TRAIN_MODELS))
     p.add_argument("--batch-size", type=int,
-                   help="pages per step, or lawsuits for crf and the "
-                        f"bilstm families (default {BATCH}, or "
-                        f"{BATCH_LAWSUITS} lawsuits for bilstm)")
-    p.add_argument("--max-lr", type=float)
+                   help="pages per step, or lawsuits for crf and the bilstm "
+                        "families; " + _default_help("batch_size",
+                                                     TRAIN_MODELS))
+    p.add_argument("--max-lr", type=float,
+                   help=_default_help("max_lr", TRAIN_MODELS))
     p.add_argument("--grid", action="store_true",
                    help="fusion only: run the four-config sweep")
     p.add_argument("--fm-checkpoint",
@@ -549,10 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-min", type=float, required=True)
     p.add_argument("--lr-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--batch-size", type=int, help="pages per step "
-                   f"(default train.batch_size, else {BATCH})")
+    p.add_argument("--batch-size", type=int, help="pages per step; " +
+                   _default_help("batch_size", RANGE_TEST_MODELS))
     p.add_argument("--seed", type=int,
-                   help="default train.seed, else 0")
+                   help=_default_help("seed", RANGE_TEST_MODELS))
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_range_test)

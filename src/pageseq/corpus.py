@@ -14,8 +14,9 @@ Row order is defined by the sibling JSONL index
 (lawsuit_id, page_index, row).
 
 A ``pages.jsonl`` row holds lawsuit_id, page_index, label,
-is_first_page and either ``text_tokens`` (an array of strings) or raw
-OCR ``text`` (a string, tokenised on load by
+is_first_page and either ``text_tokens`` (an array of non-empty
+strings without line breaks, so that a vocabulary file holds each on
+its line) or raw OCR ``text`` (a string, tokenised on load by
 :func:`pageseq.text.normalize_text`); both null, or absent, means the
 page has no text.  :func:`save_corpus` writes ``text_tokens``.
 
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .iob import CLASS_TO_ID, CLASSES
-from .text import normalize_text
+from .text import normalize_text, unstorable_token
 
 SPLITS = ["train", "validation", "test"]
 EMB_MAGIC = b"PSEQEMB1"
@@ -271,6 +272,14 @@ def _page(raw: bytes, path, lineno, shared: dict) -> Page:
         if tokens is None:
             raise CorpusError(f"{path}:{lineno}: text_tokens must be null "
                               "or an array of strings")
+        # JSON escapes a line break, so only a row with a backslash or an
+        # empty token needs the token-by-token check
+        if b"\\" in raw or "" in tokens:
+            bad = unstorable_token(tokens)
+            if bad is not None:
+                raise CorpusError(f"{path}:{lineno}: text_tokens holds "
+                                  f"{bad!r}, an empty token or one with a "
+                                  "line break")
     lid, label = rec["lawsuit_id"], rec["label"]
     return Page(shared.setdefault(lid, lid), rec["page_index"],
                 shared.setdefault(label, label), rec["is_first_page"], tokens)

@@ -251,15 +251,14 @@ class CrfModel(ModelBase):
         return self.head.decode(self.emissions(features))
 
 
-def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05, l2=1e-4,
-              batch_size=None, seed=0, **fit_kw):
+def train_crf(sequences, n_tags, n_features, epochs, lr, l2, batch_size,
+              seed=0, **fit_kw):
     """Adam at the constant rate ``lr`` on the summed NLL of whole
     sequences plus L2, by :func:`training.fit` with ``fit_kw``.
 
     ``sequences`` is an iterable of (features (T, F), gold tag ids).  A
-    step packs ``batch_size`` sequences (all of them when None) in their
-    order in ``sequences``; ``seed`` shuffles them into steps.
-    Returns (model, log).
+    step packs up to ``batch_size`` sequences in their order in
+    ``sequences``; ``seed`` shuffles them into steps.  Returns (model, log).
     """
     sequences = [(np.asarray(f, dtype=np.float64), np.asarray(t)) for f, t in sequences]
     if not sequences:
@@ -285,5 +284,4 @@ def train_crf(sequences, n_tags, n_features, epochs=50, lr=0.05, l2=1e-4,
     n = len(sequences)
     return model, fit(model, n, loss_fn,
                       RngState(seed).consumer("crf-shuffle"), epochs,
-                      batch_size or n, lr, name="crf", one_cycle=False,
-                      **fit_kw)
+                      batch_size, lr, name="crf", one_cycle=False, **fit_kw)

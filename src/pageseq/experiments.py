@@ -73,12 +73,13 @@ def fm_probability_sequences(corpus, fm: FusionModule, split):
 
 
 def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
-                 seed=0, batch_lawsuits=None, out_path=None,
-                 fm_checkpoint=None, verbose=False):
+                 seed=0, batch_size=256, out_path=None, fm_checkpoint=None,
+                 verbose=False):
     """CRF over FM prediction vectors; 12 IOB tags, 6-dim features, at
-    the constant rate ``max_lr`` on ``batch_lawsuits`` train lawsuits per
-    step (all of them when None).  Only with ``out_path`` is each epoch
-    validated and the best kept, there (its meta naming
+    the constant rate ``max_lr`` on ``batch_size`` train lawsuits per
+    step: the roster's and the benchmark's whole split, and a step of
+    bounded memory on a larger one.  Only with ``out_path`` is each
+    epoch validated and the best kept, there (its meta naming
     ``fm_checkpoint`` and the digest of ``fm``'s state) and in the
     model.  Returns (model, log).
     """
@@ -94,7 +95,7 @@ def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
     return crf_ops.train_crf(
         fm_probability_sequences(corpus, fm, "train"), n_tags=len(IOB_TAGS),
         n_features=len(CLASSES), epochs=epochs, lr=max_lr, l2=l2,
-        batch_size=batch_lawsuits, seed=seed, verbose=verbose, **validation)
+        batch_size=batch_size, seed=seed, verbose=verbose, **validation)
 
 
 def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,

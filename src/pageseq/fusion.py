@@ -10,7 +10,7 @@ classifier, the always-missing-image ablation and the majority baseline.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -285,13 +285,13 @@ def evaluate_fusion(model, data, gold_labels, force_missing_image=False):
 GRID = [(512, "learned"), (512, "zero"), (128, "learned"), (128, "zero")]
 
 
-def fusion_grid(corpus, text_dim, image_dim, seed=0, epochs=10, **train_kw):
-    """Table-style 4-config sweep; returns {config name: val macro-F1}."""
+def fusion_grid(corpus, config: FusionConfig, **train_kw):
+    """Table-style 4-config sweep: ``config`` at each hidden width and
+    missing mode of GRID, trained by :func:`train_fusion` with
+    ``train_kw``; returns {config name: val macro-F1}."""
     results = {}
     for hidden, mode in GRID:
-        config = FusionConfig(text_dim=text_dim, image_dim=image_dim,
-                              hidden=hidden, missing_mode=mode)
-        _, _, log = train_fusion(corpus, config, seed=seed, epochs=epochs,
-                                 **train_kw)
-        results[config.name] = max(r.val_macro_f1 for r in log.rows)
+        grid_config = replace(config, hidden=hidden, missing_mode=mode)
+        _, _, log = train_fusion(corpus, grid_config, **train_kw)
+        results[grid_config.name] = max(r.val_macro_f1 for r in log.rows)
     return results

@@ -30,7 +30,6 @@ from .tensor import DEFAULT_DTYPE, RngState, packing, softmax
 from .training import fit
 
 VARIANTS = ("bilstm", "bilstm-crf", "bilstm-f", "bilstm-f-crf")
-BATCH_LAWSUITS = 8  # train_seq's lawsuits per step, the roster's setting
 
 
 @dataclass
@@ -166,10 +165,10 @@ def lawsuit_tag_ids(lawsuit):
 
 
 def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
-              batch_lawsuits=BATCH_LAWSUITS, max_lr=2e-3, out_path=None,
-              fm_checkpoint=None, fm_digest=None, verbose=False):
-    """Trains on whole lawsuits grouped into mini-batches, each packed
-    into one forward and backward pass.
+              batch_size=8, max_lr=2e-3, out_path=None, fm_checkpoint=None,
+              fm_digest=None, verbose=False):
+    """Trains on whole lawsuits, ``batch_size`` lawsuits per mini-batch,
+    each mini-batch packed into one forward and backward pass.
 
     ``lawsuit_inputs`` maps split name to a list of
     (features (T, input_dim), gold IOB tag ids) pairs.  ``fm_checkpoint``
@@ -182,14 +181,14 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
     val_set = lawsuit_inputs["validation"]
     if not train_set or not val_set:
         raise ValueError("empty train or validation split")
-    if batch_lawsuits == 1 or len(train_set) == 1:
+    if batch_size == 1 or len(train_set) == 1:
         # a step of one one-page lawsuit would give BatchNorm one row
         for i, (_, tags) in enumerate(train_set):
             if len(tags) == 1:
                 raise ValueError(
                     f"train lawsuit {i} has one page, and a mini-batch of "
                     "one lawsuit gives train-mode BatchNorm a single row; "
-                    "use batch_lawsuits >= 2 and two or more train lawsuits")
+                    "use batch_size >= 2 and two or more train lawsuits")
     model = SeqModel(config, seed=seed)
 
     def loss_fn(idx):
@@ -204,7 +203,7 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
         "fm_digest": fm_digest, "config": asdict(config)}) \
         if out_path else None
     log = fit(model, len(train_set), loss_fn,
-              RngState(seed).consumer("seq-shuffle"), epochs, batch_lawsuits,
+              RngState(seed).consumer("seq-shuffle"), epochs, batch_size,
               max_lr, evaluate=lambda m: evaluate_seq(m.decode, val_set),
               keeper=keeper, name=config.variant, verbose=verbose)
     return model, keeper, log

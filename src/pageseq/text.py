@@ -69,6 +69,13 @@ def normalize_text(raw: str) -> list:
     return tokens
 
 
+def unstorable_token(tokens):
+    """The first of ``tokens`` that is empty or holds a line break, which
+    a vocabulary file would not read back as itself, or None."""
+    return next((t for t in tokens if not t or "\n" in t or "\r" in t),
+                None)
+
+
 class Vocab:
     """token -> id map; id 0 is padding, id 1 unknown.
 
@@ -97,6 +104,12 @@ class Vocab:
         return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path):
+        """Writes one token per line; a token that is empty or holds a
+        line break raises ``ValueError``, as it would not read back."""
+        bad = unstorable_token(self.tokens)
+        if bad is not None:
+            raise ValueError(f"vocabulary token {bad!r} is empty or holds "
+                             "a line break")
         with open(path, "w", encoding="utf-8") as fh:
             for t in self.tokens:
                 fh.write(t + "\n")

@@ -287,10 +287,10 @@ def test_train_seq_batches_lawsuits(workspace, monkeypatch, flag, per_step):
     assert f"train.batch_size={per_step}\n" in (out / "config.txt").read_text()
 
 
-@pytest.mark.parametrize("flag, per_step", [([], 64),
+@pytest.mark.parametrize("flag, per_step", [([], 256),
                                             (["--batch-size", "4"], 4)])
 def test_train_crf_batches_lawsuits(workspace, monkeypatch, flag, per_step):
-    """--batch-size is the CRF's lawsuits per step (64 by default), every
+    """--batch-size is the CRF's lawsuits per step (256 by default), every
     step at the constant --max-lr, and the run files record it."""
     from pageseq.corpus import load_corpus
     from pageseq.optim import Adam
@@ -796,3 +796,139 @@ def test_sequence_checkpoint_refuses_another_fm(workspace, tmp_path, capsys,
     legacy = tmp_path / "legacy.ckpt"
     save_checkpoint(legacy, params, meta)
     assert main([*argv, "--model-checkpoint", str(legacy)]) == 0
+
+
+def test_train_crf_without_settings_trains_the_library_recipe(tmp_path,
+                                                               capsys):
+    """On a corpus of more than 64 train lawsuits, `train --model crf`
+    with no settings writes the checkpoint that
+    ``train_fm_crf(corpus, fm, out_path=...)`` writes."""
+    from pageseq.checkpoint import params_digest
+    from pageseq.cli import FUSION
+    from pageseq.corpus import load_corpus
+    from pageseq.experiments import train_fm_crf
+    (tmp_path / "synth.cfg").write_text(
+        TINY_SYNTH.replace("n_lawsuits=24", "n_lawsuits=100")
+        .replace("seed=3", "seed=2"))
+    corpus_dir, fm_ckpt = tmp_path / "corpus", tmp_path / "fm" / "model.ckpt"
+    assert main(["gen-synth", "--config", str(tmp_path / "synth.cfg"),
+                 "--out", str(corpus_dir)]) == 0
+    assert main(["train", "--model", "fusion", "--corpus", str(corpus_dir),
+                 "--out", str(fm_ckpt.parent), "--epochs", "2"]) == 0
+    assert main(["train", "--model", "crf", "--corpus", str(corpus_dir),
+                 "--out", str(tmp_path / "crf"),
+                 "--fm-checkpoint", str(fm_ckpt)]) == 0
+    corpus = load_corpus(corpus_dir)
+    assert len(corpus["train"]) > 64
+    params, meta = load_checkpoint(fm_ckpt)
+    fm = FUSION.model(meta["config"], meta["seed"], None)
+    fm.load_state(params)
+    train_fm_crf(corpus, fm, out_path=tmp_path / "library.ckpt")
+    cli_params, _ = load_checkpoint(tmp_path / "crf" / "model.ckpt")
+    library_params, _ = load_checkpoint(tmp_path / "library.ckpt")
+    assert params_digest(cli_params) == params_digest(library_params)
+
+
+def _trainers():
+    from pageseq.experiments import train_fm_crf
+    from pageseq.fusion import train_fusion
+    from pageseq.seqmodels import VARIANTS, train_seq
+    from pageseq.textcnn import train_text_cnn
+    return {"textcnn": train_text_cnn, "textcnn-w": train_text_cnn,
+            "fusion": train_fusion, "fusion-zero": train_fusion,
+            "crf": train_fm_crf, **dict.fromkeys(VARIANTS, train_seq)}
+
+
+@pytest.mark.parametrize("family", list(_trainers()))
+def test_train_without_settings_records_the_trainer_defaults(
+        workspace, capsys, family):
+    """With no flag or train.* key, a run's epochs, batch size and rate
+    are its trainer's keyword defaults, and config.txt records them."""
+    import inspect
+    defaults = inspect.signature(_trainers()[family]).parameters
+    out = workspace / f"defaults_{family}"
+    extra = ["--config", str(workspace / "cnn.cfg")] \
+        if family.startswith("textcnn") else \
+        ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]
+    assert main(["train", "--model", family,
+                 "--corpus", str(workspace / "corpus"), "--out", str(out),
+                 *extra]) == 0
+    config = (out / "config.txt").read_text().splitlines()
+    for key, keyword in [("train.epochs", "epochs"),
+                         ("train.batch_size", "batch_size"),
+                         ("train.lr", "max_lr")]:
+        assert f"{key}={defaults[keyword].default}" in config, key
+    rows = (out / "train_log.jsonl").read_text().splitlines()
+    assert len(rows) == defaults["epochs"].default
+
+
+def test_every_help_renders_and_every_trainer_declares_the_settings(capsys):
+    """--help renders for every subcommand, and every family's trainer
+    has a default for each setting the CLI reads from it."""
+    import inspect
+    from pageseq.cli import FAMILIES, build_parser
+    parser = build_parser()
+    for command in ["gen-synth", "audit", "train", "eval", "predict",
+                    "range-test"]:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: pageseq {command}" in capsys.readouterr().out
+    for name, family in FAMILIES.items():
+        params = inspect.signature(family.trainer).parameters
+        for keyword in ["seed", "epochs", "batch_size", "max_lr"]:
+            assert params[keyword].default is not inspect.Parameter.empty, \
+                (name, keyword)
+
+
+def test_train_grid_applies_the_other_model_keys(workspace, tmp_path,
+                                                 monkeypatch, capsys):
+    """Every grid config takes the run's model.* keys; the grid sets
+    hidden and missing_mode itself, so a key for either exits 1."""
+    from pageseq import fusion
+    configs = []
+    train_fusion = fusion.train_fusion
+
+    def recorded(corpus, config, **kw):
+        configs.append(config)
+        return train_fusion(corpus, config, **kw)
+
+    monkeypatch.setattr(fusion, "train_fusion", recorded)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("model.dropout=0.1\n")
+    argv = ["train", "--model", "fusion", "--corpus",
+            str(workspace / "corpus"), "--out", str(tmp_path / "grid"),
+            "--epochs", "1", "--grid", "--config", str(cfg)]
+    assert main(argv) == 0
+    assert [(c.hidden, c.missing_mode, c.dropout) for c in configs] == [
+        (512, "learned", 0.1), (512, "zero", 0.1), (128, "learned", 0.1),
+        (128, "zero", 0.1)]
+    for key, value in [("model.hidden", "16"), ("model.missing_mode", "zero")]:
+        cfg.write_text(f"model.dropout=0.1\n{key}={value}\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err, err
+
+
+def test_train_rejects_a_token_that_a_vocabulary_would_not_load_back(
+        workspace, tmp_path, capsys):
+    """An empty token (or one with a line break) would shift every later
+    id of the saved vocabulary, so the corpus is refused with exit 2,
+    naming its line."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    path = corpus / "train" / "pages.jsonl"
+
+    def prepend_empty(line):
+        rec = json.loads(line)
+        rec["text_tokens"] = ["", *(rec["text_tokens"] or [])]
+        return json.dumps(rec).encode("utf-8")
+
+    edit_first_line(path, prepend_empty)
+    assert main(["train", "--model", "textcnn", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "cnn"), "--epochs", "1",
+                 "--config", str(workspace / "cnn.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:1: text_tokens holds ''"), err
+    assert not (tmp_path / "cnn" / "vocab.txt").exists()

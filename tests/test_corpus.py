@@ -243,6 +243,16 @@ BAD_PAGE_ROWS = {
     "text-and-tokens": (lambda line: _set_field("text", "lei")(
         _set_field("text_tokens", ["lei"])(line)),
         "a page has text or text_tokens, not both"),
+    # a vocabulary file holds one token a line, so these would not load back
+    "empty-token": (_set_field("text_tokens", ["lei", ""]),
+                    "text_tokens holds '', an empty token or one with a "
+                    "line break"),
+    "cr-token": (_set_field("text_tokens", ["p\rq"]),
+                 "text_tokens holds 'p\\rq', an empty token or one with a "
+                 "line break"),
+    "lf-token": (_set_field("text_tokens", ["a", "p\nq"]),
+                 "text_tokens holds 'p\\nq', an empty token or one with a "
+                 "line break"),
 }
 
 

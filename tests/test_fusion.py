@@ -167,7 +167,7 @@ def test_train_fusion_end_to_end_and_grid():
     report = evaluate_fusion(model, data, [p.label for p in test_pages])
     assert report.macro_f1 > 0.2  # clearly above the 0.12 majority level
 
-    results = fusion_grid(corpus, text_dim, image_dim, seed=0, epochs=1)
+    results = fusion_grid(corpus, config, seed=0, epochs=1)
     assert set(results) == {"FM-512", "FM-512-zero", "FM-128", "FM-128-zero"}
 
 

@@ -150,7 +150,7 @@ def test_crf_head_takes_one_packed_call_per_step(monkeypatch):
     data = {"train": _lawsuit_set(rng, 9), "validation": _lawsuit_set(rng, 2)}
     config = SeqModelConfig(variant="bilstm-f-crf", input_dim=6,
                             lstm_hidden=4, pre_fc=5)
-    train_seq(data, config, epochs=3, batch_lawsuits=4)
+    train_seq(data, config, epochs=3, batch_size=4)
     assert len(calls) == minibatch_count(9, 4) * 3
     assert sum(calls) == 3 * sum(len(tags) for _, tags in data["train"])
 
@@ -177,8 +177,8 @@ def test_train_seq_runs_and_is_deterministic():
     data = {"train": _lawsuit_set(rng, 6), "validation": _lawsuit_set(rng, 3)}
     config = SeqModelConfig(variant="bilstm-f", input_dim=6, lstm_hidden=4,
                             pre_fc=5)
-    m1, _, log1 = train_seq(data, config, seed=0, epochs=2, batch_lawsuits=3)
-    m2, _, log2 = train_seq(data, config, seed=0, epochs=2, batch_lawsuits=3)
+    m1, _, log1 = train_seq(data, config, seed=0, epochs=2, batch_size=3)
+    m2, _, log2 = train_seq(data, config, seed=0, epochs=2, batch_size=3)
     assert len(log1.rows) == 2
     assert log1.rows[-1].train_loss == log2.rows[-1].train_loss
     for name, p1 in m1.state_dict().items():
@@ -191,7 +191,7 @@ def test_train_seq_checkpoints_are_byte_identical(tmp_path):
     config = SeqModelConfig(variant="bilstm-f-crf", input_dim=6,
                             lstm_hidden=4, pre_fc=5)
     for run in ("a", "b"):
-        train_seq(data, config, seed=1, epochs=2, batch_lawsuits=3,
+        train_seq(data, config, seed=1, epochs=2, batch_size=3,
                   out_path=tmp_path / f"{run}.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == \
         (tmp_path / "b.ckpt").read_bytes()
@@ -208,7 +208,7 @@ def test_train_seq_trains_on_one_page_lawsuits():
     for variant in ("bilstm", "bilstm-f-crf"):
         config = SeqModelConfig(variant=variant, input_dim=6, lstm_hidden=4,
                                 pre_fc=5)
-        _, _, log = train_seq(data, config, epochs=2, batch_lawsuits=2)
+        _, _, log = train_seq(data, config, epochs=2, batch_size=2)
         assert all(np.isfinite(row.train_loss) for row in log.rows)
 
 
@@ -219,4 +219,4 @@ def test_train_seq_rejects_one_page_lawsuit_in_batches_of_one():
     data = {"train": train, "validation": _lawsuit_set(rng, 2)}
     config = SeqModelConfig(variant="bilstm", input_dim=6, lstm_hidden=4)
     with pytest.raises(ValueError, match="train lawsuit 2 has one page"):
-        train_seq(data, config, epochs=1, batch_lawsuits=1)
+        train_seq(data, config, epochs=1, batch_size=1)

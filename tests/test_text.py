@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pageseq.text import PAD_ID, UNK_ID, Vocab, encode, normalize_text
 
@@ -78,6 +79,26 @@ def test_vocab_save_load_round_trip(tmp_path):
     loaded = Vocab.load(path)
     assert loaded.tokens == v.tokens
     assert loaded.token_to_id == v.token_to_id
+
+
+@pytest.mark.parametrize("token", ["", "p\rq", "a\nb", "a\r\n"])
+def test_vocab_save_rejects_a_token_that_would_not_load_back(tmp_path,
+                                                             token):
+    """One token a line: an empty token or a line break would shift the
+    ids of every later token on load."""
+    v = Vocab(["alpha", token, "beta"])
+    with pytest.raises(ValueError, match="empty or holds a line break"):
+        v.save(tmp_path / "vocab.txt")
+    assert not (tmp_path / "vocab.txt").exists()
+
+
+def test_normalize_text_gives_tokens_a_vocabulary_file_loads_back(tmp_path):
+    toks = normalize_text("linha um\r\nlinha\rdois\n\n lei 11.419\r "
+                          "a\u2028b \x85 fim\n")
+    assert toks and all(t and "\n" not in t and "\r" not in t for t in toks)
+    v = Vocab.build([toks])
+    v.save(tmp_path / "vocab.txt")
+    assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
 
 
 def test_encode_truncates_and_pads():
