@@ -311,12 +311,27 @@ def _widths_named(path):
         raise CheckpointIOError(f"{path}: {exc}") from None
 
 
-def _load_vocab(args) -> Vocab:
+def _load_vocab(args, params, meta) -> Vocab:
+    """The --vocab file, else the vocab.txt beside the checkpoint.  One
+    that is not the vocabulary the checkpoint was trained with raises
+    ``CheckpointIOError`` naming both files: by the meta's digest, or for
+    a checkpoint without one, by the embedding's row count."""
     path = args.vocab or Path(args.model_checkpoint).with_name("vocab.txt")
     if not Path(path).exists():
         raise ConfigError(f"vocabulary file not found: {path} "
                           "(pass --vocab)")
-    return Vocab.load(path)
+    vocab = Vocab.load(path)
+    digest = meta.get("vocab_digest")
+    weight = params.get("embedding.weight")  # _restore names it if missing
+    if digest is not None and digest != vocab.digest():
+        detail = "their digests differ"
+    elif digest is None and weight is not None and len(weight) != len(vocab):
+        detail = (f"its embedding has {len(weight)} rows, the vocabulary "
+                  f"{len(vocab)} ids")
+    else:
+        return vocab
+    raise CheckpointIOError(f"{args.model_checkpoint} was trained with "
+                            f"another vocabulary than {path}: {detail}")
 
 
 # -------------------------------------------------------------------- train
@@ -413,7 +428,7 @@ def _predictions(args, corpus, split):
     if family is None:
         raise CheckpointIOError(f"unknown model family {name!r} in "
                                 f"{args.model_checkpoint}")
-    aux = _load_vocab(args) if family.vocab else \
+    aux = _load_vocab(args, params, meta) if family.vocab else \
         _upstream_fm(args, name, "evaluation", meta.get("fm_digest"))
     model = _restore(args.model_checkpoint, params, meta, family, aux)
     with _widths_named(args.fm_checkpoint if family.needs_fm
@@ -545,23 +560,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    p.add_argument("--model-checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--split", default="test", choices=SPLITS)
-    p.add_argument("--by-first-page", action="store_true")
-    p.add_argument("--vocab", help="textcnn vocabulary file")
-    p.add_argument("--fm-checkpoint")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="write per-page predictions")
-    p.add_argument("--model-checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--split", default="test", choices=SPLITS)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--fm-checkpoint")
-    p.set_defaults(func=cmd_predict)
+    # eval and predict read a checkpoint the same way; each has one flag
+    # of its own, after --split
+    for name, func, about, (flag, kw) in [
+            ("eval", cmd_eval, "evaluate a checkpoint on a split",
+             ("--by-first-page", dict(action="store_true"))),
+            ("predict", cmd_predict, "write per-page predictions",
+             ("--out", dict(required=True)))]:
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--model-checkpoint", required=True)
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--split", default="test", choices=SPLITS)
+        p.add_argument(flag, **kw)
+        p.add_argument("--vocab", help="textcnn vocabulary file")
+        p.add_argument("--fm-checkpoint")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("range-test", help="learning-rate range test")
     p.add_argument("--model", required=True, choices=RANGE_TEST_MODELS)

@@ -33,6 +33,8 @@ from .training import BATCH, classifier_loss, fit, label_pages
 SMALL_TEXT_CNN = TextCnnConfig(max_tokens=60, embed_dim=32, filters_per_size=32,
                                kernel_sizes=(3, 4, 5), blocks=2, pool_size=2,
                                final_pool_out_len=4, fc_hidden=64)
+# the roster's epochs of the text CNN, the fusion modules and BiLSTM-F
+TEXT_EPOCHS, FM_EPOCHS, SEQ_EPOCHS = 5, 12, 8
 
 
 def concat_features(pages, fm: FusionModule):
@@ -115,15 +117,15 @@ def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
     return model
 
 
-def evaluate_unimodal_mlp(model, corpus, modality, split="test",
-                          fallback=None) -> MetricsReport:
-    """Pages without the modality fall back to a constant class."""
+def evaluate_unimodal_mlp(model, corpus, modality,
+                          split="test") -> MetricsReport:
+    """Pages without the modality fall back to the majority class."""
     pages = list(iter_pages(corpus, split))
     embs = [getattr(p, f"{modality}_embedding") for p in pages]
     labels = iter(label_pages(model, [np.array(
         [e for e in embs if e is not None], dtype=np.float32)]))
-    fallback = fallback or CLASSES[3]  # majority class by construction
-    preds = [fallback if e is None else next(labels) for e in embs]
+    # CLASSES[3] is the majority class by construction
+    preds = [CLASSES[3] if e is None else next(labels) for e in embs]
     return score([p.label for p in pages], preds, CLASSES)
 
 
@@ -141,9 +143,8 @@ class OrderingResult:
 
 
 def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
-                            with_zero_variant=False, with_first_page=True,
-                            fm_epochs=12, text_epochs=5, seq_epochs=8,
-                            verbose=False) -> OrderingResult:
+                            with_zero_variant=False,
+                            with_first_page=True) -> OrderingResult:
     """Trains the model roster on one synthetic corpus and scores the
     test split under the uniform all-pages protocol."""
     corpus = generate_synthetic(synth_config)
@@ -156,8 +157,7 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
         test_gold, [majority.majority_class] * len(test_pages), CLASSES))
 
     cnn, vocab, _, _ = train_text_cnn(corpus, SMALL_TEXT_CNN, weighted=False,
-                                      seed=train_seed, epochs=text_epochs,
-                                      verbose=verbose)
+                                      seed=train_seed, epochs=TEXT_EPOCHS)
     ids = encode_pages(test_pages, vocab, SMALL_TEXT_CNN.max_tokens)
     result.add("textcnn", evaluate_text_cnn(cnn, ids, test_gold))
 
@@ -167,7 +167,7 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
     text_dim, image_dim = corpus_embedding_dims(corpus)
     fm_config = FusionConfig(text_dim=text_dim, image_dim=image_dim, hidden=128)
     fm, _, _ = train_fusion(corpus, fm_config, seed=train_seed,
-                            epochs=fm_epochs, verbose=verbose)
+                            epochs=FM_EPOCHS)
     test_data = embedding_arrays(test_pages, text_dim, image_dim)
     fm_preds = label_pages(fm, test_data[:4])
     result.add("fm", score(test_gold, fm_preds, CLASSES))
@@ -185,7 +185,7 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
         zero_config = FusionConfig(text_dim=text_dim, image_dim=image_dim,
                                    hidden=128, missing_mode="zero")
         fm_zero, _, _ = train_fusion(corpus, zero_config, seed=train_seed,
-                                     epochs=fm_epochs, verbose=verbose)
+                                     epochs=FM_EPOCHS)
         result.add("fm_zero", evaluate_fusion(fm_zero, test_data, test_gold))
 
     crf_model, _ = train_fm_crf(corpus, fm)
@@ -196,7 +196,7 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
     seq_config = SeqModelConfig(variant="bilstm-f",
                                 input_dim=fm.config.concat_dim)
     seq_model, _, _ = train_seq(seq_data, seq_config, seed=train_seed,
-                                epochs=seq_epochs, verbose=verbose)
+                                epochs=SEQ_EPOCHS)
     result.add("bilstm_f", evaluate_seq(seq_model.decode, seq_data["test"]))
 
     if with_first_page:

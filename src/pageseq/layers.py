@@ -25,6 +25,9 @@ import numpy as np
 from .model_base import ModelBase
 from .tensor import DEFAULT_DTYPE, ShapeError
 
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # BatchNorm1d's running-stats rate, var floor
+EMBEDDING_INIT = 0.05  # Embedding weights start uniform in +-EMBEDDING_INIT
+
 
 def _cached(layer, cache):
     """``cache``, or ``RuntimeError`` naming ``layer`` if no train-mode
@@ -72,11 +75,9 @@ class Linear(ModelBase):
 class BatchNorm1d(ModelBase):
     """Batch normalisation over the first axis of a (batch, dim) input."""
 
-    def __init__(self, dim, dtype=DEFAULT_DTYPE, momentum=0.1, eps=1e-5):
+    def __init__(self, dim, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.dim = dim
-        self.momentum = momentum
-        self.eps = eps
         self._add_param("gamma", np.ones(dim, dtype=dtype))
         self._add_param("beta", np.zeros(dim, dtype=dtype))
         self.running_mean = self._add_buffer("running_mean",
@@ -98,7 +99,7 @@ class BatchNorm1d(ModelBase):
             self._cache = None
             out = np.subtract(x, self.running_mean,
                               out=x if overwrite_input else None)
-            out *= 1.0 / np.sqrt(self.running_var + self.eps)
+            out *= 1.0 / np.sqrt(self.running_var + BN_EPS)
             out *= self.params["gamma"]
             out += self.params["beta"]
             return out
@@ -108,9 +109,9 @@ class BatchNorm1d(ModelBase):
         xhat = x - mean
         out = np.square(xhat)
         var = out.mean(axis=0)  # x.var(axis=0), bit for bit
-        self.running_mean += self.momentum * (mean - self.running_mean)
-        self.running_var += self.momentum * (var - self.running_var)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+        self.running_var += BN_MOMENTUM * (var - self.running_var)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
         self._cache = (xhat, inv_std, x.shape[0])
         np.multiply(xhat, self.params["gamma"], out=out)
@@ -164,13 +165,13 @@ class Dropout(ModelBase):
 class Embedding(ModelBase):
     """Row-lookup table for token ids; grads scatter into used rows only."""
 
-    def __init__(self, vocab_size, dim, rng, dtype=DEFAULT_DTYPE, scale=0.05):
+    def __init__(self, vocab_size, dim, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.vocab_size = vocab_size
         self.dim = dim
-        self._add_param(
-            "weight", rng.uniform(-scale, scale, size=(vocab_size, dim)).astype(dtype)
-        )
+        self._add_param("weight", rng.uniform(
+            -EMBEDDING_INIT, EMBEDDING_INIT,
+            size=(vocab_size, dim)).astype(dtype))
         self._ids = None
 
     def forward(self, ids, train=False):

@@ -14,6 +14,8 @@ import numpy as np
 
 from .iob import iob_collapse
 
+DIGITS = 4  # decimal places of the scores in to_dict and to_json
+
 
 @dataclass
 class ClassScores:
@@ -35,26 +37,26 @@ class MetricsReport:
     weighted_f1: float = 0.0
     total: int = 0
 
-    def to_dict(self, digits=4):
+    def to_dict(self):
         return {
             "classes": list(self.classes),
             "per_class": {
                 c: {
                     "tp": s.tp, "fp": s.fp, "fn": s.fn, "support": s.support,
-                    "precision": round(s.precision, digits),
-                    "recall": round(s.recall, digits),
-                    "f1": round(s.f1, digits),
+                    "precision": round(s.precision, DIGITS),
+                    "recall": round(s.recall, DIGITS),
+                    "f1": round(s.f1, DIGITS),
                 }
                 for c, s in self.per_class.items()
             },
-            "macro_f1": round(self.macro_f1, digits),
-            "weighted_f1": round(self.weighted_f1, digits),
+            "macro_f1": round(self.macro_f1, DIGITS),
+            "weighted_f1": round(self.weighted_f1, DIGITS),
             "total": self.total,
             "confusion": self.confusion.tolist() if self.confusion is not None else None,
         }
 
-    def to_json(self, digits=4):
-        return json.dumps(self.to_dict(digits), ensure_ascii=False, indent=2,
+    def to_json(self):
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2,
                           sort_keys=False)
 
     def to_text(self):

@@ -7,6 +7,7 @@ import numpy as np
 # elements per block of a step, so its scratch is 2 x 128 KiB of float64
 # whatever the parameter sizes; smaller blocks cost more Python per element
 _BLOCK = 2 ** 14
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # as in Kingma & Ba (2015)
 
 
 class Adam:
@@ -17,8 +18,8 @@ class Adam:
     at most a block, shared by all of them, so it allocates nothing per
     parameter and its scratch does not grow with the largest one.  Every
     operation is elementwise, so the arithmetic is that of
-    ``m += (1 - b1) * (g - m)``, ``v += (1 - b2) * (g * g - v)`` and
-    ``p -= (lr * (m / b1t) / (sqrt(v / b2t) + eps)).astype(p.dtype)``,
+    ``m += (1 - BETA1) * (g - m)``, ``v += (1 - BETA2) * (g * g - v)`` and
+    ``p -= (lr * (m / b1t) / (sqrt(v / b2t) + EPS)).astype(p.dtype)``,
     bit for bit: a float32 gradient is widened to float64 before any
     arithmetic, and the update is rounded to ``p.dtype`` before it is
     subtracted.  The blocks' views into the parameters are made here,
@@ -26,15 +27,12 @@ class Adam:
     other array is a copy the update would be lost in.
     """
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict):
         strided = [k for k, v in params.items() if not v.flags.c_contiguous]
         if strided:
             raise ValueError(f"Adam needs C-contiguous parameters, not "
                              f"{', '.join(strided)}")
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v, dtype=np.float64) for k, v in params.items()}
         self.v = {k: np.zeros_like(v, dtype=np.float64) for k, v in params.items()}
@@ -55,20 +53,20 @@ class Adam:
         if not lr > 0:  # also NaN
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, rows, p, m, v, s1, s2 in self._blocks:
             g = grads[name].reshape(-1)[rows]
             np.subtract(g, m, out=s1, dtype=np.float64)
-            s1 *= 1.0 - self.beta1
+            s1 *= 1.0 - BETA1
             m += s1
             np.multiply(g, g, out=s1, dtype=np.float64)
             s1 -= v
-            s1 *= 1.0 - self.beta2
+            s1 *= 1.0 - BETA2
             v += s1
             np.divide(v, b2t, out=s1)
             np.sqrt(s1, out=s1)
-            s1 += self.eps
+            s1 += EPS
             np.divide(m, b1t, out=s2)
             s2 *= lr
             s2 /= s1

@@ -121,8 +121,8 @@ class SeqModel(ModelBase):
             g = self.bn_in.backward(self.drop_in.backward(self.fc_in.backward(g)))
         return g
 
-    def loss_and_backward(self, x, tag_ids, train=True, lengths=None):
-        """Loss of the lawsuits packed in ``x`` plus grad accumulation.
+    def loss_and_backward(self, x, tag_ids, lengths=None):
+        """Train-mode loss of the lawsuits packed in ``x``, grads accumulated.
 
         The loss is the mean over the lawsuits of each lawsuit's loss
         normalised by its length; ``lengths`` is as in
@@ -130,7 +130,7 @@ class SeqModel(ModelBase):
         in one call, weighing lawsuit i by 1 / (T_i * lawsuits).
         """
         tag_ids = np.asarray(tag_ids)
-        scores = self.forward_scores(x, train=train, lengths=lengths)
+        scores = self.forward_scores(x, train=True, lengths=lengths)
         if tag_ids.shape != (scores.shape[0],):
             raise ValueError(f"tags of shape {tag_ids.shape} for "
                              f"{scores.shape[0]} pages")
@@ -196,7 +196,7 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
         return model.loss_and_backward(
             np.concatenate([x for x, _ in batch]),
             np.concatenate([tags for _, tags in batch]),
-            train=True, lengths=[len(tags) for _, tags in batch])
+            lengths=[len(tags) for _, tags in batch])
 
     keeper = BestCheckpointKeeper(out_path, {
         "model": config.variant, "seed": seed, "fm_checkpoint": fm_checkpoint,

@@ -13,10 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-FLOAT32 = np.float32
-FLOAT64 = np.float64
-
-DEFAULT_DTYPE = FLOAT32
+DEFAULT_DTYPE = np.float32
 
 
 class ShapeError(ValueError):

@@ -10,6 +10,7 @@ uppercase form, which makes the whole pipeline idempotent.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from functools import lru_cache
 from importlib import resources
@@ -88,20 +89,24 @@ class Vocab:
         self.token_to_id = {t: i + 2 for i, t in enumerate(self.tokens)}
 
     @classmethod
-    def build(cls, token_lists, min_count=1) -> "Vocab":
+    def build(cls, token_lists) -> "Vocab":
         counts: dict[str, int] = {}
         for toks in token_lists:
             for t in toks:
                 counts[t] = counts.get(t, 0) + 1
-        ordered = sorted((t for t, c in counts.items() if c >= min_count),
-                         key=lambda t: (-counts[t], t))
-        return cls(ordered)
+        return cls(sorted(counts, key=lambda t: (-counts[t], t)))
 
     def __len__(self):
         return len(self.tokens) + 2
 
     def encode_token(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
+
+    def digest(self) -> str:
+        """SHA-256 hex digest of the tokens in id order: that of the file
+        :meth:`save` writes."""
+        text = "".join(t + "\n" for t in self.tokens)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def save(self, path):
         """Writes one token per line; a token that is empty or holds a
@@ -127,7 +132,7 @@ class Vocab:
                              f"({exc.reason} at byte {exc.start})") from None
 
 
-def encode(tokens, vocab: Vocab, max_tokens=500) -> np.ndarray:
+def encode(tokens, vocab: Vocab, max_tokens) -> np.ndarray:
     """First ``max_tokens`` token ids, padded with 0 to exact length."""
     ids = [vocab.encode_token(t) for t in tokens[:max_tokens]]
     ids.extend([PAD_ID] * (max_tokens - len(ids)))

@@ -208,8 +208,8 @@ def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
                    verbose=False):
     """Trains on the train split, checkpointing on best validation
     macro-F1 to ``out_path``, with the vocabulary beside it as
-    ``vocab.txt``.  Pages without text carry no signal for this model,
-    so training and validation skip them.
+    ``vocab.txt`` and its digest in the meta.  Pages without text carry
+    no signal for this model, so training and validation skip them.
 
     Returns (model, vocab, keeper, log).
     """
@@ -223,8 +223,8 @@ def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
     val_gold = [p.label for p in val_pages]
     family = "textcnn-w" if weighted else "textcnn"
     keeper = BestCheckpointKeeper(out_path, {
-        "model": family, "seed": seed, "config": asdict(config)}) \
-        if out_path else None
+        "model": family, "seed": seed, "vocab_digest": vocab.digest(),
+        "config": asdict(config)}) if out_path else None
     log = fit(model, n, loss_fn, RngState(seed).consumer("textcnn-shuffle"),
               epochs, batch_size, max_lr,
               evaluate=lambda m: evaluate_text_cnn(m, val_ids, val_gold),

@@ -58,15 +58,15 @@ def classifier_loss(model, inputs, targets, weights=None):
     return loss_fn
 
 
-def label_pages(model, inputs, batch_size=BATCH, **options):
+def label_pages(model, inputs, **options):
     """The page families' labeller: the class name of each row's argmax
     of ``model.predict_probs(*(a[rows] for a in inputs), **options)``,
-    ``batch_size`` rows per call.  Rows are independent in eval, so the
-    labels do not depend on ``batch_size``; its default, the training
-    batch, keeps a call's activations to a training step's."""
+    ``BATCH`` rows per call.  Rows are independent in eval, so the labels
+    do not depend on the block size; the training batch keeps a call's
+    activations to a training step's."""
     labels = []
-    for start in range(0, len(inputs[0]), batch_size):
-        rows = slice(start, start + batch_size)
+    for start in range(0, len(inputs[0]), BATCH):
+        rows = slice(start, start + BATCH)
         probs = model.predict_probs(*(a[rows] for a in inputs), **options)
         labels.extend(CLASSES[i] for i in probs.argmax(axis=1))
     return labels

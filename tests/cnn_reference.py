@@ -16,7 +16,8 @@ gradient buffers of the production layer it checks, and overrides only
 
 import numpy as np
 
-from pageseq.layers import AdaptiveMaxPool1d, BatchNorm1d, MaxPool1d
+from pageseq.layers import (BN_EPS, BN_MOMENTUM, AdaptiveMaxPool1d,
+                            BatchNorm1d, MaxPool1d)
 from pageseq.model_base import ModelBase
 from pageseq.tensor import ShapeError
 from pageseq.textcnn import ConvBlock, TextCnn
@@ -41,12 +42,12 @@ class OldBatchNorm1d(BatchNorm1d):
                 raise ValueError("BatchNorm1d needs batch size >= 2 in train mode")
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
         self._cache = (xhat, inv_std, train, x.shape[0])
         return self.params["gamma"] * xhat + self.params["beta"]

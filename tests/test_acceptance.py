@@ -52,6 +52,7 @@ def _vector_brute_force(em, tr, start, stop):
     return log_z, paths[:, best].tolist(), float(scores[best])
 
 
+@pytest.mark.slow
 def test_criterion_1_crf_oracle_equivalence(capsys):
     rng = np.random.default_rng(100)
     checked = 0
@@ -317,6 +318,7 @@ def ordering_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_ordering(capsys, ordering_runs):
     for seed, res in ordering_runs.items():
         m = res.macro
@@ -336,6 +338,7 @@ def test_criterion_6_synthetic_ordering(capsys, ordering_runs):
                      f"(seed-7 macro-F1: {summary})")
 
 
+@pytest.mark.slow
 def test_criterion_7_first_page_effect(capsys, ordering_runs):
     first, interior = ordering_runs[7].first_page
     gap_on = first.macro_f1 - interior.macro_f1

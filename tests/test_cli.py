@@ -932,3 +932,63 @@ def test_train_rejects_a_token_that_a_vocabulary_would_not_load_back(
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}:1: text_tokens holds ''"), err
     assert not (tmp_path / "cnn" / "vocab.txt").exists()
+
+
+def _vocab_argv(workspace, tmp_path, command, lines):
+    """``command`` on the workspace text CNN with a --vocab file of
+    ``lines``, which ``lines`` makes from the saved vocabulary's lines."""
+    ckpt = _trained(workspace, "textcnn")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(t + "\n" for t in lines(
+        (ckpt.parent / "vocab.txt").read_text().splitlines())))
+    argv = [command, "--model-checkpoint", str(ckpt),
+            "--corpus", str(workspace / "corpus"), "--vocab", str(vocab)]
+    if command == "predict":
+        argv += ["--out", str(tmp_path / "p.jsonl")]
+    return ckpt, vocab, argv
+
+
+def _swap_two_pairs(tokens):
+    tokens = list(tokens)
+    for i, j in [(0, -1), (1, -2)]:
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tokens
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("lines", [lambda t: t[:3], _swap_two_pairs],
+                         ids=["first-three", "two-pairs-swapped"])
+def test_vocabulary_other_than_the_checkpoints_exits_3_naming_both(
+        workspace, tmp_path, capsys, command, lines):
+    """A shorter vocabulary, and one of the same size whose ids name
+    other tokens, are both refused before any page is labelled."""
+    ckpt, vocab, argv = _vocab_argv(workspace, tmp_path, command, lines)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and str(vocab) in err, err
+    assert "digests differ" in err and "Traceback" not in err
+
+
+def test_checkpoint_without_vocab_digest_is_checked_by_size(workspace,
+                                                            tmp_path, capsys):
+    """A checkpoint written before the digest still evaluates with its own
+    vocab.txt; a vocabulary of another size exits 3 naming it."""
+    ckpt = _trained(workspace, "textcnn")
+    params, meta = load_checkpoint(ckpt)
+    del meta["vocab_digest"]
+    legacy = tmp_path / "legacy" / "model.ckpt"
+    legacy.parent.mkdir()
+    save_checkpoint(legacy, params, meta)
+    shutil.copy(ckpt.parent / "vocab.txt", legacy.parent / "vocab.txt")
+    argv = ["eval", "--model-checkpoint", str(legacy),
+            "--corpus", str(workspace / "corpus")]
+    assert main(argv) == 0
+    short = tmp_path / "short.txt"
+    short.write_text("".join((legacy.parent / "vocab.txt")
+                             .read_text().splitlines(True)[:3]))
+    capsys.readouterr()
+    assert main([*argv, "--vocab", str(short)]) == 3
+    err = capsys.readouterr().err
+    assert str(short) in err and str(legacy) in err, err
+    assert "the vocabulary 5 ids" in err and "Traceback" not in err

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pageseq import cli
+from pageseq import cli, training
 from pageseq.corpus import iter_pages
 from pageseq.crf import CrfModel
 from pageseq.experiments import (evaluate_unimodal_mlp,
@@ -60,22 +60,26 @@ def _reference_page_tags(model, inputs, pages):
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
-def test_text_cnn_labeller_matches_one_row_per_page(corpus, split):
+def test_text_cnn_labeller_matches_one_row_per_page(corpus, split,
+                                                    monkeypatch):
+    monkeypatch.setattr(training, "BATCH", 3)  # several blocks, a short last
     pages = list(iter_pages(corpus, split))
     vocab = Vocab.build([p.text_tokens for p in pages if p.text_tokens])
     model = _perturbed(TextCnn(len(vocab), TINY_CNN), 2)
     ids = encode_pages(pages, vocab, TINY_CNN.max_tokens)
     labels, tags = _reference_page_tags(model, [ids], pages)
-    assert label_pages(model, [ids], batch_size=3) == labels
+    assert label_pages(model, [ids]) == labels
     assert cli.FAMILIES["textcnn"].predict(model, vocab, corpus, split) == tags
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
-def test_fusion_labeller_matches_one_row_per_page(corpus, fm, split):
+def test_fusion_labeller_matches_one_row_per_page(corpus, fm, split,
+                                                  monkeypatch):
+    monkeypatch.setattr(training, "BATCH", 3)  # several blocks, a short last
     pages = list(iter_pages(corpus, split))
     inputs = embedding_arrays(pages, 16, 12)[:4]
     labels, tags = _reference_page_tags(fm, inputs, pages)
-    assert label_pages(fm, inputs, batch_size=3) == labels
+    assert label_pages(fm, inputs) == labels
     assert cli.FAMILIES["fusion"].predict(fm, None, corpus, split) == tags
 
 

@@ -125,7 +125,7 @@ def test_packed_training_step_matches_per_lawsuit_reference(variant):
     x, _ = _packed_batch(gen, 24)
     tags = gen.integers(0, 12, size=len(x))
     model.zero_grads()
-    loss = model.loss_and_backward(x, tags, train=True, lengths=LENGTHS)
+    loss = model.loss_and_backward(x, tags, lengths=LENGTHS)
     got = {name: g.copy() for name, g in model.named_grads().items()}
     model.zero_grads()
     want_loss = ref_loss_and_backward(model, x, tags, LENGTHS)

@@ -77,10 +77,10 @@ def test_bptt_gradients_full_fusion_stack(rng):
     tags = np.array([0, 1, 1])
 
     def fn():
-        return model.loss_and_backward(x, tags, train=True)
+        return model.loss_and_backward(x, tags)
 
     model.zero_grads()
-    model.loss_and_backward(x, tags, train=True)
+    model.loss_and_backward(x, tags)
     grads = {k: v.copy() for k, v in model.named_grads().items()}
     params = model.named_params()
     for name in ("fc_in.weight", "bilstm.fwd.w_x", "bilstm.bwd.w_h",
@@ -98,13 +98,13 @@ def test_crf_head_gradients(rng):
     tags = np.array([0, 5, 11])
 
     model.zero_grads()
-    model.loss_and_backward(x, tags, train=True)
+    model.loss_and_backward(x, tags)
     grads = {k: v.copy() for k, v in model.named_grads().items()}
     params = model.named_params()
 
     def loss_only():
         model.zero_grads()
-        return model.loss_and_backward(x, tags, train=True)
+        return model.loss_and_backward(x, tags)
 
     for name in ("crf.transitions", "crf.start", "crf.stop",
                  "bilstm.fwd.w_x", "fc_out.weight"):

@@ -66,12 +66,6 @@ def test_vocab_deterministic_order():
     assert v1.tokens == ["a", "c", "b"]
 
 
-def test_vocab_min_count():
-    v = Vocab.build([["x", "x", "y"]], min_count=2)
-    assert v.encode_token("y") == UNK_ID
-    assert v.encode_token("x") != UNK_ID
-
-
 def test_vocab_save_load_round_trip(tmp_path):
     v = Vocab.build([["gamma", "beta", "beta"]])
     path = tmp_path / "vocab.txt"
