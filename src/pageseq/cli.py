@@ -34,11 +34,11 @@ from .experiments import fm_probability_sequences, seq_dataset, train_fm_crf
 from .fusion import (EmbeddingWidthError, FusionConfig, FusionModule,
                      corpus_embedding_dims, embedding_arrays, fusion_grid,
                      fusion_setup, train_fusion)
-from .iob import CLASSES, iob_collapse, iob_encode
+from .iob import CLASSES, IOB_TAGS, iob_collapse, iob_encode
 from .metrics import score, score_by_first_page
 from .runconfig import (ConfigError, apply_section, dump_config, load_config,
                         section_value)
-from .schedule import lr_range_test
+from .schedule import TooFewSteps, lr_range_test
 from .seqmodels import (VARIANTS, SeqModel, SeqModelConfig, label_lawsuits,
                         train_seq)
 from .synth import SynthConfig, generate_synthetic
@@ -92,17 +92,29 @@ def _load_corpus_checked(root):
     return corpus
 
 
+def _check_read(cfg, read):
+    """Raises ``ConfigError`` naming the first key of ``cfg`` that is not
+    in ``read``."""
+    unread = sorted(set(cfg) - set(read))
+    if unread:
+        raise ConfigError(f"unknown config key {unread[0]!r}")
+
+
 # ---------------------------------------------------------------- gen-synth
+
+# what gen-synth writes to config.txt beside the synth.* settings
+SYNTH_OUTPUTS = ("synth.config_hash", "code.version")
+
 
 def cmd_gen_synth(args):
     config = SynthConfig()
     resolved_keys = {}
     if args.config:
         file_cfg = load_config(args.config)
-        used = apply_section(config, "synth", file_cfg)
-        unused = set(file_cfg) - used
-        if unused:
-            raise ConfigError(f"unknown config key {sorted(unused)[0]!r}")
+        settings = {k: v for k, v in file_cfg.items()
+                    if k not in SYNTH_OUTPUTS}
+        _check_read(file_cfg, apply_section(config, "synth", settings)
+                    | set(SYNTH_OUTPUTS))
     if args.seed is not None:  # synth.seed is checked with the config
         _check_min(args.seed, 0, "--seed")
         config.seed = args.seed
@@ -256,23 +268,44 @@ FAMILIES = {"textcnn": TEXT_CNN, "textcnn-w": TEXT_CNN, "fusion": FUSION,
             **{variant: SEQ for variant in VARIANTS}}
 TRAIN_MODELS = tuple(FAMILIES)
 RANGE_TEST_MODELS = tuple(name for name, f in FAMILIES.items() if f.setup)
+# the class or tag count that a family's metas stored before its model
+# took it from iob
+OLD_META_COUNTS = {TEXT_CNN: ("classes", len(CLASSES)),
+                   FUSION: ("classes", len(CLASSES)),
+                   SEQ: ("n_tags", len(IOB_TAGS))}
+
+
+# what train writes to config.txt beside the model.* and SETTINGS keys
+TRAIN_OUTPUTS = ("train.model", "train.corpus", "code.version")
 
 
 def _model_config(name, corpus, fm, cfg):
-    """The family's model config with the ``model.*`` keys of ``cfg``."""
+    """The family's model config with the ``model.*`` keys of ``cfg``.
+    A key of ``cfg`` that is not one of its fields, a SETTINGS key or one
+    of TRAIN_OUTPUTS raises ``ConfigError`` naming it."""
     config = FAMILIES[name].config(name, corpus, fm)
+    read = {key for _, key, _ in SETTINGS.values()} | set(TRAIN_OUTPUTS)
     if config is not None:
-        apply_section(config, "model", cfg)
+        read |= apply_section(config, "model", cfg)
+    _check_read(cfg, read)
     return config
 
 
 def _restore(path, params, meta, family, aux=None):
     """The family's model for the checkpoint's meta config and seed,
-    holding the checkpoint's parameters.  A config or a parameter set
-    that does not fit the model raises ``CheckpointIOError`` naming the
-    file."""
+    holding the checkpoint's parameters.  The count that older metas
+    store (OLD_META_COUNTS) is dropped when it is the pipeline's.  A
+    config or a parameter set that does not fit the model raises
+    ``CheckpointIOError`` naming the file."""
     try:
-        model = family.model(meta["config"], meta.get("seed", 0), aux)
+        config = dict(meta["config"])
+        if family in OLD_META_COUNTS:
+            key, count = OLD_META_COUNTS[family]
+            stored = config.pop(key, count)
+            if stored != count:
+                raise ValueError(f"config {key} is {stored!r}, not the "
+                                 f"pipeline's {count}")
+        model = family.model(config, meta.get("seed", 0), aux)
         model.load_state(params)
     except (KeyError, TypeError, ValueError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
@@ -410,6 +443,11 @@ def cmd_train(args):
             ckpt.unlink()
         raise ValueError(f"{exc}; the learning rate {settings['max_lr']:g} "
                          f"set by {sources['max_lr']} is too high") from None
+    except TooFewSteps as exc:
+        raise ConfigError(
+            f"{exc}: {settings['epochs']} epochs set by {sources['epochs']} "
+            f"of batches of {settings['batch_size']} set by "
+            f"{sources['batch_size']}") from None
     _write_run_files(out, {**cfg, "train.model": args.model,
                            "train.corpus": str(args.corpus),
                            **{key: settings[keyword]

@@ -251,23 +251,28 @@ class CrfModel(ModelBase):
         return self.head.decode(self.emissions(features))
 
 
-def train_crf(sequences, n_tags, n_features, epochs, lr, l2, batch_size,
-              seed=0, **fit_kw):
+def train_crf(sequences, n_tags, epochs, lr, l2, batch_size, seed=0,
+              **fit_kw):
     """Adam at the constant rate ``lr`` on the summed NLL of whole
     sequences plus L2, by :func:`training.fit` with ``fit_kw``.
 
-    ``sequences`` is an iterable of (features (T, F), gold tag ids).  A
-    step packs up to ``batch_size`` sequences in their order in
-    ``sequences``; ``seed`` shuffles them into steps.  Returns (model, log).
+    ``sequences`` is an iterable of (features (T, F), gold tag ids), all
+    of one width F, the model's feature width.  A step packs up to
+    ``batch_size`` sequences in their order in ``sequences``; ``seed``
+    shuffles them into steps.  Returns (model, log).
     """
     sequences = [(np.asarray(f, dtype=np.float64), np.asarray(t)) for f, t in sequences]
     if not sequences:
         raise ValueError("no training sequences")
+    first = sequences[0][0]
     for i, (feats, tags) in enumerate(sequences):
-        if len(tags) != len(feats):  # the emission map checks the rest
+        if feats.ndim != 2 or feats.shape[1:] != first.shape[1:]:
+            raise ValueError(f"sequence {i}: features of shape {feats.shape}; "
+                             "each must be (T, F), with sequence 0's F")
+        if len(tags) != len(feats):
             raise ValueError(f"sequence {i}: {len(tags)} tags for "
                              f"{len(feats)} feature rows")
-    model = CrfModel(n_tags, n_features)
+    model = CrfModel(n_tags, first.shape[1])
 
     def loss_fn(idx):
         # in ascending order, a full batch packs the sequences as given,

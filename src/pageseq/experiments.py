@@ -96,8 +96,8 @@ def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
                       "evaluate": lambda m: evaluate_seq(m.decode, val_seqs)}
     return crf_ops.train_crf(
         fm_probability_sequences(corpus, fm, "train"), n_tags=len(IOB_TAGS),
-        n_features=len(CLASSES), epochs=epochs, lr=max_lr, l2=l2,
-        batch_size=batch_size, seed=seed, verbose=verbose, **validation)
+        epochs=epochs, lr=max_lr, l2=l2, batch_size=batch_size, seed=seed,
+        verbose=verbose, **validation)
 
 
 def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
@@ -171,15 +171,16 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
     test_data = embedding_arrays(test_pages, text_dim, image_dim)
     fm_preds = label_pages(fm, test_data[:4])
     result.add("fm", score(test_gold, fm_preds, CLASSES))
-    # the w/o-img-acts ablation needs text, so it (and its FM reference)
-    # are scored on the text-present subset of the test split
+    # the w/o-img-acts ablation (no page's image mask set) needs text, so
+    # it and its FM reference are scored on the text-present test pages
     text_pages = [p for p in test_pages if p.text_embedding is not None]
     text_subset = embedding_arrays(text_pages, text_dim, image_dim)
     text_subset_gold = [p.label for p in text_pages]
     result.add("fm_text_subset",
                evaluate_fusion(fm, text_subset, text_subset_gold))
-    result.add("fm_no_img", evaluate_fusion(fm, text_subset, text_subset_gold,
-                                            force_missing_image=True))
+    no_image = np.zeros_like(text_subset[3])
+    result.add("fm_no_img", evaluate_fusion(
+        fm, (*text_subset[:3], no_image), text_subset_gold))
 
     if with_zero_variant:
         zero_config = FusionConfig(text_dim=text_dim, image_dim=image_dim,

@@ -4,7 +4,7 @@ The fusion module concatenates per-page text and image embeddings,
 substituting a learned vector (or zeros) when a modality is absent, and
 classifies through the MLP trunk (batch-norm and two FC layers) that the
 image-only baseline uses on one modality.  Also here: the hybrid
-classifier, the always-missing-image ablation and the majority baseline.
+classifier and the majority baseline.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class FusionConfig:
     text_dim: int = 3840
     image_dim: int = 4096
     hidden: int = 128
-    classes: int = 6
     dropout: float = 0.5
     missing_mode: str = "learned"  # or "zero"
 
@@ -38,8 +37,6 @@ class FusionConfig:
         """Raises ``ValueError`` naming the first field out of range."""
         for name in ("text_dim", "image_dim", "hidden"):
             need(self, name, getattr(self, name) >= 1, "at least 1")
-        need(self, "classes", self.classes == len(CLASSES),
-             f"{len(CLASSES)}, the number of page classes")
         need(self, "dropout", 0 <= self.dropout < 1, "in [0, 1)")
         need(self, "missing_mode", self.missing_mode in ("learned", "zero"),
              "'learned' or 'zero'")
@@ -59,7 +56,7 @@ class MlpClassifier(ModelBase):
 
     stream = "mlp"  # names the rng consumers "<stream>-init", "-dropout"
 
-    def __init__(self, input_dim, hidden, classes=6, dropout=0.5, seed=0,
+    def __init__(self, input_dim, hidden, dropout=0.5, seed=0,
                  dtype=DEFAULT_DTYPE):
         super().__init__()
         rngs = RngState(seed)
@@ -68,7 +65,7 @@ class MlpClassifier(ModelBase):
         self.fc1 = Linear(input_dim, hidden, init, dtype)
         self.dropout = Dropout(dropout, rngs.consumer(f"{self.stream}-dropout"))
         self.bn1 = BatchNorm1d(hidden, dtype=dtype)
-        self.fc2 = Linear(hidden, classes, init, dtype, w_scale=1e-3)
+        self.fc2 = Linear(hidden, len(CLASSES), init, dtype, w_scale=1e-3)
         self._layers = [self.bn0, self.fc1, self.dropout, self.bn1, self.fc2]
 
     def _children(self):
@@ -85,8 +82,8 @@ class MlpClassifier(ModelBase):
             grad = layer.backward(grad)
         return grad
 
-    def predict_probs(self, *inputs, **options):
-        return softmax(self.forward(*inputs, train=False, **options), axis=1)
+    def predict_probs(self, *inputs):
+        return softmax(self.forward(*inputs, train=False), axis=1)
 
 
 class FusionModule(MlpClassifier):
@@ -96,26 +93,19 @@ class FusionModule(MlpClassifier):
 
     def __init__(self, config: FusionConfig, seed=0, dtype=DEFAULT_DTYPE):
         c = self.config = config
-        super().__init__(c.concat_dim, c.hidden, c.classes, c.dropout, seed,
-                         dtype)
+        super().__init__(c.concat_dim, c.hidden, c.dropout, seed, dtype)
         # zero init: learned and zero variants start from the same point
         self._add_param("missing_text", np.zeros(c.text_dim, dtype=dtype))
         self._add_param("missing_image", np.zeros(c.image_dim, dtype=dtype))
         self._masks = None
 
-    def concat(self, text, image, text_present, image_present,
-               force_missing_image=False):
+    def concat(self, text, image, text_present, image_present):
         """Rows [text; image] with the missing vector where the mask is
-        False (either input may then be None).  ``force_missing_image``
-        runs the "w/o img acts" ablation: no sample uses its image.
+        False (either input may then be None).  An all-False
+        ``image_present`` runs the "w/o img acts" ablation.
         """
         text_present = np.asarray(text_present, dtype=bool)
         image_present = np.asarray(image_present, dtype=bool)
-        if force_missing_image:
-            image_present = np.zeros_like(image_present)
-            if not text_present.all():
-                raise ValueError("fusion w/o image acts requires text on "
-                                 "every sample")
         if np.any(~text_present & ~image_present):
             raise ValueError("sample with both modalities missing")
         missing_text, missing_image = (self.params["missing_text"],
@@ -136,15 +126,12 @@ class FusionModule(MlpClassifier):
         x[~image_present, self.config.text_dim:] = missing_image
         return x
 
-    def forward(self, text, image, text_present, image_present, train=False,
-                force_missing_image=False):
+    def forward(self, text, image, text_present, image_present, train=False):
         """Logits of the trunk over :meth:`concat`."""
-        x = self.concat(text, image, text_present, image_present,
-                        force_missing_image)
+        x = self.concat(text, image, text_present, image_present)
         # the rows that took a missing vector, for backward
         self._masks = (np.asarray(text_present, dtype=bool),
-                       np.asarray(image_present, dtype=bool)
-                       & (not force_missing_image)) if train else None
+                       np.asarray(image_present, dtype=bool)) if train else None
         return super().forward(x, train=train)
 
     def backward(self, dlogits):
@@ -277,9 +264,8 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
     return model, keeper, log
 
 
-def evaluate_fusion(model, data, gold_labels, force_missing_image=False):
-    return score(gold_labels, label_pages(
-        model, data[:4], force_missing_image=force_missing_image), CLASSES)
+def evaluate_fusion(model, data, gold_labels):
+    return score(gold_labels, label_pages(model, data[:4]), CLASSES)
 
 
 GRID = [(512, "learned"), (512, "zero"), (128, "learned"), (128, "zero")]

@@ -12,6 +12,10 @@ WARMUP_FRACTION, START_DIV, FINAL_DIV = 0.3, 25.0, 1e4
 SMOOTH_BETA, DIVERGE_FACTOR = 0.98, 4.0  # range test, see lr_range_test
 
 
+class TooFewSteps(ValueError):
+    """A one-cycle schedule of fewer than 2 steps."""
+
+
 @dataclass
 class OneCycleSchedule:
     """Cosine warmup to max_lr, then cosine annealing.
@@ -25,7 +29,8 @@ class OneCycleSchedule:
 
     def __post_init__(self):
         if self.total_steps < 2:
-            raise ValueError("one-cycle schedule needs at least 2 steps")
+            raise TooFewSteps("one-cycle schedule needs at least 2 steps, "
+                              f"got {self.total_steps}")
         self.peak_step = max(1, round(WARMUP_FRACTION * (self.total_steps - 1)))
 
     def lr(self, step: int) -> float:

@@ -39,7 +39,6 @@ class SeqModelConfig:
     lstm_hidden: int = 128
     pre_fc: int = 512
     dropout: float = 0.5
-    n_tags: int = len(IOB_TAGS)
 
     def __post_init__(self):
         """Raises ``ValueError`` naming the first field out of range."""
@@ -48,8 +47,6 @@ class SeqModelConfig:
         for name in ("input_dim", "lstm_hidden", "pre_fc"):
             need(self, name, getattr(self, name) >= 1, "at least 1")
         need(self, "dropout", 0 <= self.dropout < 1, "in [0, 1)")
-        need(self, "n_tags", self.n_tags == len(IOB_TAGS),
-             f"{len(IOB_TAGS)}, the number of IOB tags")
 
     @property
     def fusion_input(self) -> bool:
@@ -76,10 +73,10 @@ class SeqModel(ModelBase):
         self.bilstm = BiLstm(lstm_in, config.lstm_hidden, init, dtype)
         self.bn_out = BatchNorm1d(2 * config.lstm_hidden, dtype=dtype)
         self.drop_out = Dropout(config.dropout, drop_rng)
-        self.fc_out = Linear(2 * config.lstm_hidden, config.n_tags, init, dtype,
-                             w_scale=1e-3)
+        self.fc_out = Linear(2 * config.lstm_hidden, len(IOB_TAGS), init,
+                             dtype, w_scale=1e-3)
         if config.crf_head:
-            self.crf = crf_ops.CrfHead(config.n_tags)
+            self.crf = crf_ops.CrfHead(len(IOB_TAGS))
 
     def _children(self):
         out = {}
@@ -92,7 +89,7 @@ class SeqModel(ModelBase):
         return out
 
     def forward_scores(self, x, train=False, lengths=None):
-        """Per-page tag scores (N, n_tags) of the lawsuits packed in ``x``.
+        """Per-page tag scores (N, 12) of the lawsuits packed in ``x``.
 
         ``x`` is the (T, input_dim) pages of each lawsuit concatenated,
         and ``lengths`` gives each lawsuit's page count (one lawsuit when

@@ -44,7 +44,6 @@ class TextCnnConfig:
     final_pool_out_len: int = 5
     fc_hidden: int = 256
     dropout: float = 0.5
-    classes: int = 6
 
     def __post_init__(self):
         """Raises ``ValueError`` naming the first field out of range."""
@@ -56,8 +55,6 @@ class TextCnnConfig:
              and all(isinstance(k, int) and k >= 1 for k in ks),
              "distinct integers of at least 1")
         need(self, "dropout", 0 <= self.dropout < 1, "in [0, 1)")
-        need(self, "classes", self.classes == len(CLASSES),
-             f"{len(CLASSES)}, the number of page classes")
         # each block's pool floors the length, and the adaptive pool
         # needs final_pool_out_len positions left; a pool of 2 or more
         # leaves none after as many blocks as max_tokens has bits, which
@@ -125,7 +122,7 @@ class TextCnn(ModelBase):
         self.relu = ReLU()
         self.dropout = Dropout(config.dropout, rngs.consumer("textcnn-dropout"))
         # small head init keeps initial logits near-uniform (loss ~ ln 6)
-        self.fc2 = Linear(config.fc_hidden, config.classes, init, dtype,
+        self.fc2 = Linear(config.fc_hidden, len(CLASSES), init, dtype,
                           w_scale=1e-3)
         self._flat_shape = None
 

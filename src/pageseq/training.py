@@ -58,16 +58,16 @@ def classifier_loss(model, inputs, targets, weights=None):
     return loss_fn
 
 
-def label_pages(model, inputs, **options):
+def label_pages(model, inputs):
     """The page families' labeller: the class name of each row's argmax
-    of ``model.predict_probs(*(a[rows] for a in inputs), **options)``,
-    ``BATCH`` rows per call.  Rows are independent in eval, so the labels
+    of ``model.predict_probs(*(a[rows] for a in inputs))``, ``BATCH``
+    rows per call.  Rows are independent in eval, so the labels
     do not depend on the block size; the training batch keeps a call's
     activations to a training step's."""
     labels = []
     for start in range(0, len(inputs[0]), BATCH):
         rows = slice(start, start + BATCH)
-        probs = model.predict_probs(*(a[rows] for a in inputs), **options)
+        probs = model.predict_probs(*(a[rows] for a in inputs))
         labels.extend(CLASSES[i] for i in probs.argmax(axis=1))
     return labels
 

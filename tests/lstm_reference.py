@@ -13,6 +13,7 @@ the same buffers.
 
 import numpy as np
 
+from pageseq.iob import IOB_TAGS
 from pageseq.model_base import ModelBase
 from pageseq.losses import cross_entropy
 from pageseq import crf as crf_ops
@@ -177,6 +178,6 @@ def ref_initial_params(config, seed=0, dtype=np.float32):
         out[f"bilstm.{d}.w_h"] = init.uniform(
             -bound, bound, (hidden, 4 * hidden)).astype(dtype)
         out[f"bilstm.{d}.bias"] = np.zeros(4 * hidden, dtype=dtype)
-    fc_out = Linear(2 * hidden, config.n_tags, init, dtype, w_scale=1e-3)
+    fc_out = Linear(2 * hidden, len(IOB_TAGS), init, dtype, w_scale=1e-3)
     out.update({f"fc_out.{k}": v for k, v in fc_out.params.items()})
     return out

@@ -50,6 +50,19 @@ def test_gen_synth_deterministic(workspace, capsys):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_gen_synth_reruns_from_its_config_txt(workspace):
+    """The config.txt a corpus records, its synth.config_hash and
+    code.version included, regenerates it byte for byte."""
+    a, b = workspace / "corpus", workspace / "corpus_rerun"
+    assert main(["gen-synth", "--config", str(a / "config.txt"),
+                 "--out", str(b)]) == 0
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
 def test_gen_synth_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("synth.banana=1\n")
@@ -210,6 +223,35 @@ def test_eval_checkpoint_with_unknown_config_key_exits_3(workspace):
 
     bad = _edited_fm_checkpoint(workspace, "badconfig.ckpt", add_key)
     assert "bogus_width" in _assert_eval_exits_3_naming(workspace, bad)
+
+
+def test_eval_checkpoint_with_another_class_count_exits_3(workspace):
+    def set_classes(params, meta):
+        meta["config"]["classes"] = 5
+
+    bad = _edited_fm_checkpoint(workspace, "classes5.ckpt", set_classes)
+    assert "config classes is 5, not the pipeline's 6" in \
+        _assert_eval_exits_3_naming(workspace, bad)
+
+
+@pytest.mark.parametrize("name, key, count", [
+    ("textcnn_per_kernel", "classes", 6),
+    ("bilstm_crf_parent", "n_tags", 12)])
+def test_restore_takes_only_the_pipeline_count_from_old_metas(name, key,
+                                                               count):
+    """The class or tag count an older meta stores is dropped when it is
+    the pipeline's (the committed checkpoints' tests restore them), and
+    any other count names the file, as for the FM above."""
+    from pageseq import cli
+    from pageseq.checkpoint import CheckpointIOError
+    path = Path(__file__).parent / "data" / f"{name}.ckpt"
+    params, meta = load_checkpoint(path)
+    assert meta["config"][key] == count
+    meta["config"][key] = count - 1
+    with pytest.raises(CheckpointIOError) as exc:
+        cli._restore(path, params, meta, cli.FAMILIES[meta["model"]])
+    assert str(exc.value) == (f"{path}: config {key} is {count - 1}, not "
+                              f"the pipeline's {count}")
 
 
 def test_eval_idempotent(workspace, capsys):
@@ -393,6 +435,59 @@ def test_out_of_range_model_key_is_config_error(workspace, tmp_path, capsys,
     assert err.startswith(f"config error: model.{key} must be {rule}, "
                           f"got {value}"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, model, key", [
+    ("train", "fusion", "train.epoch"),
+    ("train", "fusion", "modle.hidden"),
+    ("train", "crf", "model.hidden"),
+    ("train", "textcnn", "model.classes"),
+    ("train", "fusion-zero", "model.classes"),
+    ("train", "bilstm", "model.n_tags"),
+    ("range-test", "fusion", "train.epoch")])
+def test_unread_config_key_is_config_error(workspace, tmp_path, capsys,
+                                           command, model, key):
+    """A key that the run does not read, the pipeline's class and tag
+    counts too, exits 1 naming it before anything is written."""
+    out = tmp_path / "out"
+    value = {"model.classes": "6", "model.n_tags": "12"}.get(key, "1")
+    (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+    argv = [command, "--model", model, "--corpus", str(workspace / "corpus"),
+            "--config", str(tmp_path / "run.cfg"), "--out", str(out)]
+    if command == "train":
+        argv += ["--epochs", "1",
+                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]
+    else:
+        argv += ["--lr-min", "1e-4", "--lr-max", "1.0", "--steps", "3"]
+    assert main(argv) == 1
+    assert f"config error: unknown config key {key!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, settings, sources", [
+    ("fusion", ["--epochs", "1", "--batch-size", "100000"],
+     "1 epochs set by --epochs of batches of 100000 set by --batch-size"),
+    ("bilstm", ["--epochs", "1", "--batch-size", "1000"],
+     "1 epochs set by --epochs of batches of 1000 set by --batch-size"),
+    ("textcnn", "train.epochs=1\ntrain.batch_size=100000\n",
+     "1 epochs set by train.epochs of batches of 100000 set by "
+     "train.batch_size")], ids=["fusion", "bilstm", "textcnn-keys"])
+def test_one_step_one_cycle_run_is_config_error(workspace, tmp_path, capsys,
+                                                model, settings, sources):
+    """A one-cycle run of one step exits 1 naming the step count and
+    where its epochs and batch size came from, and saves no model."""
+    if isinstance(settings, str):
+        (tmp_path / "train.cfg").write_text(settings)
+        settings = ["--config", str(tmp_path / "train.cfg")]
+    out = tmp_path / "out"
+    assert main(["train", "--model", model,
+                 "--corpus", str(workspace / "corpus"), "--out", str(out),
+                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt"),
+                 *settings]) == 1
+    assert ("config error: one-cycle schedule needs at least 2 steps, got "
+            f"1: {sources}") in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("option", ["--max-lr", "train.lr"])

@@ -191,7 +191,7 @@ def test_train_crf_learns_transition_structure():
     """Sequences alternate tags deterministically; features are useless,
     so any fit must come from the transition parameters."""
     seqs = [(np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1]))] * 4
-    model, log = C.train_crf(seqs, n_tags=2, n_features=2, epochs=60,
+    model, log = C.train_crf(seqs, n_tags=2, epochs=60,
                              lr=0.1, l2=1e-4, batch_size=4)
     assert log.rows[-1].train_loss < log.rows[0].train_loss
     path, _ = model.decode(np.zeros((6, 2)))
@@ -314,7 +314,7 @@ def test_train_crf_matches_per_sequence_training():
     rng = np.random.default_rng(13)
     seqs = [(rng.standard_normal((t, 4)), rng.integers(0, 5, t))
             for t in (9, 1, 30, 4, 17)]
-    model, log = C.train_crf(seqs, n_tags=5, n_features=4, epochs=5,
+    model, log = C.train_crf(seqs, n_tags=5, epochs=5,
                              lr=0.05, l2=1e-3, batch_size=5)
     hand = C.CrfModel(5, 4)
     opt = Adam(dict(hand.params))

@@ -74,21 +74,24 @@ def test_zero_variant_missing_vector_never_trains(rng):
     np.testing.assert_array_equal(model.params["missing_text"], 0.0)
 
 
-def test_force_missing_image_ignores_images(rng):
+def test_no_image_mask_ignores_images(rng):
+    """The "w/o img acts" ablation: an all-False image mask gives every
+    row the missing image vector, whatever the images hold."""
     model = FusionModule(CFG, seed=0)
-    text, image, tmask, imask = _batch(rng, 5)
-    out = model.predict_probs(text, image, tmask, imask,
-                              force_missing_image=True)
-    out2 = model.predict_probs(text, image * 50, tmask, imask,
-                               force_missing_image=True)
+    model.params["missing_image"] += 1.0
+    text, image, tmask, imask = _batch(rng, 5, imiss=range(5))
+    out = model.predict_probs(text, image, tmask, imask)
+    out2 = model.predict_probs(text, image * 50, tmask, imask)
     np.testing.assert_array_equal(out, out2)
+    x = model.concat(text, None, tmask, imask)
+    np.testing.assert_array_equal(x[:, CFG.text_dim:], 1.0)
 
 
-def test_force_missing_image_requires_text(rng):
+def test_no_image_mask_requires_text(rng):
     model = FusionModule(CFG, seed=0)
-    text, image, tmask, imask = _batch(rng, 3, tmiss=[1])
-    with pytest.raises(ValueError):
-        model.forward(text, image, tmask, imask, force_missing_image=True)
+    text, image, tmask, imask = _batch(rng, 3, tmiss=[1], imiss=range(3))
+    with pytest.raises(ValueError, match="both modalities missing"):
+        model.forward(text, image, tmask, imask)
 
 
 def test_config_names_match_grid_convention():

@@ -27,7 +27,6 @@ def _seq(**kw):
     (lambda: TextCnnConfig(kernel_sizes=(0, 3)), "kernel_sizes"),
     (lambda: TextCnnConfig(kernel_sizes=(2.5,)), "kernel_sizes"),
     (lambda: TextCnnConfig(dropout=1.0), "dropout"),
-    (lambda: TextCnnConfig(classes=5), "classes"),
     # 3 pools of 2 leave 39 // 8 = 4 positions for an out_len of 5
     (lambda: TextCnnConfig(max_tokens=39), "max_tokens"),
     # no position is left, and the check takes no 2**(10**12)
@@ -36,14 +35,12 @@ def _seq(**kw):
     (lambda: FusionConfig(image_dim=0), "image_dim"),
     (lambda: FusionConfig(hidden=0), "hidden"),
     (lambda: FusionConfig(dropout=-0.1), "dropout"),
-    (lambda: FusionConfig(classes=12), "classes"),
     (lambda: FusionConfig(missing_mode="mean"), "missing_mode"),
     (lambda: _seq(variant="transformer"), "variant"),
     (lambda: _seq(input_dim=0), "input_dim"),
     (lambda: _seq(lstm_hidden=0), "lstm_hidden"),
     (lambda: _seq(pre_fc=0), "pre_fc"),
     (lambda: _seq(dropout=1.5), "dropout"),
-    (lambda: _seq(n_tags=6), "n_tags"),
 ])
 def test_out_of_range_field_is_named(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pageseq import cli
 from pageseq.checkpoint import load_checkpoint
 from pageseq.corpus import iter_pages
+from pageseq.iob import CLASSES
 from pageseq.synth import SynthConfig, generate_synthetic
 from pageseq.text import Vocab
 from pageseq.textcnn import (TextCnn, TextCnnConfig, encode_pages,
@@ -106,14 +108,17 @@ def test_training_deterministic():
 
 def test_checkpoint_with_one_conv_per_kernel_size_loads():
     """``data/textcnn_per_kernel.ckpt`` was written by pageseq at c0acf5a,
-    when each kernel size had a Conv1d of its own, with the logits that
-    model gave: its parameter names and shapes load as they are, and the
+    when each kernel size had a Conv1d of its own and the config held a
+    class count, with the logits that model gave: restored through the
+    CLI, its parameter names and shapes load as they are, and the
     one-GEMM trunk reproduces the logits within float32 rounding."""
-    params, meta = load_checkpoint(
-        Path(__file__).parent / "data" / "textcnn_per_kernel.ckpt")
-    model = TextCnn(params["embedding.weight"].shape[0],
-                    TextCnnConfig(**meta["config"]), seed=meta["seed"])
-    model.load_state(params)
+    path = Path(__file__).parent / "data" / "textcnn_per_kernel.ckpt"
+    params, meta = load_checkpoint(path)
+    assert meta["config"]["classes"] == len(CLASSES)
+    rows = len(params["embedding.weight"])
+    vocab = Vocab([f"t{i}" for i in range(rows - 2)])  # and pad, unknown
+    model = cli._restore(path, params, meta, cli.FAMILIES[meta["model"]],
+                         vocab)
     logits = model.forward(np.array(meta["ids"]), train=False)
     np.testing.assert_allclose(logits, np.float32(meta["logits"]),
                                rtol=0, atol=1e-6)

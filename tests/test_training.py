@@ -50,7 +50,7 @@ def _mlp_problem(n=10, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 5)).astype(np.float32)
     y = rng.integers(0, 3, n)
-    model = MlpClassifier(5, 4, classes=3, seed=seed)
+    model = MlpClassifier(5, 4, seed=seed)
     return model, x, y
 
 
