@@ -142,30 +142,51 @@ def params_digest(params: dict) -> str:
 
 
 class BestCheckpointKeeper:
-    """Persists a snapshot only on strict validation-metric improvement.
+    """The one record of a run's best validation epoch.
 
-    Each file's meta is ``meta`` (what ``pageseq eval`` needs to rebuild
-    the model), updated with the meta of the :meth:`update` call and the
-    score as ``val_macro_f1``.  A parameter set with a non-finite entry
-    is never saved: :meth:`update` raises ``ValueError`` instead.
+    On a strict improvement of the score, :meth:`update` keeps one
+    ``model.snapshot()`` as ``best_state`` and, given a ``path``, saves
+    it there; it returns whether it wrote a file.  Each file's meta is
+    ``meta`` (what ``pageseq eval`` needs to rebuild the model), updated
+    with the meta of the :meth:`update` call and the score as
+    ``val_macro_f1``.  A non-finite score or snapshot entry raises
+    ``ValueError`` after :meth:`discard`.
     """
 
-    def __init__(self, path, meta: dict | None = None):
+    def __init__(self, path=None, meta: dict | None = None):
         self.path = path
         self.meta = dict(meta or {})
-        self.best_score = -math.inf
+        self.best_score, self.best_state = -math.inf, None
+        self._replaced = None  # the bytes of the file the first save replaced
 
-    def update(self, score: float, params: dict, meta: dict | None = None) -> bool:
+    def update(self, score: float, model, meta: dict | None = None) -> bool:
         if not math.isfinite(score):
+            self.discard()
             raise ValueError(f"validation metric must be finite, got {score}")
         if score <= self.best_score:
             return False
-        bad = [name for name, value in params.items()
+        state = model.snapshot()
+        bad = [name for name, value in state.items()
                if not np.isfinite(value).all()]
         if bad:
-            raise ValueError(f"{self.path}: not saved, {len(bad)} parameters "
-                             f"are not finite, {bad[0]!r} first")
-        meta = {**self.meta, **(meta or {}), "val_macro_f1": score}
-        save_checkpoint(self.path, params, meta)
-        self.best_score = score
-        return True
+            self.discard()
+            raise ValueError(f"epoch not kept: {len(bad)} parameters are "
+                             f"not finite, {bad[0]!r} first")
+        if self.path:
+            if self.best_state is None and Path(self.path).exists():
+                self._replaced = Path(self.path).read_bytes()
+            save_checkpoint(self.path, state, {
+                **self.meta, **(meta or {}), "val_macro_f1": score})
+        self.best_score, self.best_state = score, state
+        return bool(self.path)
+
+    def discard(self):
+        """Takes back the file this keeper wrote, putting back byte for
+        byte the file its first save replaced; a file it never wrote
+        stays."""
+        if self.path and self.best_state is not None:
+            if self._replaced is None:
+                Path(self.path).unlink(missing_ok=True)
+            else:
+                Path(self.path).write_bytes(self._replaced)
+        self.best_state = self._replaced = None

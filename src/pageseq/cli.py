@@ -77,11 +77,8 @@ def code_version() -> str:
 
 
 def _write_run_files(out_dir: Path, resolved: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(resolved)
-    resolved["code.version"] = code_version()
-    (out_dir / "config.txt").write_text(dump_config(resolved),
-                                        encoding="utf-8")
+    (out_dir / "config.txt").write_text(dump_config(
+        {**resolved, "code.version": code_version()}), encoding="utf-8")
 
 
 def _load_corpus_checked(root):
@@ -108,7 +105,6 @@ SYNTH_OUTPUTS = ("synth.config_hash", "code.version")
 
 def cmd_gen_synth(args):
     config = SynthConfig()
-    resolved_keys = {}
     if args.config:
         file_cfg = load_config(args.config)
         settings = {k: v for k, v in file_cfg.items()
@@ -121,10 +117,9 @@ def cmd_gen_synth(args):
     corpus = generate_synthetic(config)
     out = Path(args.out)
     save_corpus(corpus, out)
-    for f in dataclasses.fields(config):
-        resolved_keys[f"synth.{f.name}"] = getattr(config, f.name)
-    resolved_keys["synth.config_hash"] = config.config_hash()
-    _write_run_files(out, resolved_keys)
+    _write_run_files(out, {**{f"synth.{f.name}": getattr(config, f.name)
+                              for f in dataclasses.fields(config)},
+                           "synth.config_hash": config.config_hash()})
     report = audit_splits(corpus)
     print(json.dumps({"out": str(out), "config_hash": config.config_hash(),
                       "pages": {s: report["missing"][s]["pages"]
@@ -389,16 +384,6 @@ def _settings(args, cfg, family):
     return settings, sources
 
 
-def _file_id(path):
-    """Tells one write of ``path`` from another (a save replaces the
-    file), or None if there is no file."""
-    try:
-        st = path.stat()
-    except FileNotFoundError:
-        return None
-    return st.st_ino, st.st_mtime_ns
-
-
 def _check_min(value, low, option):
     # numpy seeds are >= 0; a one-item step gives BatchNorm a single row;
     # a run needs an epoch, a range test two rates
@@ -428,19 +413,13 @@ def cmd_train(args):
                    _model_config(args.model, corpus, fm, cfg), fm,
                    args.fm_checkpoint, settings, out, args.verbose)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "model.ckpt"
-    before = _file_id(ckpt)
     try:
         # numpy's overflow warnings would print before the error below;
-        # fit's loss check and the keeper's parameter check stop the run
+        # the run stops at fit's loss check or the keeper's parameter check
         with _widths_named(args.fm_checkpoint or args.corpus), \
                 np.errstate(over="ignore", invalid="ignore"):
             best = family.grid(run) if args.grid else family.train(run)
     except TrainingDiverged as exc:
-        # an epoch before the divergence may have saved a checkpoint;
-        # with no log or config beside it, it would describe nothing
-        if _file_id(ckpt) != before:
-            ckpt.unlink()
         raise ValueError(f"{exc}; the learning rate {settings['max_lr']:g} "
                          f"set by {sources['max_lr']} is too high") from None
     except TooFewSteps as exc:

@@ -190,8 +190,7 @@ def save_corpus(corpus: Corpus, root):
     for split in SPLITS:
         split_dir = root / split
         split_dir.mkdir(exist_ok=True)
-        text_rows, text_idx = [], []
-        img_rows, img_idx = [], []
+        embs = {"text": ([], []), "image": ([], [])}  # name -> rows, index
         with open(split_dir / "pages.jsonl", "w", encoding="utf-8") as fh:
             for lawsuit in corpus.get(split, []):
                 for page in lawsuit.pages:
@@ -202,16 +201,13 @@ def save_corpus(corpus: Corpus, root):
                         "is_first_page": page.is_first_page,
                         "text_tokens": page.text_tokens,
                     }, ensure_ascii=False) + "\n")
-                    if page.text_embedding is not None:
-                        text_idx.append((page.lawsuit_id, page.page_index,
-                                         len(text_rows)))
-                        text_rows.append(page.text_embedding)
-                    if page.image_embedding is not None:
-                        img_idx.append((page.lawsuit_id, page.page_index,
-                                        len(img_rows)))
-                        img_rows.append(page.image_embedding)
-        for name, rows, idx in (("text", text_rows, text_idx),
-                                ("image", img_rows, img_idx)):
+                    for name, (rows, idx) in embs.items():
+                        row = getattr(page, f"{name}_embedding")
+                        if row is not None:
+                            idx.append((page.lawsuit_id, page.page_index,
+                                        len(rows)))
+                            rows.append(row)
+        for name, (rows, idx) in embs.items():
             arr = np.asarray(rows, dtype=np.float32) if rows else \
                 np.zeros((0, 0), dtype=np.float32)
             _write_emb(split_dir / f"{name}.emb",
@@ -412,13 +408,11 @@ def audit_splits(corpus: Corpus) -> dict:
                     if emb is not None and not np.isfinite(emb).all():
                         violations.append(f"{page.lawsuit_id}:{page.page_index}: "
                                           f"{name} embedding has NaN or Inf")
-    class_counts = {}
-    missing = {}
+    class_counts, missing = {}, {}
     for split in SPLITS:
-        counts = Counter(p.label for p in iter_pages(corpus, split)) \
-            if split in corpus else Counter()
-        class_counts[split] = {c: counts.get(c, 0) for c in CLASSES}
         pages = list(iter_pages(corpus, split)) if split in corpus else []
+        counts = Counter(p.label for p in pages)
+        class_counts[split] = {c: counts.get(c, 0) for c in CLASSES}
         missing[split] = {
             "pages": len(pages),
             "missing_text": sum(1 for p in pages if not p.has_text),

@@ -119,13 +119,14 @@ def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,
 
 def evaluate_unimodal_mlp(model, corpus, modality,
                           split="test") -> MetricsReport:
-    """Pages without the modality fall back to the majority class."""
+    """Pages without the modality get the train split's majority class."""
     pages = list(iter_pages(corpus, split))
     embs = [getattr(p, f"{modality}_embedding") for p in pages]
     labels = iter(label_pages(model, [np.array(
         [e for e in embs if e is not None], dtype=np.float32)]))
-    # CLASSES[3] is the majority class by construction
-    preds = [CLASSES[3] if e is None else next(labels) for e in embs]
+    majority = MajorityBaseline(p.label for p in iter_pages(corpus, "train"))
+    preds = [majority.majority_class if e is None else next(labels)
+             for e in embs]
     return score([p.label for p in pages], preds, CLASSES)
 
 

@@ -255,8 +255,7 @@ def train_fusion(corpus, config: FusionConfig, seed=0, epochs=20,
     val_gold = [p.label for p in val_pages]
     family = "fusion-zero" if config.missing_mode == "zero" else "fusion"
     keeper = BestCheckpointKeeper(out_path, {
-        "model": family, "seed": seed, "config": asdict(config)}) \
-        if out_path else None
+        "model": family, "seed": seed, "config": asdict(config)})
     log = fit(model, n, loss_fn, RngState(seed).consumer("fusion-shuffle"),
               epochs, batch_size, max_lr,
               evaluate=lambda m: evaluate_fusion(m, vdata, val_gold),
@@ -278,6 +277,6 @@ def fusion_grid(corpus, config: FusionConfig, **train_kw):
     results = {}
     for hidden, mode in GRID:
         grid_config = replace(config, hidden=hidden, missing_mode=mode)
-        _, _, log = train_fusion(corpus, grid_config, **train_kw)
-        results[grid_config.name] = max(r.val_macro_f1 for r in log.rows)
+        _, keeper, _ = train_fusion(corpus, grid_config, **train_kw)
+        results[grid_config.name] = keeper.best_score
     return results

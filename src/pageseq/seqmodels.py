@@ -197,8 +197,7 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
 
     keeper = BestCheckpointKeeper(out_path, {
         "model": config.variant, "seed": seed, "fm_checkpoint": fm_checkpoint,
-        "fm_digest": fm_digest, "config": asdict(config)}) \
-        if out_path else None
+        "fm_digest": fm_digest, "config": asdict(config)})
     log = fit(model, len(train_set), loss_fn,
               RngState(seed).consumer("seq-shuffle"), epochs, batch_size,
               max_lr, evaluate=lambda m: evaluate_seq(m.decode, val_set),

@@ -211,8 +211,6 @@ def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
     Returns (model, vocab, keeper, log).
     """
     model, n, loss_fn, vocab = text_cnn_setup(corpus, config, weighted, seed)
-    if out_path:  # the checkpoints are unusable without it
-        vocab.save(Path(out_path).with_name("vocab.txt"))
     val_pages = [p for p in iter_pages(corpus, "validation") if p.text_tokens]
     if not val_pages:
         raise ValueError("no validation page has text")
@@ -221,11 +219,17 @@ def train_text_cnn(corpus, config: TextCnnConfig, weighted: bool, seed=0,
     family = "textcnn-w" if weighted else "textcnn"
     keeper = BestCheckpointKeeper(out_path, {
         "model": family, "seed": seed, "vocab_digest": vocab.digest(),
-        "config": asdict(config)}) if out_path else None
+        "config": asdict(config)})
     log = fit(model, n, loss_fn, RngState(seed).consumer("textcnn-shuffle"),
               epochs, batch_size, max_lr,
               evaluate=lambda m: evaluate_text_cnn(m, val_ids, val_gold),
               keeper=keeper, name=family, verbose=verbose)
+    if out_path:  # the checkpoints are unusable without it
+        try:
+            vocab.save(Path(out_path).with_name("vocab.txt"))
+        except Exception:
+            keeper.discard()
+            raise
     return model, vocab, keeper, log
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import BestCheckpointKeeper
 from .iob import CLASSES
 from .losses import cross_entropy
 from .optim import Adam
@@ -92,18 +93,19 @@ def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
     or at ``max_lr`` throughout without ``one_cycle``.
 
     After each epoch ``evaluate(model)`` gives the validation report,
-    whose macro-F1 updates ``keeper`` (a ``BestCheckpointKeeper``); the
-    first best epoch is restored at the end.  Without ``evaluate`` the
-    last step's parameters stay, and the log rows have no validation
-    scores.  Returns the ``TrainLog``.  The first step whose loss is not
-    finite raises ``TrainingDiverged``; the model then keeps that step's
-    parameters.
+    whose macro-F1 updates ``keeper`` (a ``BestCheckpointKeeper``, by
+    default one without a file); the keeper's first best epoch is
+    restored at the end.  Without ``evaluate`` the last step's
+    parameters stay, and the log rows have no validation scores.
+    Returns the ``TrainLog``.  The first step whose loss is not finite
+    discards the keeper's file and raises ``TrainingDiverged``; the
+    model then keeps that step's parameters.
     """
+    keeper = keeper or BestCheckpointKeeper()
     step = train_step(model, loss_fn)
     total_steps = epochs * minibatch_count(n, batch_size)
     sched = OneCycleSchedule(total_steps, max_lr) if one_cycle else None
     log = TrainLog()
-    best_f1, best_state = -1.0, None
     t = 0
     for epoch in range(epochs):
         losses = []
@@ -111,6 +113,7 @@ def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
             lr = sched.lr(t) if sched else max_lr
             losses.append(step(idx, lr))
             if not np.isfinite(losses[-1]):
+                keeper.discard()
                 raise TrainingDiverged(f"training diverged: loss {losses[-1]} "
                                        f"at epoch {epoch}, step {t}")
             t += 1
@@ -119,16 +122,13 @@ def fit(model, n, loss_fn, rng, epochs, batch_size, max_lr, evaluate=None,
             report = evaluate(model)
             row.val_macro_f1 = report.macro_f1
             row.val_weighted_f1 = report.weighted_f1
-            row.saved = keeper is not None and keeper.update(
-                report.macro_f1, model.state_dict(), {"epoch": epoch})
-            if report.macro_f1 > best_f1:
-                best_f1, best_state = report.macro_f1, model.snapshot()
+            row.saved = keeper.update(report.macro_f1, model, {"epoch": epoch})
             if verbose:
                 print(f"{name} epoch {epoch}: loss {row.train_loss:.4f} "
                       f"val macro-F1 {report.macro_f1:.4f}")
         log.rows.append(row)
-    if best_state is not None:
-        model.load_state(best_state)
+    if keeper.best_state is not None:
+        model.load_state(keeper.best_state)
     return log
 
 

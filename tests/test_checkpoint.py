@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -41,16 +43,20 @@ def test_missing_file_raises(tmp_path):
         load_checkpoint(tmp_path / "absent.ckpt")
 
 
+def _model(**params):
+    """A stand-in model whose snapshot is ``params``."""
+    return SimpleNamespace(snapshot=lambda: dict(params))
+
+
 def test_keeper_saves_only_on_strict_improvement(tmp_path):
     keeper = BestCheckpointKeeper(tmp_path / "best.ckpt")
-    params = {"w": np.zeros(2)}
-    assert keeper.update(0.5, params, {"epoch": 0}) is True
-    assert keeper.update(0.5, {"w": np.ones(2)}, {"epoch": 1}) is False
+    assert keeper.update(0.5, _model(w=np.zeros(2)), {"epoch": 0}) is True
+    assert keeper.update(0.5, _model(w=np.ones(2)), {"epoch": 1}) is False
     # the tie kept the earlier snapshot
     loaded, meta = load_checkpoint(tmp_path / "best.ckpt")
     np.testing.assert_array_equal(loaded["w"], 0.0)
     assert meta["epoch"] == 0
-    assert keeper.update(0.6, {"w": np.ones(2)}, {"epoch": 2}) is True
+    assert keeper.update(0.6, _model(w=np.ones(2)), {"epoch": 2}) is True
     _, meta = load_checkpoint(tmp_path / "best.ckpt")
     assert meta["epoch"] == 2
     assert meta["val_macro_f1"] == 0.6
@@ -59,19 +65,43 @@ def test_keeper_saves_only_on_strict_improvement(tmp_path):
 def test_keeper_rejects_non_finite(tmp_path):
     keeper = BestCheckpointKeeper(tmp_path / "best.ckpt")
     with pytest.raises(ValueError):
-        keeper.update(float("nan"), {"w": np.zeros(1)})
+        keeper.update(float("nan"), _model(w=np.zeros(1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_keeper_refuses_non_finite_parameters(tmp_path, bad):
+    """The run fails, so the epoch it saved before goes too."""
     path = tmp_path / "best.ckpt"
     keeper = BestCheckpointKeeper(path)
-    assert keeper.update(0.5, {"w": np.zeros(2)}, {"epoch": 0})
-    params = {"w": np.zeros(2), "b": np.array([1.0, bad], dtype=np.float32)}
+    assert keeper.update(0.5, _model(w=np.zeros(2)), {"epoch": 0})
+    model = _model(w=np.zeros(2), b=np.array([1.0, bad], dtype=np.float32))
     with pytest.raises(ValueError, match="not finite, 'b' first"):
-        keeper.update(0.6, params, {"epoch": 1})
-    _, meta = load_checkpoint(path)  # the last finite one stays
-    assert meta["epoch"] == 0 and keeper.best_score == 0.5
+        keeper.update(0.6, model, {"epoch": 1})
+    assert not path.exists() and keeper.best_state is None
+
+
+def test_keeper_discard_puts_back_the_file_it_replaced(tmp_path):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, {"w": np.ones(3)}, {"epoch": 9})
+    earlier = path.read_bytes()
+    idle = BestCheckpointKeeper(path)
+    idle.discard()  # it wrote nothing
+    assert path.read_bytes() == earlier
+    keeper = BestCheckpointKeeper(path)
+    assert keeper.update(0.5, _model(w=np.zeros(2)), {"epoch": 0})
+    assert keeper.update(0.7, _model(w=np.zeros(2)), {"epoch": 1})
+    assert path.read_bytes() != earlier
+    keeper.discard()
+    keeper.discard()  # a second call changes nothing
+    assert path.read_bytes() == earlier
+
+
+def test_keeper_without_a_path_keeps_the_best_in_memory():
+    keeper = BestCheckpointKeeper()
+    assert keeper.update(0.5, _model(w=np.zeros(2))) is False
+    assert keeper.update(0.4, _model(w=np.ones(2))) is False
+    assert keeper.best_score == 0.5
+    np.testing.assert_array_equal(keeper.best_state["w"], 0.0)
 
 
 def _small_checkpoint(tmp_path):

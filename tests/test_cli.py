@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1087,3 +1088,106 @@ def test_checkpoint_without_vocab_digest_is_checked_by_size(workspace,
     err = capsys.readouterr().err
     assert str(short) in err and str(legacy) in err, err
     assert "the vocabulary 5 ids" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def other_corpus(workspace):
+    """A corpus of the workspace's shape from another seed: its
+    vocabulary and its models differ from the workspace corpus's."""
+    (workspace / "other.cfg").write_text(
+        TINY_SYNTH.replace("synth.seed=3", "synth.seed=5"))
+    assert main(["gen-synth", "--config", str(workspace / "other.cfg"),
+                 "--out", str(workspace / "other_corpus")]) == 0
+    return workspace / "other_corpus"
+
+
+def _files(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _script_failure(monkeypatch, script, saves):
+    """Appends one item to ``saves`` per checkpoint save.  From the second
+    fusion validation on, "nan-loss" makes every training loss NaN, and
+    "nan-param" puts a NaN into ``fc2.bias`` and reports a better score."""
+    import pageseq.checkpoint
+    from pageseq import fusion
+    save, evaluate, step = (pageseq.checkpoint.save_checkpoint,
+                            fusion.evaluate_fusion, training.train_step)
+    evaluations = []
+
+    def scripted_evaluate(model, data, gold):
+        evaluations.append(1)
+        if script == "nan-param" and len(evaluations) > 1:
+            model.fc2.params["bias"][0] = np.nan
+            return SimpleNamespace(macro_f1=2.0, weighted_f1=0.0)
+        return evaluate(model, data, gold)
+
+    def scripted_step(model, loss_fn):
+        real = step(model, loss_fn)
+        return lambda idx, lr: (float("nan") if script == "nan-loss"
+                                and evaluations else real(idx, lr))
+
+    monkeypatch.setattr(pageseq.checkpoint, "save_checkpoint",
+                        lambda *args: saves.append(1) or save(*args))
+    monkeypatch.setattr(fusion, "evaluate_fusion", scripted_evaluate)
+    monkeypatch.setattr(training, "train_step", scripted_step)
+
+
+ONE_STEP = ["--epochs", "1", "--batch-size", "100000"]
+TOO_HIGH = ["--epochs", "3", "--max-lr", "1e30"]
+# case: (model, settings, script, exit code, part of the message)
+FAILED_RUNS = {
+    "one-step-textcnn": ("textcnn", ONE_STEP, None, 1, "at least 2 steps"),
+    "one-step-fusion": ("fusion", ONE_STEP, None, 1, "at least 2 steps"),
+    "diverged-textcnn": ("textcnn", TOO_HIGH, None, 3, "at epoch 0"),
+    "diverged-fusion": ("fusion", TOO_HIGH, None, 3, "at epoch 0"),
+    "diverged-after-a-save": ("fusion", ["--epochs", "3"], "nan-loss", 3,
+                              "at epoch 1"),
+    "non-finite-after-a-save": ("fusion", ["--epochs", "3"], "nan-param", 3,
+                                "parameters are not finite"),
+}
+
+
+@pytest.mark.parametrize("earlier", [True, False], ids=["existing", "fresh"])
+@pytest.mark.parametrize("case", FAILED_RUNS)
+def test_failed_train_leaves_the_run_directory_as_it_was(
+        workspace, other_corpus, tmp_path, capsys, monkeypatch, case,
+        earlier):
+    """A train that exits non-zero leaves an earlier run's directory byte
+    for byte (its checkpoint, log, config and vocabulary) and a fresh one
+    empty, whether it stopped before its first step, at a diverged loss,
+    or at a non-finite parameter after it had saved an epoch."""
+    model, settings, script, code, message = FAILED_RUNS[case]
+    out = tmp_path / "run"
+    if earlier:
+        shutil.copytree(_trained(workspace, model).parent, out)
+    before = _files(out) if earlier else {}
+    saves = []
+    _script_failure(monkeypatch, script, saves)
+    cnn = ["--config", str(workspace / "cnn.cfg")] if model == "textcnn" \
+        else []
+    capsys.readouterr()
+    assert main(["train", "--model", model, "--corpus", str(other_corpus),
+                 "--out", str(out), *settings, *cnn]) == code
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert "Traceback" not in err and "RuntimeWarning" not in err, err
+    assert len(saves) == (1 if script else 0)
+    assert _files(out) == before
+
+
+def test_failed_textcnn_run_keeps_the_earlier_vocabulary(
+        workspace, other_corpus, tmp_path, capsys):
+    """A text-CNN run over another corpus that stops at a one-step
+    schedule keeps the earlier run's vocab.txt, whose checkpoint then
+    still evaluates."""
+    out = tmp_path / "run1"
+    shutil.copytree(_trained(workspace, "textcnn").parent, out)
+    vocab = (out / "vocab.txt").read_bytes()
+    assert main(["train", "--model", "textcnn", "--corpus", str(other_corpus),
+                 "--out", str(out), *ONE_STEP]) == 1
+    assert (out / "vocab.txt").read_bytes() == vocab
+    assert main(["eval", "--model-checkpoint", str(out / "model.ckpt"),
+                 "--corpus", str(workspace / "corpus")]) == 0

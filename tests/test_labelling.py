@@ -96,6 +96,30 @@ def test_image_mlp_labeller_matches_one_row_per_page(corpus):
     assert got.to_dict() == want.to_dict()
 
 
+def test_image_mlp_fallback_is_the_train_majority():
+    """Pages without an image get the train split's majority class, which
+    is RE when ``class_freq`` makes it so, not ``Others``."""
+    corpus = generate_synthetic(SynthConfig(
+        n_lawsuits=10, seed=4, text_dim=16, image_dim=12,
+        class_freq=(0.04, 0.10, 0.03, 0.08, 0.60, 0.15),
+        missing_image_rate=0.3))
+    train = [p.label for p in iter_pages(corpus, "train")]
+    assert max(CLASSES, key=train.count) == "RE"
+    model = _perturbed(MlpClassifier(12, 8), 3)
+    pages = list(iter_pages(corpus, "test"))
+    assert any(p.image_embedding is None for p in pages)
+
+    def report(fallback):
+        preds = [fallback if p.image_embedding is None else
+                 CLASSES[int(model.predict_probs(
+                     p.image_embedding[None, :].astype(np.float32)).argmax())]
+                 for p in pages]
+        return score([p.label for p in pages], preds, CLASSES).to_dict()
+
+    got = evaluate_unimodal_mlp(model, corpus, "image").to_dict()
+    assert got == report("RE") != report("Others")
+
+
 def _reference_lawsuit_tags(decode, lawsuit_set):
     return [IOB_TAGS[i] for x, _ in lawsuit_set for i in decode(x)]
 

@@ -100,3 +100,32 @@ def test_benchmark_labels_are_the_family_labellers(monkeypatch):
             family("bilstm-f", seq_model, fm)
         labelled.update(bench["fusion"])
     assert len(labelled) > 1
+
+
+def test_training_stages_run_and_label_at_tiny_sizes(tmp_path, monkeypatch):
+    """``sequence_stages`` (seq-train, and the predict-long fixture) and
+    ``CnnTrain.train`` (cnn-train) call the trainers and unpack what they
+    return; a change to a trainer's keywords or return must fail here,
+    not only in the benchmark.  Each trains at ``TINY`` sizes, keeps its
+    best checkpoints, and its models label one request."""
+    workloads = _workloads(monkeypatch)
+    sizes = workloads.TINY
+    corpus, _, _ = workloads.sequence_corpus(1, sizes, sizes.test,
+                                             tmp_path / "seq_corpus")
+    stages = list(workloads.sequence_stages(corpus, sizes, tmp_path / "seq"))
+    assert [s.name for s in stages] == ["fusion", "crf", "seqmodels"]
+    assert (tmp_path / "seq" / "fm.ckpt").exists()
+    assert (tmp_path / "seq" / "seq.ckpt").exists()
+    lawsuit = corpus["test"][0]
+    labels = workloads.label_sequence(stages[-1].models, lawsuit)
+    assert {family: len(ids) for family, ids in labels.items()} == \
+        dict.fromkeys(("fusion", "crf", "seqmodels"), len(lawsuit.pages))
+
+    cnn = workloads.CnnTrain(sizes)
+    setup = cnn.setup(1, tmp_path / "cnn_corpus")
+    [stage] = cnn.train(setup, tmp_path / "cnn")
+    assert stage.name == "textcnn" and stage.epochs == sizes.text_epochs
+    assert (tmp_path / "cnn" / "textcnn.ckpt").exists()
+    lawsuit = setup.requests[0]
+    labels = workloads.label_text(stage.models, lawsuit)
+    assert len(labels["textcnn"]) == len(lawsuit.pages)

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pageseq.checkpoint import BestCheckpointKeeper, load_checkpoint
+from pageseq.checkpoint import (BestCheckpointKeeper, load_checkpoint,
+                                save_checkpoint)
 from pageseq.fusion import MlpClassifier
 from pageseq.schedule import OneCycleSchedule
 from pageseq.training import (TrainingDiverged, classifier_loss, fit,
@@ -151,3 +152,70 @@ def test_fit_stops_at_the_first_non_finite_loss(bad):
             evaluate=lambda m: evaluated.append(1) or
             SimpleNamespace(macro_f1=0.1, weighted_f1=0.0))
     assert len(calls) == 5 and len(evaluated) == 1
+
+
+def _diverging_at(model, x, y, epoch):
+    """``classifier_loss`` that returns NaN from the first step of
+    ``epoch`` on."""
+    loss_fn = classifier_loss(model, [x], y)
+    first_bad = epoch * minibatch_count(len(x), 4)
+    steps = []
+
+    def diverging(idx):
+        steps.append(idx)
+        return float("nan") if len(steps) > first_bad else loss_fn(idx)
+    return diverging
+
+
+def _fit_diverging_at(epoch, path, evaluate):
+    model, x, y = _mlp_problem()
+    with pytest.raises(TrainingDiverged, match=f"at epoch {epoch}"):
+        fit(model, len(x), _diverging_at(model, x, y, epoch),
+            np.random.default_rng(1), 3, 4, 1e-2, evaluate=evaluate,
+            keeper=BestCheckpointKeeper(path))
+
+
+def test_fit_diverging_after_a_saved_epoch_leaves_no_checkpoint(tmp_path):
+    path = tmp_path / "best.ckpt"
+    saved = []
+    _fit_diverging_at(1, path, lambda m: saved.append(path.exists()) or
+                      SimpleNamespace(macro_f1=0.5, weighted_f1=0.0))
+    assert saved == [False] and not path.exists()
+    # an earlier file stays byte-identical: one the run never replaced
+    # (epoch 0) and one it replaced and then took back (epoch 1)
+    save_checkpoint(path, {"w": np.ones(3)}, {"epoch": 9})
+    earlier = path.read_bytes()
+    for epoch in (0, 1):
+        _fit_diverging_at(epoch, path, _scripted([0.5, 0.6]))
+        assert path.read_bytes() == earlier
+
+
+def test_fit_non_finite_parameters_after_a_saved_epoch_remove_it(tmp_path):
+    path = tmp_path / "best.ckpt"
+    model, x, y = _mlp_problem()
+
+    def poisoning(m):
+        saved = path.exists()
+        if saved:  # after epoch 0's save
+            m.fc2.params["bias"][0] = np.nan
+        return SimpleNamespace(macro_f1=0.6 if saved else 0.5,
+                               weighted_f1=0.0)
+
+    with pytest.raises(ValueError, match="not finite, 'fc2.bias' first"):
+        _fit(model, x, y, evaluate=poisoning,
+             keeper=BestCheckpointKeeper(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_fit_in_memory_keeper_restores_the_first_best_epoch(explicit):
+    model, x, y = _mlp_problem()
+    states = []
+    keeper = BestCheckpointKeeper()
+    log = _fit(model, x, y, evaluate=_scripted([0.2, 0.5, 0.5, 0.3], states),
+               **({"keeper": keeper} if explicit else {}))
+    assert [r.saved for r in log.rows] == [False] * 4
+    assert _same_state(model.state_dict(), states[1])
+    if explicit:
+        assert keeper.best_score == 0.5
+        assert _same_state(keeper.best_state, states[1])
