@@ -2,8 +2,8 @@
 
 Subcommands: gen-synth, audit, train, eval, range-test, predict.  Every
 training run directory is self-describing (resolved config, seed, code
-version), so re-running from the saved config at thread-count 1
-reproduces checkpoints bit-exactly.
+version, corpus and FM paths), so re-running from the saved config at
+thread-count 1 reproduces checkpoints byte for byte from any directory.
 
 Exit codes: 0 success, 1 usage or config error, 2 data-validation
 error, 3 runtime failure.
@@ -139,9 +139,8 @@ def cmd_audit(args):
 # ------------------------------------------------------------ the families
 
 # What a family trains from: the --model name, corpus, model config,
-# --fm-checkpoint model and path, SETTINGS by keyword, --out and --verbose.
-TrainRun = namedtuple("TrainRun", "name corpus config fm fm_checkpoint "
-                                  "settings out verbose")
+# --fm-checkpoint model, SETTINGS by keyword, --out and --verbose.
+TrainRun = namedtuple("TrainRun", "name corpus config fm settings out verbose")
 
 # A training setting's trainer keyword (the dest of its flag): its flag,
 # its config key and its least value (None for a rate).
@@ -240,8 +239,7 @@ FUSION = Family(
 FM_CRF = Family(
     config=lambda name, corpus, fm: None,
     trainer=train_fm_crf,
-    inputs=lambda run: dict(corpus=run.corpus, fm=run.fm,
-                            fm_checkpoint=run.fm_checkpoint),
+    inputs=lambda run: dict(corpus=run.corpus, fm=run.fm),
     model=lambda c, seed, _: crf_ops.CrfModel(**c),
     predict=lambda model, fm, corpus, split: label_lawsuits(
         model.decode, fm_probability_sequences(corpus, fm, split)),
@@ -251,8 +249,7 @@ SEQ = Family(
     trainer=train_seq,
     inputs=lambda run: dict(
         lawsuit_inputs=_seq_data(run.corpus, run.fm, run.config),
-        config=run.config, fm_checkpoint=run.fm_checkpoint,
-        fm_digest=params_digest(run.fm.state_dict())),
+        config=run.config, fm_digest=params_digest(run.fm.state_dict())),
     model=lambda c, seed, _: SeqModel(SeqModelConfig(**c), seed=seed),
     predict=lambda model, fm, corpus, split: label_lawsuits(
         model.decode,
@@ -271,7 +268,8 @@ OLD_META_COUNTS = {TEXT_CNN: ("classes", len(CLASSES)),
 
 
 # what train writes to config.txt beside the model.* and SETTINGS keys
-TRAIN_OUTPUTS = ("train.model", "train.corpus", "code.version")
+TRAIN_OUTPUTS = ("train.model", "train.corpus", "train.fm_checkpoint",
+                 "code.version")
 
 
 def _model_config(name, corpus, fm, cfg):
@@ -410,8 +408,8 @@ def cmd_train(args):
     out = Path(args.out)
     fm = _upstream_fm(args, args.model, "training")
     run = TrainRun(args.model, corpus,
-                   _model_config(args.model, corpus, fm, cfg), fm,
-                   args.fm_checkpoint, settings, out, args.verbose)
+                   _model_config(args.model, corpus, fm, cfg), fm, settings,
+                   out, args.verbose)
     out.mkdir(parents=True, exist_ok=True)
     try:
         # numpy's overflow warnings would print before the error below;
@@ -427,7 +425,10 @@ def cmd_train(args):
             f"{exc}: {settings['epochs']} epochs set by {sources['epochs']} "
             f"of batches of {settings['batch_size']} set by "
             f"{sources['batch_size']}") from None
-    _write_run_files(out, {**cfg, "train.model": args.model,
+    resolved = {k: v for k, v in cfg.items() if k not in TRAIN_OUTPUTS}
+    if family.needs_fm:
+        resolved["train.fm_checkpoint"] = args.fm_checkpoint
+    _write_run_files(out, {**resolved, "train.model": args.model,
                            "train.corpus": str(args.corpus),
                            **{key: settings[keyword]
                               for keyword, (_, key, _) in SETTINGS.items()}})

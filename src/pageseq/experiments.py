@@ -35,6 +35,7 @@ SMALL_TEXT_CNN = TextCnnConfig(max_tokens=60, embed_dim=32, filters_per_size=32,
                                final_pool_out_len=4, fc_hidden=64)
 # the roster's epochs of the text CNN, the fusion modules and BiLSTM-F
 TEXT_EPOCHS, FM_EPOCHS, SEQ_EPOCHS = 5, 12, 8
+FM_CRF_L2 = 1e-4  # the FM+CRF's L2 penalty on every parameter
 
 
 def concat_features(pages, fm: FusionModule):
@@ -74,21 +75,19 @@ def fm_probability_sequences(corpus, fm: FusionModule, split):
     return _fm_sequences(corpus[split], fm, fm.predict_probs, np.float64)
 
 
-def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
-                 seed=0, batch_size=256, out_path=None, fm_checkpoint=None,
-                 verbose=False):
+def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, seed=0,
+                 batch_size=256, out_path=None, verbose=False):
     """CRF over FM prediction vectors; 12 IOB tags, 6-dim features, at
     the constant rate ``max_lr`` on ``batch_size`` train lawsuits per
-    step: the roster's and the benchmark's whole split, and a step of
-    bounded memory on a larger one.  Only with ``out_path`` is each
-    epoch validated and the best kept, there (its meta naming
-    ``fm_checkpoint`` and the digest of ``fm``'s state) and in the
-    model.  Returns (model, log).
+    step: the roster's whole split, and bounded memory on a larger one.
+    Only with ``out_path`` is each epoch validated and the best kept,
+    there and in the model; naming ``fm`` by digest, not path, a run
+    writes that file byte for byte from any directory.  Returns (model, log).
     """
     validation = {}
     if out_path is not None:
         val_seqs = fm_probability_sequences(corpus, fm, "validation")
-        meta = {"model": "crf", "seed": seed, "fm_checkpoint": fm_checkpoint,
+        meta = {"model": "crf", "seed": seed,
                 "fm_digest": params_digest(fm.state_dict()),
                 "config": {"n_tags": len(IOB_TAGS),
                            "n_features": len(CLASSES)}}
@@ -96,8 +95,8 @@ def train_fm_crf(corpus, fm: FusionModule, epochs=80, max_lr=0.08, l2=1e-4,
                       "evaluate": lambda m: evaluate_seq(m.decode, val_seqs)}
     return crf_ops.train_crf(
         fm_probability_sequences(corpus, fm, "train"), n_tags=len(IOB_TAGS),
-        epochs=epochs, lr=max_lr, l2=l2, batch_size=batch_size, seed=seed,
-        verbose=verbose, **validation)
+        epochs=epochs, lr=max_lr, l2=FM_CRF_L2, batch_size=batch_size,
+        seed=seed, verbose=verbose, **validation)
 
 
 def train_unimodal_mlp(corpus, modality, hidden=64, seed=0, epochs=10,

@@ -112,13 +112,12 @@ def apply_section(instance, section: str, config: dict):
     return used
 
 
-def section_value(config: dict, key: str, default, caster=None):
+def section_value(config: dict, key: str, default):
     """Single-value lookup with type coercion against the default."""
     if key not in config:
         return default
-    caster = caster or (type(default) if default is not None else str)
     try:
-        return _coerce(config[key], caster)
+        return _coerce(config[key], type(default))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 

@@ -162,16 +162,16 @@ def lawsuit_tag_ids(lawsuit):
 
 
 def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
-              batch_size=8, max_lr=2e-3, out_path=None, fm_checkpoint=None,
-              fm_digest=None, verbose=False):
+              batch_size=8, max_lr=2e-3, out_path=None, fm_digest=None,
+              verbose=False):
     """Trains on whole lawsuits, ``batch_size`` lawsuits per mini-batch,
     each mini-batch packed into one forward and backward pass.
 
     ``lawsuit_inputs`` maps split name to a list of
-    (features (T, input_dim), gold IOB tag ids) pairs.  ``fm_checkpoint``
-    and ``fm_digest``, the path and the ``params_digest`` of the fusion
-    checkpoint the features came from, are recorded in the meta of the
-    checkpoints written to ``out_path``.
+    (features (T, input_dim), gold IOB tag ids) pairs.  The checkpoints
+    written to ``out_path`` name the fusion checkpoint the features came
+    from by its ``params_digest``, ``fm_digest``, not by a path, so a
+    run writes the same file byte for byte from any directory.
     Returns (model, keeper, log).
     """
     train_set = lawsuit_inputs["train"]
@@ -196,8 +196,8 @@ def train_seq(lawsuit_inputs, config: SeqModelConfig, seed=0, epochs=20,
             lengths=[len(tags) for _, tags in batch])
 
     keeper = BestCheckpointKeeper(out_path, {
-        "model": config.variant, "seed": seed, "fm_checkpoint": fm_checkpoint,
-        "fm_digest": fm_digest, "config": asdict(config)})
+        "model": config.variant, "seed": seed, "fm_digest": fm_digest,
+        "config": asdict(config)})
     log = fit(model, len(train_set), loss_fn,
               RngState(seed).consumer("seq-shuffle"), epochs, batch_size,
               max_lr, evaluate=lambda m: evaluate_seq(m.decode, val_set),

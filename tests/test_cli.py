@@ -13,6 +13,8 @@ import pageseq
 from pageseq.checkpoint import load_checkpoint, save_checkpoint
 from pageseq import training
 from pageseq.cli import main
+from pageseq.runconfig import load_config
+from pageseq.seqmodels import VARIANTS
 from test_corpus import BAD_MANIFESTS, BAD_PAGE_ROWS, edit_first_line
 
 TINY_SYNTH = ("synth.n_lawsuits=24\n"
@@ -898,8 +900,7 @@ def test_train_crf_without_settings_trains_the_library_recipe(tmp_path,
                                                                capsys):
     """On a corpus of more than 64 train lawsuits, `train --model crf`
     with no settings writes the checkpoint that
-    ``train_fm_crf(corpus, fm, out_path=...)`` writes."""
-    from pageseq.checkpoint import params_digest
+    ``train_fm_crf(corpus, fm, out_path=...)`` writes, byte for byte."""
     from pageseq.cli import FUSION
     from pageseq.corpus import load_corpus
     from pageseq.experiments import train_fm_crf
@@ -920,9 +921,71 @@ def test_train_crf_without_settings_trains_the_library_recipe(tmp_path,
     fm = FUSION.model(meta["config"], meta["seed"], None)
     fm.load_state(params)
     train_fm_crf(corpus, fm, out_path=tmp_path / "library.ckpt")
-    cli_params, _ = load_checkpoint(tmp_path / "crf" / "model.ckpt")
-    library_params, _ = load_checkpoint(tmp_path / "library.ckpt")
-    assert params_digest(cli_params) == params_digest(library_params)
+    assert (tmp_path / "crf" / "model.ckpt").read_bytes() == \
+        (tmp_path / "library.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("family", ["crf", *VARIANTS])
+def test_fm_based_run_reproduces_from_any_spelling_of_the_fm(
+        workspace, tmp_path, family):
+    """A run over an FM re-run from its config.txt, with the FM's path
+    spelled another way, writes the same checkpoint and log byte for
+    byte; config.txt records each run's spelling, and nothing else
+    differs."""
+    fm_dir = (workspace / "fm").absolute()
+    spellings = [fm_dir / "model.ckpt", fm_dir / ".." / fm_dir.name /
+                 "model.ckpt"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["train", "--model", family,
+                 "--corpus", str(workspace / "corpus"), "--out", str(first),
+                 "--epochs", "1", "--fm-checkpoint", str(spellings[0])]) == 0
+    assert main(["train", "--model", family,
+                 "--corpus", str(workspace / "corpus"), "--out", str(second),
+                 "--config", str(first / "config.txt"),
+                 "--fm-checkpoint", str(spellings[1])]) == 0
+    for name in ("model.ckpt", "train_log.jsonl"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    configs = [load_config(run / "config.txt") for run in (first, second)]
+    assert [c.pop("train.fm_checkpoint") for c in configs] == \
+        [str(path) for path in spellings]
+    assert configs[0] == configs[1]
+
+
+def test_run_without_an_fm_records_no_fm_path(workspace, tmp_path):
+    """A fusion run from a crf run's config.txt reads no FM, so its own
+    config.txt names none."""
+    crf_config = _trained(workspace, "crf").parent / "config.txt"
+    assert "train.fm_checkpoint" in load_config(crf_config)
+    assert main(["train", "--model", "fusion",
+                 "--corpus", str(workspace / "corpus"), "--out", str(tmp_path),
+                 "--epochs", "1", "--config", str(crf_config)]) == 0
+    config = load_config(tmp_path / "config.txt")
+    assert config["train.model"] == "fusion"
+    assert "train.fm_checkpoint" not in config
+
+
+@pytest.mark.parametrize("family", ["crf", "bilstm"])
+def test_checkpoint_with_an_fm_path_in_its_meta_still_applies(
+        workspace, tmp_path, capsys, family):
+    """A crf or bilstm checkpoint whose meta still names its FM's path,
+    as every one written before the path left the meta does, evaluates
+    and predicts as the same checkpoint without it."""
+    fm = str(workspace / "fm" / "model.ckpt")
+    params, meta = load_checkpoint(_trained(workspace, family))
+    assert "fm_checkpoint" not in meta
+    outputs = []
+    for name, extra in [("current", {}), ("older", {"fm_checkpoint": fm})]:
+        ckpt = tmp_path / f"{name}.ckpt"
+        save_checkpoint(ckpt, params, {**meta, **extra})
+        argv = ["--model-checkpoint", str(ckpt), "--fm-checkpoint", fm,
+                "--corpus", str(workspace / "corpus")]
+        capsys.readouterr()
+        assert main(["eval", *argv]) == 0
+        report = capsys.readouterr().out
+        assert main(["predict", *argv,
+                     "--out", str(tmp_path / f"{name}.jsonl")]) == 0
+        outputs.append((report, (tmp_path / f"{name}.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _trainers():
