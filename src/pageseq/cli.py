@@ -308,9 +308,13 @@ def _restore(path, params, meta, family, aux=None):
 
 def _upstream_fm(args, name, action, digest=None):
     """The --fm-checkpoint fusion module, for a family that reads one; a
-    ``digest`` (of the FM a checkpoint was trained over) that is not its
-    ``params_digest`` raises ``CheckpointIOError`` naming both files."""
+    family that reads none refuses the flag with a ``ConfigError``, as
+    an unread config key is refused.  A ``digest`` (of the FM a
+    checkpoint was trained over) that is not its ``params_digest``
+    raises ``CheckpointIOError`` naming both files."""
     if not FAMILIES[name].needs_fm:
+        if args.fm_checkpoint:
+            raise ConfigError(f"{name} {action} reads no --fm-checkpoint")
         return None
     if not args.fm_checkpoint:
         raise ConfigError(f"{name} {action} needs --fm-checkpoint")
@@ -446,8 +450,8 @@ def _predictions(args, corpus, split):
     if family is None:
         raise CheckpointIOError(f"unknown model family {name!r} in "
                                 f"{args.model_checkpoint}")
-    aux = _load_vocab(args, params, meta) if family.vocab else \
-        _upstream_fm(args, name, "evaluation", meta.get("fm_digest"))
+    fm = _upstream_fm(args, name, "evaluation", meta.get("fm_digest"))
+    aux = _load_vocab(args, params, meta) if family.vocab else fm
     model = _restore(args.model_checkpoint, params, meta, family, aux)
     with _widths_named(args.fm_checkpoint if family.needs_fm
                        else args.model_checkpoint):

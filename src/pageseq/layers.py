@@ -6,10 +6,12 @@ caches what the backward pass needs only when ``train=True``; eval keeps
 nothing, as ``torch.no_grad`` keeps no autograd graph, so a model holds
 no activations between eval calls.  ``backward(grad)`` after an eval
 forward raises ``RuntimeError`` (``Dropout``, the identity in eval, is
-the exception).  ``backward`` returns the gradient w.r.t. the layer
-input and accumulates parameter gradients (call ``zero_grads`` between
-steps).  A layer instance is single-threaded during forward/backward
-because of those caches; distinct instances are independent.
+the exception).  ``lstm.LstmCell``'s backward consumes its cache, so a
+second backward after one train forward raises too.  ``backward``
+returns the gradient w.r.t. the layer input and accumulates parameter
+gradients (call ``zero_grads`` between steps).  A layer instance is
+single-threaded during forward/backward because of those caches;
+distinct instances are independent.
 
 Sequence activations are channels-last, (batch, length, ch): Embedding
 produces that layout and Conv1d, MaxPool1d and AdaptiveMaxPool1d take

@@ -10,7 +10,11 @@ is one batched GEMM for every direction and sequence.  Steps past a
 sequence's end are computed but never read, so they get exactly zero
 gradient and the loop needs no masks.  The input-to-gate GEMMs before
 the loop, and the weight and input-gradient GEMMs after it, run on the
-N packed rows only (the hoisting of Appleyard et al. 2016).
+N packed rows only (the hoisting of Appleyard et al. 2016).  A train
+forward caches its grids, and ``backward`` consumes them: the gate grid
+becomes the gradient grid and each other grid goes once no later step
+reads it, so the cell holds nothing after a step and a second
+``backward`` needs another train forward.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ class LstmCell(ModelBase):
         n_rows, n_dir, h_dim = x.shape[0], self.directions, self.hidden
         pos, t_max, n_seq = grid_positions(n_rows, lengths, n_dir)
         w = self.stacked
-        gx = np.matmul(x, w["w_x"]) + w["bias"][:, None]  # (D, N, 4H)
+        gx = np.matmul(x, w["w_x"])  # (D, N, 4H)
+        gx += w["bias"][:, None]
         # pre-activations on the grid, overwritten step by step by their
         # sigmoids, of which i, f and o are read; padded steps start at 0
         gates = np.zeros((t_max * n_dir * n_seq, 4 * h_dim), dtype=gx.dtype)
@@ -102,36 +107,60 @@ class LstmCell(ModelBase):
         return out.astype(x.dtype, copy=False)
 
     def backward(self, dh_rows):
-        """BPTT; only the recurrence runs per step, the weight GEMMs after."""
+        """BPTT; only the recurrence runs per step, the weight GEMMs after.
+
+        Consumes the train forward's cache: the gate grid becomes the
+        gradient grid, and each forward grid goes once no later step
+        reads it, so a second ``backward`` raises ``RuntimeError``.
+        """
         if self._cache is None:
             raise RuntimeError(f"{type(self).__name__}.backward needs "
                                "forward(train=True) first")
         x, pos, gates, g, cs, tcs, hs = self._cache
+        self._cache = None
         n_rows, n_dir, h_dim = x.shape[0], self.directions, self.hidden
         t_max, _, n_seq, _ = gates.shape
-        dh_seq = np.zeros((t_max * n_dir * n_seq, h_dim), dtype=gates.dtype)
+        # the per-step factors of the gate gradients that do not depend on
+        # dh and dc overwrite the gates they are made of, gate k's in slot
+        # k of da, each rounded as its formula reads left to right; the
+        # loop scales them by dc and dh in place (x * y rounds as y * x)
+        da = gates.reshape(t_max, n_dir, n_seq, 4, h_dim)
+        i, f, _, o = (da[..., k, :] for k in range(4))  # views, not grids
+        np.multiply(i, 1.0 - g * g, out=da[..., 2, :])  # i (1 - g^2)
+        one_minus = 1.0 - i
+        np.multiply(g, i, out=i)  # g i (1 - i)
+        i *= one_minus
+        np.copyto(g, f)  # the loop reads f: it moves to g's grid, now unread
+        f = g
+        np.subtract(1.0, f, out=one_minus)
+        np.multiply(cs[:-1], f, out=da[..., 1, :])  # c_{t-1} f (1 - f)
+        da[..., 1, :] *= one_minus
+        dh_to_dc = tcs * tcs  # o (1 - tanh(c)^2)
+        np.subtract(1.0, dh_to_dc, out=dh_to_dc)
+        dh_to_dc *= o
+        np.subtract(1.0, o, out=one_minus)
+        np.multiply(tcs, o, out=o)  # tanh(c) o (1 - o)
+        o *= one_minus
+        del i, _, o, cs, tcs, one_minus
+        dh_seq = np.zeros((t_max * n_dir * n_seq, h_dim), dtype=da.dtype)
         dh_seq[pos] = dh_rows.reshape(n_rows, n_dir, h_dim).transpose(1, 0, 2)
         dh_seq = dh_seq.reshape(t_max, n_dir, n_seq, h_dim)
-        i, f, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in (0, 1, 3))
-        # per-step factors of the gate gradients that do not depend on dh, dc
-        dc_coef = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                            i * (1.0 - g * g)], axis=-2)
-        dh_to_dc = o * (1.0 - tcs * tcs)
-        dh_to_do = tcs * o * (1.0 - o)
         w_h_t = self.stacked["w_h"].transpose(0, 2, 1)
-        da = np.empty((t_max, n_dir, n_seq, 4, h_dim), dtype=gates.dtype)
-        dh_next = np.zeros((n_dir, n_seq, h_dim), dtype=gates.dtype)
-        dc_next = np.zeros((n_dir, n_seq, h_dim), dtype=gates.dtype)
+        dh_next = np.zeros((n_dir, n_seq, h_dim), dtype=da.dtype)
+        dc_next = np.zeros((n_dir, n_seq, h_dim), dtype=da.dtype)
         for t in range(t_max - 1, -1, -1):
             dh = dh_seq[t] + dh_next
             dc = dc_next + dh * dh_to_dc[t]
-            np.multiply(dc[..., None, :], dc_coef[t], out=da[t, :, :, :3])
-            np.multiply(dh, dh_to_do[t], out=da[t, :, :, 3])
+            da[t, :, :, :3] *= dc[..., None, :]
+            da[t, :, :, 3] *= dh
             dh_next = np.matmul(da[t].reshape(n_dir, n_seq, 4 * h_dim), w_h_t)
             dc_next = dc * f[t]
+        del dh_seq, dh_to_dc, f, g
         # back to the packed rows: (D, N, 4H), and each row's h_{t-1}
         da = da.reshape(-1, 4 * h_dim)[pos]
+        del gates
         h_prev = hs.reshape(-1, h_dim)[pos]
+        del hs
         grads = self._stacked_grads
         grads["w_x"] += np.matmul(x.T, da)
         grads["w_h"] += np.matmul(h_prev.transpose(0, 2, 1), da)

@@ -1,8 +1,11 @@
-"""Shared test utilities: central finite differences at 64-bit."""
+"""Shared test utilities: central finite differences at 64-bit, and a
+traced memory peak."""
 
 # pageseq pins the BLAS thread count from PAGESEQ_THREADS, which works
 # only if it is imported before numpy loads its BLAS library
 import pageseq  # noqa: F401  isort:skip
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +51,20 @@ def check_grads(fn, arr, analytic, rng, count=60, h=1e-5, tol=1e-4):
     err = max_rel_err(numeric, got)
     assert err <= tol, f"max relative error {err} over {len(coords)} coords"
     return len(coords)
+
+
+def traced_peak(fn):
+    """``(fn(), peak, held)``: the most bytes the call had allocated at
+    once under tracemalloc, and the bytes still allocated after it, both
+    counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, held - base
 
 
 @pytest.fixture

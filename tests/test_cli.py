@@ -12,7 +12,7 @@ import pytest
 import pageseq
 from pageseq.checkpoint import load_checkpoint, save_checkpoint
 from pageseq import training
-from pageseq.cli import main
+from pageseq.cli import FAMILIES, main
 from pageseq.runconfig import load_config
 from pageseq.seqmodels import VARIANTS
 from test_corpus import BAD_MANIFESTS, BAD_PAGE_ROWS, edit_first_line
@@ -41,6 +41,12 @@ def workspace(tmp_path_factory):
                  "--corpus", str(root / "corpus"),
                  "--out", str(root / "fm"), "--epochs", "3"]) == 0
     return root
+
+
+def _fm_flag(workspace, family):
+    """--fm-checkpoint with the workspace FM, for a family that reads one."""
+    return ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")] \
+        if FAMILIES[family].needs_fm else []
 
 
 def test_gen_synth_deterministic(workspace, capsys):
@@ -430,8 +436,8 @@ def test_out_of_range_model_key_is_config_error(workspace, tmp_path, capsys,
     out = tmp_path / "out"
     (tmp_path / "model.cfg").write_text(f"model.{key}={value}\n")
     code = main(["train", "--model", model, "--corpus",
-                 str(workspace / "corpus"), "--fm-checkpoint",
-                 str(workspace / "fm" / "model.ckpt"), "--epochs", "1",
+                 str(workspace / "corpus"), *_fm_flag(workspace, model),
+                 "--epochs", "1",
                  "--config", str(tmp_path / "model.cfg"), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
@@ -458,8 +464,7 @@ def test_unread_config_key_is_config_error(workspace, tmp_path, capsys,
     argv = [command, "--model", model, "--corpus", str(workspace / "corpus"),
             "--config", str(tmp_path / "run.cfg"), "--out", str(out)]
     if command == "train":
-        argv += ["--epochs", "1",
-                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]
+        argv += ["--epochs", "1", *_fm_flag(workspace, model)]
     else:
         argv += ["--lr-min", "1e-4", "--lr-max", "1.0", "--steps", "3"]
     assert main(argv) == 1
@@ -486,8 +491,7 @@ def test_one_step_one_cycle_run_is_config_error(workspace, tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["train", "--model", model,
                  "--corpus", str(workspace / "corpus"), "--out", str(out),
-                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt"),
-                 *settings]) == 1
+                 *_fm_flag(workspace, model), *settings]) == 1
     assert ("config error: one-cycle schedule needs at least 2 steps, got "
             f"1: {sources}") in capsys.readouterr().err
     assert not (out / "model.ckpt").exists()
@@ -798,9 +802,8 @@ def _trained(workspace, family):
     the workspace FM for crf and the bilstm families), trained once."""
     out = workspace / f"labels_{family}"
     if not (out / "model.ckpt").exists():
-        extra = {"textcnn": ["--config", str(workspace / "cnn.cfg")],
-                 "fusion": []}.get(
-            family, ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")])
+        extra = ["--config", str(workspace / "cnn.cfg")] \
+            if family == "textcnn" else _fm_flag(workspace, family)
         assert main(["train", "--model", family,
                      "--corpus", str(workspace / "corpus"), "--out", str(out),
                      "--epochs", "2", *extra]) == 0
@@ -819,8 +822,7 @@ def test_predict_labels_every_page_of_every_family(workspace, capsys,
     out = workspace / f"labels_{family}.jsonl"
     assert main(["predict", "--model-checkpoint", str(ckpt),
                  "--corpus", str(workspace / "corpus"), "--split", "test",
-                 "--fm-checkpoint", str(workspace / "fm" / "model.ckpt"),
-                 "--out", str(out)]) == 0
+                 *_fm_flag(workspace, family), "--out", str(out)]) == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     pages = list(iter_pages(load_corpus(workspace / "corpus"), "test"))
     assert [(l["lawsuit_id"], l["page_index"], l["gold"]) for l in lines] == \
@@ -830,6 +832,33 @@ def test_predict_labels_every_page_of_every_family(workspace, capsys,
     if family in ("textcnn", "fusion"):
         assert [t.startswith("B-") for t in tags] == \
             [p.is_first_page for p in pages]
+
+
+@pytest.mark.parametrize("command, family", [
+    *(("train", family)
+      for family in ("textcnn", "textcnn-w", "fusion", "fusion-zero")),
+    *((command, family) for command in ("eval", "predict")
+      for family in ("textcnn", "fusion"))])
+def test_fm_checkpoint_for_a_family_without_an_fm_is_config_error(
+        workspace, tmp_path, capsys, command, family):
+    """A family that reads no fusion module refuses --fm-checkpoint, even
+    a path that does not exist, as an unread config key is refused, and
+    writes nothing."""
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["--model", family, "--epochs", "1"]
+    else:
+        argv = ["--model-checkpoint", str(_trained(workspace, family))]
+    if command != "eval":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main([command, *argv, "--corpus", str(workspace / "corpus"),
+                 "--fm-checkpoint", str(tmp_path / "missing" / "model.ckpt")
+                 ]) == 1
+    action = "training" if command == "train" else "evaluation"
+    assert capsys.readouterr().err == \
+        f"config error: {family} {action} reads no --fm-checkpoint\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -862,7 +891,7 @@ def test_embedding_width_mismatch_exits_3_naming_the_checkpoint(
             argv += ["--out", str(tmp_path / "p.jsonl")]
     capsys.readouterr()
     assert main([command, *argv, "--corpus", str(wide_corpus),
-                 "--fm-checkpoint", str(fm)]) == 3
+                 *_fm_flag(workspace, family)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fm}: the model takes text embeddings of "
                           "width 16, but page "), err
@@ -1007,8 +1036,7 @@ def test_train_without_settings_records_the_trainer_defaults(
     defaults = inspect.signature(_trainers()[family]).parameters
     out = workspace / f"defaults_{family}"
     extra = ["--config", str(workspace / "cnn.cfg")] \
-        if family.startswith("textcnn") else \
-        ["--fm-checkpoint", str(workspace / "fm" / "model.ckpt")]
+        if family.startswith("textcnn") else _fm_flag(workspace, family)
     assert main(["train", "--model", family,
                  "--corpus", str(workspace / "corpus"), "--out", str(out),
                  *extra]) == 0

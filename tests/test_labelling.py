@@ -3,11 +3,10 @@
 lawsuit for the sequence families.  The labellers batch pages and the
 CLI builds their inputs, so both must give the reference's labels."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from pageseq import cli, training
 from pageseq.corpus import iter_pages
 from pageseq.crf import CrfModel
@@ -164,12 +163,7 @@ def test_paper_shape_labelling_peaks_at_one_training_batch():
         return predict_probs(x)
 
     model.predict_probs = counted
-    tracemalloc.start()
-    try:
-        labels = label_pages(model, [ids])
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    labels, peak, held = traced_peak(lambda: label_pages(model, [ids]))
     assert rows == [BATCH, 80 - BATCH]
     assert len(labels) == 80
     assert peak <= 360 * 2 ** 20, peak / 2 ** 20

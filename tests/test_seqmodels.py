@@ -6,11 +6,11 @@ import pytest
 import crf_reference
 from conftest import check_grads
 from pageseq import cli, crf
-from pageseq.checkpoint import load_checkpoint
+from pageseq.checkpoint import load_checkpoint, params_digest
 from pageseq.iob import IOB_TAGS
 from pageseq.seqmodels import (SeqModel, SeqModelConfig, label_lawsuits,
                                train_seq)
-from pageseq.training import minibatch_count
+from pageseq.training import minibatch_count, train_step
 
 
 def _model(variant, input_dim=6, **kw):
@@ -220,3 +220,37 @@ def test_train_seq_rejects_one_page_lawsuit_in_batches_of_one():
     config = SeqModelConfig(variant="bilstm", input_dim=6, lstm_hidden=4)
     with pytest.raises(ValueError, match="train lawsuit 2 has one page"):
         train_seq(data, config, epochs=1, batch_size=1)
+
+
+# digests of the state and of the last step's gradients after two
+# train_step steps, recorded at 2bd2bc5 (x86-64, one BLAS thread): the
+# LSTM backward may move arrays around, never change an operation or its
+# order
+PINNED_STEP_DIGESTS = {
+    "bilstm-f": (
+        "8695273807da9c845220f8e7529d03871eecfa581e82a7f27f8135bfbaa44e98",
+        "d92d3f892a02867da329790ef30c1091c6534dbd1e6b35fe29bcb6dc38c94fcb"),
+    "bilstm-crf": (
+        "4952caf70aadf46a4a280fc57de922dc075386ccb9ccc84452622e2fa93657c6",
+        "ccf6df791438a2cc24dd57c68260b42c951840392b651a926b36bf246805c6b0"),
+}
+
+
+@pytest.mark.parametrize("variant", PINNED_STEP_DIGESTS)
+def test_two_packed_train_steps_are_bit_for_bit_pinned(variant):
+    """One packed batch of three lawsuits of unequal lengths: the
+    gradient checks hold at 1e-12 and would pass a reordered product;
+    these digests would not."""
+    rng = np.random.default_rng(11)
+    lengths = [5, 2, 7]
+    x = rng.standard_normal((sum(lengths), 10)).astype(np.float32)
+    tags = rng.integers(0, len(IOB_TAGS), sum(lengths))
+    model = SeqModel(SeqModelConfig(variant=variant, input_dim=10,
+                                    lstm_hidden=6, pre_fc=8), seed=3)
+    step = train_step(model, lambda idx: model.loss_and_backward(
+        x, tags, lengths=lengths))
+    for lr in (1e-2, 5e-3):
+        step(None, lr)
+    assert (params_digest(model.state_dict()),
+            params_digest(model.named_grads())) == \
+        PINNED_STEP_DIGESTS[variant]
