@@ -9,9 +9,10 @@ Directory layout::
       <split>/image.emb + image.idx.jsonl   optional image embeddings
 
 Embedding files are binary: magic ``PSEQEMB1``, a length-prefixed
-modality tag, u32 dim, u32 row count, then little-endian float32 rows.
-Row order is defined by the sibling JSONL index
-(lawsuit_id, page_index, row).
+modality tag (the file's stem, ``text`` or ``image``), u32 dim, u32 row
+count, then little-endian float32 rows.  Row order is defined by the
+sibling JSONL index (lawsuit_id, page_index, row).  A split has both
+files of a modality or neither.
 
 A ``pages.jsonl`` row holds lawsuit_id, page_index, label,
 is_first_page and either ``text_tokens`` (an array of non-empty
@@ -31,6 +32,10 @@ index is read a line at a time and each row is attached as its line is
 read, so loading holds little beside the payload.  A page's embedding
 keeps its whole block alive: a caller that keeps a few pages of a large
 split should copy their rows.
+
+:func:`load_corpus` is the one check of a corpus: each fault it finds,
+a NaN or infinite embedding row among them, raises ``CorpusError``
+naming the file.  :func:`audit_splits` only counts.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ from .text import normalize_text, unstorable_token
 
 SPLITS = ["train", "validation", "test"]
 EMB_MAGIC = b"PSEQEMB1"
+# embedding rows checked for NaN and infinity at once, so that no
+# temporary the size of a payload is made
+_CHECK_ROWS = 4096
 
 
 class CorpusError(ValueError):
@@ -108,7 +116,7 @@ def _write_emb(path, idx_path, rows, index):
     dim = rows.shape[1] if len(rows) else 0
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC)
-        tag = path.name.split(".")[0].encode("utf-8")
+        tag = path.stem.encode("utf-8")
         fh.write(struct.pack("<B", len(tag)))
         fh.write(tag)
         fh.write(struct.pack("<II", dim, len(rows)))
@@ -124,8 +132,9 @@ def _read_emb(path, idx_path):
     index rows (lawsuit_id, page_index, row) that reads the index one
     line at a time.  The payload is read straight into one writable
     array; no other copy of it is made.  A truncated or inconsistent
-    file or a malformed index row raises ``CorpusError`` naming the
-    file, and so does an index that names a row twice."""
+    file, a modality tag that is not the file's stem or a malformed
+    index row raises ``CorpusError`` naming the file, and so does an
+    index that names a row twice."""
     with open(path, "rb") as fh:
         head = fh.read(9)
         if head[:8] != EMB_MAGIC:
@@ -134,6 +143,10 @@ def _read_emb(path, idx_path):
         head += fh.read(off + 8 - len(head))
         if len(head) < off + 8:
             raise CorpusError(f"{path}: truncated header")
+        tag = head[9:off].decode("utf-8", "replace")
+        if tag != path.stem:
+            raise CorpusError(f"{path}: holds {tag!r} embeddings, not "
+                              f"{path.stem!r}")
         dim, count = struct.unpack_from("<II", head, off)
         off += 8
         payload = os.fstat(fh.fileno()).st_size - off
@@ -323,8 +336,8 @@ def load_corpus(root) -> Corpus:
         ids = splits.get(split, [])
         for lid in ids:
             if lid in seen:
-                raise CorpusError(f"lawsuit {lid} appears in both "
-                                  f"{seen[lid]} and {split}")
+                raise CorpusError(f"{manifest_path}: lawsuit {lid} appears "
+                                  f"in both {seen[lid]} and {split}")
             seen[lid] = split
         split_dir = root / split
         lawsuits: dict[str, Lawsuit] = {lid: Lawsuit(lid) for lid in ids}
@@ -350,10 +363,16 @@ def load_corpus(root) -> Corpus:
             lawsuit.pages.sort(key=lambda p: p.page_index)
         for name, attr in (("text", "text_embedding"), ("image", "image_embedding")):
             emb_path = split_dir / f"{name}.emb"
-            if not emb_path.exists():
-                continue
             idx_path = split_dir / f"{name}.idx.jsonl"
+            if not emb_path.exists():
+                if idx_path.exists():
+                    raise CorpusError(f"missing embedding file: {emb_path}")
+                continue
             rows, index = _read_emb(emb_path, idx_path)
+            finite = np.empty(len(rows), dtype=bool)
+            for start in range(0, len(rows), _CHECK_ROWS):
+                np.isfinite(rows[start:start + _CHECK_ROWS]).all(
+                    axis=1, out=finite[start:start + _CHECK_ROWS])
             for lid, page_index, row in index:
                 if lid not in lawsuits:
                     raise CorpusError(f"{idx_path}: references unknown "
@@ -365,6 +384,10 @@ def load_corpus(root) -> Corpus:
                 if getattr(page, attr) is not None:
                     raise CorpusError(f"{idx_path}: page {page_index} of "
                                       f"lawsuit {lid} has two rows")
+                if not finite[row]:
+                    raise CorpusError(f"{emb_path}: page {page_index} of "
+                                      f"lawsuit {lid} has NaN or Inf in "
+                                      f"row {row}")
                 setattr(page, attr, rows[row])
         split_lawsuits = []
         for lid in ids:
@@ -387,27 +410,7 @@ def iter_pages(corpus: Corpus, split):
 
 
 def audit_splits(corpus: Corpus) -> dict:
-    """Split-integrity report: partition check, non-finite embeddings,
-    class counts, missing tallies."""
-    violations = []
-    seen: dict[str, str] = {}
-    for split in SPLITS:
-        for lawsuit in corpus.get(split, []):
-            if lawsuit.id in seen:
-                violations.append(f"lawsuit {lawsuit.id} in both "
-                                  f"{seen[lawsuit.id]} and {split}")
-            else:
-                seen[lawsuit.id] = split
-            try:
-                lawsuit.validate()
-            except CorpusError as exc:
-                violations.append(str(exc))
-            for page in lawsuit.pages:
-                for name in ("text", "image"):
-                    emb = getattr(page, f"{name}_embedding")
-                    if emb is not None and not np.isfinite(emb).all():
-                        violations.append(f"{page.lawsuit_id}:{page.page_index}: "
-                                          f"{name} embedding has NaN or Inf")
+    """Class counts and missing-modality tallies of each split."""
     class_counts, missing = {}, {}
     for split in SPLITS:
         pages = list(iter_pages(corpus, split)) if split in corpus else []
@@ -418,5 +421,4 @@ def audit_splits(corpus: Corpus) -> dict:
             "missing_text": sum(1 for p in pages if not p.has_text),
             "missing_image": sum(1 for p in pages if not p.has_image),
         }
-    return {"violations": violations, "class_counts": class_counts,
-            "missing": missing}
+    return {"class_counts": class_counts, "missing": missing}

@@ -104,7 +104,9 @@ def test_gen_synth_out_of_range_value_names_the_key(tmp_path, capsys, key,
 def test_audit_clean(workspace, capsys):
     assert main(["audit", "--corpus", str(workspace / "corpus")]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["violations"] == []
+    assert set(report) == {"class_counts", "missing"}
+    assert set(report["missing"]["test"]) == {"pages", "missing_text",
+                                              "missing_image"}
 
 
 def test_audit_missing_corpus(tmp_path, capsys):
@@ -120,9 +122,44 @@ def test_audit_non_finite_embedding_exits_2(tmp_path, capsys):
     page.image_embedding[1] = np.inf
     save_corpus(corpus, tmp_path / "corpus")
     assert main(["audit", "--corpus", str(tmp_path / "corpus")]) == 2
-    report = json.loads(capsys.readouterr().out)
-    assert report["violations"] == [
-        f"{page.lawsuit_id}:{page.page_index}: image embedding has NaN or Inf"]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        f"data error: {tmp_path / 'corpus' / 'test' / 'image.emb'}: page "
+        f"{page.page_index} of lawsuit {page.lawsuit_id} has NaN or Inf in "
+        "row "), err
+
+
+@pytest.mark.parametrize("command", ["audit", "train", "eval", "predict",
+                                     "range-test"])
+def test_non_finite_embedding_exits_2_naming_file_lawsuit_and_page(
+        workspace, tmp_path, capsys, command):
+    """A corpus with a -Inf text row in train and a NaN image row in
+    test: every command that loads it stops at the first."""
+    from pageseq.corpus import iter_pages, load_corpus, save_corpus
+    corpus = load_corpus(workspace / "corpus")
+    bad = next(p for p in iter_pages(corpus, "train")
+               if p.text_embedding is not None)
+    bad.text_embedding[0] = -np.inf
+    next(p for p in iter_pages(corpus, "test")
+         if p.image_embedding is not None).image_embedding[2] = np.nan
+    root = tmp_path / "corpus"
+    save_corpus(corpus, root)
+    out, fm = str(tmp_path / "out"), str(workspace / "fm" / "model.ckpt")
+    argv = {"audit": [],
+            "train": ["--model", "fusion", "--epochs", "1", "--out", out],
+            "eval": ["--model-checkpoint", fm],
+            "predict": ["--model-checkpoint", fm, "--out", out],
+            "range-test": ["--model", "fusion", "--lr-min", "1e-5",
+                           "--lr-max", "1.0", "--steps", "5", "--out", out]}
+    capsys.readouterr()
+    assert main([command, "--corpus", str(root), *argv[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"data error: {root / 'train' / 'text.emb'}: page {bad.page_index} "
+        f"of lawsuit {bad.lawsuit_id} has NaN or Inf in row "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("file, probe", [
@@ -858,6 +895,26 @@ def test_fm_checkpoint_for_a_family_without_an_fm_is_config_error(
     action = "training" if command == "train" else "evaluation"
     assert capsys.readouterr().err == \
         f"config error: {family} {action} reads no --fm-checkpoint\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("family", ["fusion", "crf"])
+def test_vocab_for_a_family_without_one_is_config_error(
+        workspace, tmp_path, capsys, command, family):
+    """Only the text-CNN families read --vocab; the others refuse it,
+    even a path that does not exist, before the corpus is read."""
+    ckpt = workspace / "fm" / "model.ckpt" if family == "fusion" \
+        else _trained(workspace, family)
+    out = tmp_path / "p.jsonl"
+    argv = ["--out", str(out)] if command == "predict" else []
+    capsys.readouterr()
+    assert main([command, "--model-checkpoint", str(ckpt),
+                 "--corpus", str(tmp_path / "no-corpus"),
+                 *_fm_flag(workspace, family), *argv,
+                 "--vocab", str(tmp_path / "missing" / "vocab.txt")]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: {family} evaluation reads no --vocab\n"
     assert not out.exists()
 
 

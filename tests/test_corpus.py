@@ -182,8 +182,10 @@ def test_duplicate_lawsuit_across_splits(tmp_path):
     dup = manifest["splits"]["train"][0]
     manifest["splits"]["test"].append(dup)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CorpusError, match=dup):
+    with pytest.raises(CorpusError) as err:
         load_corpus(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'manifest.json'}: lawsuit {dup} "
+                              "appears in both train and test")
 
 
 def edit_first_line(path, edit):
@@ -522,6 +524,59 @@ def test_bad_index_row_names_file(tmp_path, edit):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("split, name, value", [
+    ("train", "text", np.nan), ("validation", "image", -np.inf),
+    ("test", "text", np.inf)])
+def test_non_finite_embedding_names_file_lawsuit_and_page(
+        tmp_path, monkeypatch, split, name, value):
+    monkeypatch.setattr(corpus_io, "_CHECK_ROWS", 7)  # blocks split a file
+    corpus = small_corpus()
+    pages = [p for p in iter_pages(corpus, split)
+             if getattr(p, f"{name}_embedding") is not None]
+    page = pages[len(pages) // 2]
+    getattr(page, f"{name}_embedding")[3] = value
+    save_corpus(corpus, tmp_path)
+    with pytest.raises(CorpusError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == (
+        f"{tmp_path / split / name}.emb: page {page.page_index} of lawsuit "
+        f"{page.lawsuit_id} has NaN or Inf in row {len(pages) // 2}")
+
+
+@pytest.mark.parametrize("deleted", [["text.emb"], ["image.emb"],
+                                     ["text.emb", "text.idx.jsonl"]],
+                         ids=["text", "image", "neither-text-file"])
+def test_index_without_its_embedding_file_names_it(tmp_path, deleted):
+    """A split has both files of a modality or neither; with neither,
+    its pages load without embeddings of that modality."""
+    save_corpus(small_corpus(), tmp_path)
+    for name in deleted:
+        (tmp_path / "test" / name).unlink()
+    if len(deleted) == 1:
+        with pytest.raises(CorpusError) as err:
+            load_corpus(tmp_path)
+        assert str(err.value) == \
+            f"missing embedding file: {tmp_path / 'test' / deleted[0]}"
+    else:
+        loaded = load_corpus(tmp_path)
+        assert all(p.text_embedding is None
+                   for p in iter_pages(loaded, "test"))
+
+
+def test_embedding_files_of_the_other_modality_name_the_file(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+    split = tmp_path / "train"
+    for a, b in (("text.emb", "image.emb"),
+                 ("text.idx.jsonl", "image.idx.jsonl")):
+        (split / a).rename(split / "swap")
+        (split / b).rename(split / a)
+        (split / "swap").rename(split / b)
+    with pytest.raises(CorpusError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == \
+        f"{split / 'text.emb'}: holds 'image' embeddings, not 'text'"
+
+
 def test_truncated_emb_in_corpus_names_file(tmp_path):
     save_corpus(small_corpus(), tmp_path)
     emb = tmp_path / "validation" / "image.emb"
@@ -551,36 +606,12 @@ def test_lawsuit_rejects_non_contiguous_pages():
 
 def test_audit_clean_corpus():
     report = audit_splits(small_corpus())
-    assert report["violations"] == []
+    assert set(report) == {"class_counts", "missing"}
     # recount oracle
     for split in ("train", "validation", "test"):
         counts = Counter(p.label for p in iter_pages(small_corpus(), split))
         for cls, n in report["class_counts"][split].items():
             assert counts.get(cls, 0) == n
-
-
-def test_audit_flags_duplicate():
-    corpus = small_corpus()
-    dup = corpus["train"][0]
-    corpus["test"].append(dup)
-    report = audit_splits(corpus)
-    assert len(report["violations"]) == 1
-    assert dup.id in report["violations"][0]
-
-
-def test_audit_flags_non_finite_embeddings():
-    corpus = small_corpus()
-    pages = [p for p in iter_pages(corpus, "train")
-             if p.text_embedding is not None and p.image_embedding is not None]
-    pages[0].text_embedding[3] = np.nan
-    pages[1].image_embedding[0] = -np.inf
-    report = audit_splits(corpus)
-    assert report["violations"] == [
-        f"{pages[0].lawsuit_id}:{pages[0].page_index}: "
-        "text embedding has NaN or Inf",
-        f"{pages[1].lawsuit_id}:{pages[1].page_index}: "
-        "image embedding has NaN or Inf",
-    ]
 
 
 def test_generator_deterministic():
