@@ -324,8 +324,8 @@ def _upstream_fm(args, name, action, digest=None):
 
 @contextlib.contextmanager
 def _widths_named(path):
-    """Names ``path``, the checkpoint (or corpus) that set the embedding
-    widths, in an ``EmbeddingWidthError``."""
+    """Names ``path``, the checkpoint that set the embedding widths, in
+    an ``EmbeddingWidthError``."""
     try:
         yield
     except EmbeddingWidthError as exc:
@@ -356,6 +356,18 @@ def _load_vocab(args, params, meta) -> Vocab:
 
 
 # -------------------------------------------------------------------- train
+
+def _run_config(args, grid=False):
+    """The --config keys of train or range-test; a key that the corpus
+    sets, or with ``grid`` the sweep, raises ``ConfigError``."""
+    cfg = load_config(args.config) if args.config else {}
+    swept = ("model.hidden", "model.missing_mode") if grid else ()
+    for key in ("model.text_dim", "model.image_dim", *swept):
+        if key in cfg:
+            raise ConfigError(f"{'--grid' if key in swept else 'the corpus'} "
+                              f"sets {key}; drop it from {args.config}")
+    return cfg
+
 
 def _settings(args, cfg, family):
     """The SETTINGS ``args`` has flags for: the flag, else the config's
@@ -393,11 +405,7 @@ def cmd_train(args):
     family = FAMILIES[args.model]
     if args.grid and family.grid is None:
         raise ConfigError(f"--grid needs a fusion model, not {args.model}")
-    cfg = load_config(args.config) if args.config else {}
-    for key in ("model.hidden", "model.missing_mode"):
-        if args.grid and key in cfg:
-            raise ConfigError(f"--grid sets {key}; drop it from "
-                              f"{args.config}")
+    cfg = _run_config(args, args.grid)
     settings, sources = _settings(args, cfg, family)
     corpus = load_corpus(args.corpus)
     out = Path(args.out)
@@ -409,7 +417,7 @@ def cmd_train(args):
     try:
         # numpy's overflow warnings would print before the error below;
         # the run stops at fit's loss check or the keeper's parameter check
-        with _widths_named(args.fm_checkpoint or args.corpus), \
+        with _widths_named(args.fm_checkpoint), \
                 np.errstate(over="ignore", invalid="ignore"):
             best = family.grid(run) if args.grid else family.train(run)
     except TrainingDiverged as exc:
@@ -493,7 +501,7 @@ def cmd_range_test(args):
         raise ConfigError(f"--lr-min {args.lr_min} must be below "
                           f"--lr-max {args.lr_max}")
     family = FAMILIES[args.model]
-    cfg = load_config(args.config) if args.config else {}
+    cfg = _run_config(args)
     settings, _ = _settings(args, cfg, family)
     corpus = load_corpus(args.corpus)
     config = _model_config(args.model, corpus, None, cfg)

@@ -12,7 +12,9 @@ Embedding files are binary: magic ``PSEQEMB1``, a length-prefixed
 modality tag (the file's stem, ``text`` or ``image``), u32 dim, u32 row
 count, then little-endian float32 rows.  Row order is defined by the
 sibling JSONL index (lawsuit_id, page_index, row).  A split has both
-files of a modality or neither.
+files of a modality or neither, and a corpus one width (dim) per
+modality, above 0; a file without rows has width 0.  The manifest's
+splits are among train, validation and test.
 
 A ``pages.jsonl`` row holds lawsuit_id, page_index, label,
 is_first_page and either ``text_tokens`` (an array of non-empty
@@ -81,26 +83,11 @@ class Page:
     def has_image(self) -> bool:
         return self.image_embedding is not None
 
-    def validate(self):
-        if self.label not in CLASSES:
-            raise CorpusError(f"{self.lawsuit_id}:{self.page_index}: "
-                              f"unknown label {self.label!r}")
-        if not self.has_text and not self.has_image:
-            raise CorpusError(f"{self.lawsuit_id}:{self.page_index}: "
-                              "page has neither text nor image data")
-
 
 @dataclass
 class Lawsuit:
     id: str
     pages: list = field(default_factory=list)
-
-    def validate(self):
-        for i, page in enumerate(self.pages):
-            if page.page_index != i:
-                raise CorpusError(f"lawsuit {self.id}: page indices not "
-                                  f"contiguous at position {i}")
-            page.validate()
 
     def labels(self):
         return [p.label for p in self.pages]
@@ -113,13 +100,12 @@ Corpus = dict  # split name -> list[Lawsuit]
 
 
 def _write_emb(path, idx_path, rows, index):
-    dim = rows.shape[1] if len(rows) else 0
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC)
         tag = path.stem.encode("utf-8")
         fh.write(struct.pack("<B", len(tag)))
         fh.write(tag)
-        fh.write(struct.pack("<II", dim, len(rows)))
+        fh.write(struct.pack("<II", rows.shape[1], len(rows)))
         fh.write(np.asarray(rows, dtype="<f4").tobytes(order="C"))
     with open(idx_path, "w", encoding="utf-8") as fh:
         for lawsuit_id, page_index, row in index:
@@ -252,6 +238,10 @@ def _read_manifest(path) -> dict:
             for ids in splits.values())):
         raise CorpusError(f"{path}: splits must be an object that maps each "
                           "split to an array of lawsuit id strings")
+    unknown = [split for split in splits if split not in SPLITS]
+    if unknown:
+        raise CorpusError(f"{path}: split {unknown[0]!r} is not one of "
+                          f"{', '.join(SPLITS)}")
     return splits
 
 
@@ -332,6 +322,7 @@ def load_corpus(root) -> Corpus:
     corpus: Corpus = {}
     seen: dict[str, str] = {}
     shared: dict[str, str] = {}  # each distinct string of pages.jsonl, once
+    widths = {}  # modality -> its row width and the first file with rows
     for split in SPLITS:
         ids = splits.get(split, [])
         for lid in ids:
@@ -359,8 +350,6 @@ def load_corpus(root) -> Corpus:
                                       f"{page.page_index} of {page.lawsuit_id}")
                 pages[page.lawsuit_id, page.page_index] = page
                 lawsuits[page.lawsuit_id].pages.append(page)
-        for lawsuit in lawsuits.values():
-            lawsuit.pages.sort(key=lambda p: p.page_index)
         for name, attr in (("text", "text_embedding"), ("image", "image_embedding")):
             emb_path = split_dir / f"{name}.emb"
             idx_path = split_dir / f"{name}.idx.jsonl"
@@ -369,6 +358,14 @@ def load_corpus(root) -> Corpus:
                     raise CorpusError(f"missing embedding file: {emb_path}")
                 continue
             rows, index = _read_emb(emb_path, idx_path)
+            if len(rows):
+                dim, first = widths.setdefault(name, (rows.shape[1], emb_path))
+                if rows.shape[1] != dim:
+                    raise CorpusError(f"{emb_path}: rows of width "
+                                      f"{rows.shape[1]}, but {first} has "
+                                      f"rows of width {dim}")
+                if not dim:
+                    raise CorpusError(f"{emb_path}: rows of width 0")
             finite = np.empty(len(rows), dtype=bool)
             for start in range(0, len(rows), _CHECK_ROWS):
                 np.isfinite(rows[start:start + _CHECK_ROWS]).all(
@@ -389,18 +386,19 @@ def load_corpus(root) -> Corpus:
                                       f"lawsuit {lid} has NaN or Inf in "
                                       f"row {row}")
                 setattr(page, attr, rows[row])
-        split_lawsuits = []
-        for lid in ids:
-            lawsuit = lawsuits[lid]
+        for lid, lawsuit in lawsuits.items():
             if not lawsuit.pages:
                 raise CorpusError(f"manifest lists lawsuit {lid} with no pages "
                                   f"on disk under {split_dir}")
-            try:
-                lawsuit.validate()
-            except CorpusError as exc:
-                raise CorpusError(f"{pages_path}: {exc}") from None
-            split_lawsuits.append(lawsuit)
-        corpus[split] = split_lawsuits
+            lawsuit.pages.sort(key=lambda p: p.page_index)
+            for i, page in enumerate(lawsuit.pages):
+                if page.page_index != i:
+                    raise CorpusError(f"{pages_path}: lawsuit {lid}: page "
+                                      f"indices not contiguous at position {i}")
+                if not page.has_text and not page.has_image:
+                    raise CorpusError(f"{pages_path}: {lid}:{i}: page has "
+                                      "neither text nor image data")
+        corpus[split] = list(lawsuits.values())
     return corpus
 
 

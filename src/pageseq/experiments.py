@@ -143,8 +143,7 @@ class OrderingResult:
 
 
 def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
-                            with_zero_variant=False,
-                            with_first_page=True) -> OrderingResult:
+                            with_zero_variant=False) -> OrderingResult:
     """Trains the model roster on one synthetic corpus and scores the
     test split under the uniform all-pages protocol."""
     corpus = generate_synthetic(synth_config)
@@ -200,8 +199,6 @@ def run_ordering_experiment(synth_config: SynthConfig, train_seed=0,
                                 epochs=SEQ_EPOCHS)
     result.add("bilstm_f", evaluate_seq(seq_model.decode, seq_data["test"]))
 
-    if with_first_page:
-        flags = [p.is_first_page for p in test_pages]
-        result.first_page = score_by_first_page(test_gold, fm_preds, flags,
-                                                CLASSES)
+    result.first_page = score_by_first_page(
+        test_gold, fm_preds, [p.is_first_page for p in test_pages], CLASSES)
     return result

@@ -300,12 +300,8 @@ def generate_synthetic(config: SynthConfig) -> dict:
     order = rng.permutation(config.n_lawsuits)
     n_train = int(round(config.split_fractions[0] * config.n_lawsuits))
     n_val = int(round(config.split_fractions[1] * config.n_lawsuits))
-    corpus = {
+    return {
         "train": [lawsuits[i] for i in order[:n_train]],
         "validation": [lawsuits[i] for i in order[n_train : n_train + n_val]],
         "test": [lawsuits[i] for i in order[n_train + n_val :]],
     }
-    for split in corpus.values():
-        for lawsuit in split:
-            lawsuit.validate()
-    return corpus

@@ -313,8 +313,7 @@ def ordering_runs():
     for train_seed in (7, 0, 1):
         runs[train_seed] = run_ordering_experiment(
             SynthConfig(seed=7), train_seed=train_seed,
-            with_zero_variant=(train_seed == 7),
-            with_first_page=(train_seed == 7))
+            with_zero_variant=(train_seed == 7))
     return runs
 
 

@@ -130,6 +130,19 @@ def test_audit_non_finite_embedding_exits_2(tmp_path, capsys):
         "row "), err
 
 
+def _loading_argv(workspace, out, command, corpus):
+    """``command`` over ``corpus``, with the workspace FM as the
+    checkpoint of eval and predict and ``out`` as the output."""
+    out, fm = str(out), str(workspace / "fm" / "model.ckpt")
+    argv = {"audit": [],
+            "train": ["--model", "fusion", "--epochs", "1", "--out", out],
+            "eval": ["--model-checkpoint", fm],
+            "predict": ["--model-checkpoint", fm, "--out", out],
+            "range-test": ["--model", "fusion", "--lr-min", "1e-5",
+                           "--lr-max", "1.0", "--steps", "5", "--out", out]}
+    return [command, "--corpus", str(corpus), *argv[command]]
+
+
 @pytest.mark.parametrize("command", ["audit", "train", "eval", "predict",
                                      "range-test"])
 def test_non_finite_embedding_exits_2_naming_file_lawsuit_and_page(
@@ -145,21 +158,72 @@ def test_non_finite_embedding_exits_2_naming_file_lawsuit_and_page(
          if p.image_embedding is not None).image_embedding[2] = np.nan
     root = tmp_path / "corpus"
     save_corpus(corpus, root)
-    out, fm = str(tmp_path / "out"), str(workspace / "fm" / "model.ckpt")
-    argv = {"audit": [],
-            "train": ["--model", "fusion", "--epochs", "1", "--out", out],
-            "eval": ["--model-checkpoint", fm],
-            "predict": ["--model-checkpoint", fm, "--out", out],
-            "range-test": ["--model", "fusion", "--lr-min", "1e-5",
-                           "--lr-max", "1.0", "--steps", "5", "--out", out]}
     capsys.readouterr()
-    assert main([command, "--corpus", str(root), *argv[command]]) == 2
+    assert main(_loading_argv(workspace, tmp_path / "out", command, root)) == 2
     err = capsys.readouterr().err
     assert err.startswith(
         f"data error: {root / 'train' / 'text.emb'}: page {bad.page_index} "
         f"of lawsuit {bad.lawsuit_id} has NaN or Inf in row "), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", [20, 0])
+@pytest.mark.parametrize("command", ["audit", "train", "eval", "predict",
+                                     "range-test"])
+def test_embedding_width_other_than_the_corpus_exits_2_naming_both_files(
+        workspace, tmp_path, capsys, command, width):
+    """Validation text rows of width 20, or of width 0, beside train rows
+    of width 16: every command that loads the corpus names both files."""
+    from pageseq.corpus import iter_pages, load_corpus, save_corpus
+    corpus = load_corpus(workspace / "corpus")
+    for page in iter_pages(corpus, "validation"):
+        if page.text_embedding is not None:
+            page.text_embedding = np.ones(width, dtype=np.float32)
+    root = tmp_path / "corpus"
+    save_corpus(corpus, root)
+    capsys.readouterr()
+    assert main(_loading_argv(workspace, tmp_path / "out", command, root)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"data error: {root / 'validation' / 'text.emb'}: rows of "
+                   f"width {width}, but {root / 'train' / 'text.emb'} has "
+                   "rows of width 16\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("probe", ["unknown-split", "model.text_dim",
+                                   "model.image_dim"])
+@pytest.mark.parametrize("command", ["train", "train-grid", "range-test"])
+def test_split_name_or_corpus_width_key_is_refused(workspace, tmp_path,
+                                                   capsys, command, probe):
+    """A manifest split other than train, validation and test exits 2
+    naming manifest.json; a model.* key that restates a corpus width
+    exits 1 naming the key and the config.  Nothing is written."""
+    root, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "run.cfg"
+    shutil.copytree(workspace / "corpus", root)
+    cfg.write_text("model.dropout=0.1\n")
+    if probe == "unknown-split":
+        edit, message = BAD_MANIFESTS[probe]
+        manifest = root / "manifest.json"
+        manifest.write_bytes(edit(manifest.read_bytes()))
+        (root / "validation").rename(root / "valid")
+        code, want = 2, f"data error: {manifest}: {message}\n"
+    else:
+        cfg.write_text(f"model.dropout=0.1\n{probe}=16\n")
+        code, want = 1, (f"config error: the corpus sets {probe}; drop it "
+                         f"from {cfg}\n")
+    if command == "range-test":
+        argv = ["range-test", "--model", "fusion", "--lr-min", "1e-5",
+                "--lr-max", "1.0", "--steps", "5"]
+    else:
+        argv = ["train", "--model", "fusion", "--epochs", "1",
+                *(["--grid"] if command == "train-grid" else [])]
+    capsys.readouterr()
+    assert main([*argv, "--corpus", str(root), "--config", str(cfg),
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == want
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("file, probe", [

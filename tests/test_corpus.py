@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import struct
 import tracemalloc
 from collections import Counter
 
@@ -22,9 +23,14 @@ def small_corpus(**kw):
 
 
 def test_save_load_round_trip(tmp_path):
-    corpus = small_corpus()
-    save_corpus(corpus, tmp_path)
-    loaded = load_corpus(tmp_path)
+    _assert_round_trip(small_corpus(), tmp_path)
+
+
+def _assert_round_trip(corpus, root):
+    """Saves ``corpus`` under ``root`` and checks that it loads back
+    byte for byte."""
+    save_corpus(corpus, root)
+    loaded = load_corpus(root)
     for split in corpus:
         assert [ls.id for ls in corpus[split]] == [ls.id for ls in loaded[split]]
         for a, b in zip(corpus[split], loaded[split]):
@@ -292,6 +298,8 @@ BAD_MANIFESTS = {
     "str-split": (lambda text: b'{"splits": {"train": "suit-00000"}}',
                   "splits must be"),
     "int-id": (lambda text: b'{"splits": {"train": [1]}}', "splits must be"),
+    "unknown-split": (lambda text: text.replace(b'"validation"', b'"valid"'),
+                      "split 'valid' is not one of train, validation, test"),
 }
 
 
@@ -585,23 +593,52 @@ def test_truncated_emb_in_corpus_names_file(tmp_path):
         load_corpus(tmp_path)
 
 
-def test_page_requires_some_modality():
-    page = Page("s", 0, "RE", True)
-    with pytest.raises(CorpusError):
-        page.validate()
+def test_page_with_neither_text_nor_image_names_the_pages_file(tmp_path):
+    save_corpus({"train": [Lawsuit("L", [Page("L", 0, "RE", True)])]},
+                tmp_path)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == (f"{tmp_path / 'train' / 'pages.jsonl'}: L:0: "
+                               "page has neither text nor image data")
 
 
-def test_page_rejects_unknown_label():
-    page = Page("s", 0, "Nonsense", True, text_tokens=["a"])
-    with pytest.raises(CorpusError):
-        page.validate()
+@pytest.mark.parametrize("split, width, message", [
+    ("validation", 20, "rows of width 20, but {first} has rows of width 16"),
+    ("test", 0, "rows of width 0, but {first} has rows of width 16"),
+    ("train", 0, "rows of width 0")], ids=["validation-20", "test-0",
+                                          "train-0"])
+def test_embedding_width_is_one_per_modality(tmp_path, split, width, message):
+    """The first file of a modality with rows, in split order, fixes its
+    width; a file of rows of width 0 is refused."""
+    corpus = small_corpus(text_dim=16)
+    for page in iter_pages(corpus, split):
+        if page.text_embedding is not None:
+            page.text_embedding = np.ones(width, dtype=np.float32)
+    save_corpus(corpus, tmp_path)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    first = tmp_path / "train" / "text.emb"
+    assert str(info.value) == \
+        f"{tmp_path / split / 'text.emb'}: " + message.format(first=first)
 
 
-def test_lawsuit_rejects_non_contiguous_pages():
-    pages = [Page("s", 0, "RE", True, text_tokens=["a"]),
-             Page("s", 2, "RE", False, text_tokens=["b"])]
-    with pytest.raises(CorpusError, match="contiguous"):
-        Lawsuit("s", pages).validate()
+def _emb_shape(path):
+    """(dim, count) from the header of an ``.emb`` file."""
+    data = path.read_bytes()
+    return struct.unpack_from("<II", data, 9 + data[8])
+
+
+@pytest.mark.parametrize("config", [
+    dict(missing_image_rate=1.0, missing_text_rate=0.0),
+    dict(split_fractions=(0.8, 0.2, 0.0)),
+    dict(split_fractions=(0.0, 0.2, 0.8))],
+    ids=["no-image-rows", "no-test-lawsuits", "no-train-lawsuits"])
+def test_generated_corpus_with_files_without_rows_loads(tmp_path, config):
+    """A file without rows has width 0 and fixes no width, so the
+    generator's output loads whatever it leaves out."""
+    _assert_round_trip(small_corpus(**config), tmp_path)
+    shapes = [_emb_shape(path) for path in tmp_path.glob("*/*.emb")]
+    assert (0, 0) in shapes and all(dim for dim, count in shapes if count)
 
 
 def test_audit_clean_corpus():
